@@ -51,7 +51,6 @@ from .separability import (
     pt_coeffs,
     pure_pt_spectrum,
     pure_separable,
-    rank_shortcut,
 )
 from .spectrum import (
     Branch,
@@ -115,7 +114,6 @@ __all__ = [
     "purity_bound_check",
     "quartic_eigs",
     "rank2_eigs",
-    "rank_shortcut",
     "reduced_state",
     "spin_flip",
     "swap_gate",

@@ -2,7 +2,9 @@
 or fuzz the closed forms against the Jacobi oracle.
 
 Exit codes: 0 success, 1 input parse error, 2 validation error (bad matrix
-or bad parameter ranges), 3 tolerance breach during fuzzing.
+or bad parameter ranges), 3 tolerance breach during fuzzing, 4 internal
+error (a closed form failed its own consistency check, or the Jacobi oracle
+did not converge).
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import sys
 
 import numpy as np
 
-from .bloch import from_bloch, partial_transpose, to_bloch, validate_density_matrix
+from .bloch import from_bloch, partial_transpose, validate_density_matrix
 from .chain import chain_report, max_transfer_distance
-from .entanglement import concurrence, concurrence_pure, entanglement_report
+from .entanglement import _report, concurrence, concurrence_pure
+from .errors import InternalInconsistencyError, OracleConvergenceError
 from .linalg import eig_hermitian_oracle
 from .sampling import (
     ginibre_density,
@@ -26,13 +29,21 @@ from .sampling import (
     rank_deficient_density,
     werner_state,
 )
-from .separability import TAU_SEP, peres_test, pure_pt_spectrum, pure_separable, pt_coeffs
-from .spectrum import coeffs_from_bloch, coeffs_from_traces, quartic_eigs
+from .separability import (
+    TAU_SEP,
+    _State,
+    _verdict,
+    peres_test,
+    pure_pt_spectrum,
+    pure_separable,
+)
+from .spectrum import coeffs_from_bloch
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
+EXIT_INTERNAL = 4
 
 
 class _ParseFailure(Exception):
@@ -112,17 +123,17 @@ def _load_state_file(path: str) -> np.ndarray:
 
 
 def _analysis_dict(rho: np.ndarray) -> dict:
-    t = to_bloch(rho)
-    c = coeffs_from_traces(rho)
-    spec = quartic_eigs(c)
-    pt_spec = quartic_eigs(pt_coeffs(c, t))
-    sep = peres_test(rho, check=False)
-    ent = entanglement_report(rho, check=False)
+    s = _State(rho)
+    t = s.t
+    spec = s.own
+    pt_spec = s.pt
+    sep = _verdict(s)
+    ent = _report(s)
     return {
         "eigenvalues": [float(x) for x in spec.eigenvalues],
         "branch": spec.branch.value,
         "bloch": [[float(x) for x in row] for row in t],
-        "purity": float(c.tr2),
+        "purity": float(s.c.tr2),
         "pt_eigenvalues": [float(x) for x in pt_spec.eigenvalues],
         "separable": sep.separable,
         "marginal": sep.marginal,
@@ -265,48 +276,51 @@ class _FuzzTally:
                 )
 
 
-def _fuzz_density_checks(rho, idx, tally: _FuzzTally):
-    """Eigenvalue fidelity, coefficient route agreement, and verdict
-    equivalence for one density matrix."""
-    payload = None
-
-    def dump():
-        nonlocal payload
-        if payload is None:
-            payload = _matrix_json(rho)
-        return payload
-
-    closed = quartic_eigs(coeffs_from_traces(rho)).eigenvalues
-    oracle = eig_hermitian_oracle(rho)
+def _fuzz_spectrum_checks(s: _State, idx, tally: _FuzzTally) -> None:
+    """Eigenvalue fidelity and coefficient route agreement for one
+    Hermitian trace-one matrix."""
+    closed = s.own.eigenvalues
+    oracle = eig_hermitian_oracle(s.rho)
     err = max(abs(a - b) for a, b in zip(closed, oracle))
-    tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, dump() if err > 1e-9 else None)
-
-    t = to_bloch(rho)
-    ca = coeffs_from_traces(rho)
-    cb = coeffs_from_bloch(t)
+    tally.record(
+        "eigenvalues_vs_oracle", err, 1e-9, idx,
+        _matrix_json(s.rho) if err > 1e-9 else None,
+    )
+    ca = s.c
+    cb = coeffs_from_bloch(s.t)
     err = max(
         abs(ca.b0 - cb.b0), abs(ca.b1 - cb.b1), abs(ca.b2 - cb.b2), abs(ca.tr2 - cb.tr2)
     )
-    tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, dump() if err > 1e-10 else None)
+    tally.record(
+        "bloch_vs_flv_coeffs", err, 1e-10, idx,
+        _matrix_json(s.rho) if err > 1e-10 else None,
+    )
 
-    sep = peres_test(rho, check=False)
+
+def _fuzz_density_checks(rho, idx, tally: _FuzzTally):
+    """The spectrum checks plus verdict equivalence for one density
+    matrix."""
+    s = _State(rho)
+    _fuzz_spectrum_checks(s, idx, tally)
+    sep = _verdict(s)
     pt_oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
     lam_err = abs(sep.lambda_min_pt - pt_oracle_min)
     tally.record(
-        "pt_lambda_min_vs_oracle", lam_err, 1e-9, idx, dump() if lam_err > 1e-9 else None
+        "pt_lambda_min_vs_oracle", lam_err, 1e-9, idx,
+        _matrix_json(rho) if lam_err > 1e-9 else None,
     )
     if abs(pt_oracle_min) > TAU_SEP and abs(sep.lambda_min_pt) > TAU_SEP:
         agree = sep.separable == (pt_oracle_min >= 0.0)
         tally.record(
             "verdict_vs_oracle_sign", 0.0 if agree else 1.0, 0.5, idx,
-            dump() if not agree else None,
+            _matrix_json(rho) if not agree else None,
         )
     if abs(sep.lambda_min_pt) > 1e-8:
         c = concurrence(rho, check=False)
         agree = (c > TAU_SEP) == (not sep.separable)
         tally.record(
             "concurrence_vs_verdict", 0.0 if agree else 1.0, 0.5, idx,
-            dump() if not agree else None,
+            _matrix_json(rho) if not agree else None,
         )
 
 
@@ -315,23 +329,7 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
         _fuzz_density_checks(ginibre_density(rng), idx, tally)
     elif family == "hermitian":
         h = random_hermitian_trace_one(rng)
-        closed = quartic_eigs(coeffs_from_traces(h)).eigenvalues
-        oracle = eig_hermitian_oracle(h)
-        err = max(abs(a - b) for a, b in zip(closed, oracle))
-        tally.record(
-            "eigenvalues_vs_oracle", err, 1e-9, idx,
-            _matrix_json(h) if err > 1e-9 else None,
-        )
-        ca = coeffs_from_traces(h)
-        cb = coeffs_from_bloch(to_bloch(h))
-        err = max(
-            abs(ca.b0 - cb.b0), abs(ca.b1 - cb.b1),
-            abs(ca.b2 - cb.b2), abs(ca.tr2 - cb.tr2),
-        )
-        tally.record(
-            "bloch_vs_flv_coeffs", err, 1e-10, idx,
-            _matrix_json(h) if err > 1e-10 else None,
-        )
+        _fuzz_spectrum_checks(_State(h), idx, tally)
     elif family == "pure":
         v = haar_pure(rng)
         rho = pure_density(v)
@@ -437,6 +435,9 @@ def main(argv=None) -> int:
     except _ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (InternalInconsistencyError, OracleConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

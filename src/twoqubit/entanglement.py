@@ -14,16 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import to_bloch, validate_density_matrix
+from .bloch import validate_density_matrix
 from .errors import InternalInconsistencyError, NotApplicableError
 from .linalg import SIGMA_Y, charpoly_flv, kron
-from .separability import inequality_rhs, pt_coeffs
-from .spectrum import (
-    TAU_BRANCH,
-    CharCoeffs,
-    coeffs_from_traces,
-    quartic_eigs,
-)
+from .separability import _State
+from .spectrum import TAU_BRANCH, CharCoeffs, quartic_eigs
 
 _YY = kron(SIGMA_Y, SIGMA_Y)
 
@@ -105,14 +100,16 @@ def _binary_entropy(x: float) -> float:
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
+def _eof_from_concurrence(c: float) -> float:
+    return _binary_entropy((1.0 + math.sqrt(1.0 - min(c, 1.0) ** 2)) / 2.0)
+
+
 def eof(rho, check: bool = True) -> float:
     """Entanglement of formation via the concurrence:
 
         E = h((1 + sqrt(1 - C^2)) / 2),  h the binary entropy.
     """
-    c = concurrence(rho, check=check)
-    c = min(c, 1.0)
-    return _binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+    return _eof_from_concurrence(concurrence(rho, check=check))
 
 
 def concurrence_pure(state) -> float:
@@ -121,16 +118,29 @@ def concurrence_pure(state) -> float:
     return 2.0 * abs(a * d - b * c)
 
 
+def _negativity(s: _State) -> float:
+    return sum(max(0.0, -lam) for lam in s.pt.eigenvalues)
+
+
 def negativity(rho, check: bool = True) -> float:
     """Sum of the absolute values of the negative partial-transpose
     eigenvalues, computed from the closed-form PT spectrum."""
     rho = np.asarray(rho, dtype=complex)
     if check:
         validate_density_matrix(rho)
-    t = to_bloch(rho)
-    cp = pt_coeffs(coeffs_from_traces(rho), t)
-    spec = quartic_eigs(cp)
-    return sum(max(0.0, -lam) for lam in spec.eigenvalues)
+    return _negativity(_State(rho))
+
+
+def _eof_bound(s: _State) -> float:
+    if s.own.eigenvalues[-1] <= TAU_BRANCH:
+        raise NotApplicableError(
+            "bound requires a full-rank state "
+            f"(lambda_min = {s.own.eigenvalues[-1]:.3e})"
+        )
+    rhs = s.rhs
+    if rhs is None:
+        rhs = 1.0 - 4.0 * s.pt.eigenvalues[-1]
+    return min(max(rhs, 0.0), 1.0)
 
 
 def eof_upper_bound(rho, check: bool = True) -> float:
@@ -146,18 +156,7 @@ def eof_upper_bound(rho, check: bool = True) -> float:
     rho = np.asarray(rho, dtype=complex)
     if check:
         validate_density_matrix(rho)
-    own = quartic_eigs(coeffs_from_traces(rho))
-    if own.eigenvalues[-1] <= TAU_BRANCH:
-        raise NotApplicableError(
-            "bound requires a full-rank state "
-            f"(lambda_min = {own.eigenvalues[-1]:.3e})"
-        )
-    t = to_bloch(rho)
-    cp = pt_coeffs(coeffs_from_traces(rho), t)
-    rhs = inequality_rhs(cp)
-    if rhs is None:
-        rhs = 1.0 - 4.0 * quartic_eigs(cp).eigenvalues[-1]
-    return min(max(rhs, 0.0), 1.0)
+    return _eof_bound(_State(rho))
 
 
 @dataclass(frozen=True)
@@ -168,22 +167,25 @@ class EntanglementReport:
     eof_upper_bound: float | None
 
 
+def _report(s: _State) -> EntanglementReport:
+    c = concurrence(s.rho, check=False)
+    neg = _negativity(s)
+    try:
+        bound = _eof_bound(s)
+    except NotApplicableError:
+        bound = None
+    return EntanglementReport(
+        concurrence=c,
+        eof=_eof_from_concurrence(c),
+        negativity=neg,
+        eof_upper_bound=bound,
+    )
+
+
 def entanglement_report(rho, check: bool = True) -> EntanglementReport:
     """All entanglement measures in one pass. eof_upper_bound is None when
     the state is not full rank."""
     rho = np.asarray(rho, dtype=complex)
     if check:
         validate_density_matrix(rho)
-    c = concurrence(rho, check=False)
-    neg = negativity(rho, check=False)
-    try:
-        bound = eof_upper_bound(rho, check=False)
-    except NotApplicableError:
-        bound = None
-    e = _binary_entropy((1.0 + math.sqrt(1.0 - min(c, 1.0) ** 2)) / 2.0)
-    return EntanglementReport(
-        concurrence=c,
-        eof=e,
-        negativity=neg,
-        eof_upper_bound=bound,
-    )
+    return _report(_State(rho))

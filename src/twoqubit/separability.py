@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,17 +20,15 @@ from .errors import InternalInconsistencyError
 from .spectrum import (
     SQRT3,
     SQRT6,
-    TAU_BRANCH,
     CharCoeffs,
+    QuarticSpectrum,
     _DEGEN_COEFF_TOL,
     _clamped_sqrt,
     _det3,
+    _resolvent_terms,
     coeffs_from_bloch,
     coeffs_from_traces,
-    cubic_coeffs,
-    cubic_eigs,
     quartic_eigs,
-    rank2_eigs,
     trig_params,
 )
 
@@ -108,15 +107,68 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     tp = trig_params(c)
     if tp.phi is None:
         return None
-    cphi = math.cos(tp.phi)
-    x = 4.0 * c.tr2 - 1.0 + 8.0 * tp.c1 * cphi
-    if x <= 1e-12:
+    terms = _resolvent_terms(c, tp.c1, tp.phi)
+    if terms is None:
         return None
-    sx = math.sqrt(x)
-    u = 4.0 * c.tr2 - 1.0 - 4.0 * tp.c1 * cphi
-    w = 3.0 * SQRT3 * (1.0 + 8.0 * c.b1 - 2.0 * c.tr2) / sx
+    sx, u, w = terms
     inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL)
     return sx / SQRT3 + 2.0 * inner / SQRT6
+
+
+class _State:
+    """One state's data, shared by everything a single public call reads:
+    Bloch tensor t, coefficients c and own spectrum, PT coefficients cp and
+    PT spectrum, and the inequality right side on cp.
+
+    Each piece is computed on first use and kept, so a call runs the solver
+    stages in the order it reads them and never runs one twice. A record
+    belongs to one call; nothing is kept between calls.
+    """
+
+    def __init__(self, rho: np.ndarray):
+        self.rho = rho
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return to_bloch(self.rho)
+
+    @cached_property
+    def c(self) -> CharCoeffs:
+        return coeffs_from_traces(self.rho)
+
+    @cached_property
+    def own(self) -> QuarticSpectrum:
+        return quartic_eigs(self.c)
+
+    @cached_property
+    def cp(self) -> CharCoeffs:
+        t = self.t  # to_bloch before coeffs_from_traces, the callers' order
+        return pt_coeffs(self.c, t)
+
+    @cached_property
+    def pt(self) -> QuarticSpectrum:
+        return quartic_eigs(self.cp)
+
+    @cached_property
+    def rhs(self) -> float | None:
+        return inequality_rhs(self.cp)
+
+
+def _verdict(s: _State) -> SeparabilityReport:
+    lam_min = s.pt.eigenvalues[-1]
+    separable = lam_min >= -TAU_SEP
+    marginal = abs(lam_min) <= TAU_SEP
+
+    rhs = s.rhs
+    agrees = None if rhs is None else (rhs <= 1.0 + 4.0 * TAU_SEP) == separable
+    return SeparabilityReport(
+        separable=separable,
+        lambda_min_pt=lam_min,
+        branch=s.pt.branch.value,
+        marginal=marginal,
+        pt_coeffs=s.cp,
+        inequality_agrees=agrees,
+    )
 
 
 def peres_test(rho, check: bool = True) -> SeparabilityReport:
@@ -130,24 +182,7 @@ def peres_test(rho, check: bool = True) -> SeparabilityReport:
     rho = np.asarray(rho, dtype=complex)
     if check:
         validate_density_matrix(rho)
-    t = to_bloch(rho)
-    c = coeffs_from_traces(rho)
-    cp = pt_coeffs(c, t)
-    spec = quartic_eigs(cp)
-    lam_min = spec.eigenvalues[-1]
-    separable = lam_min >= -TAU_SEP
-    marginal = abs(lam_min) <= TAU_SEP
-
-    rhs = inequality_rhs(cp)
-    agrees = None if rhs is None else (rhs <= 1.0 + 4.0 * TAU_SEP) == separable
-    return SeparabilityReport(
-        separable=separable,
-        lambda_min_pt=lam_min,
-        branch=spec.branch.value,
-        marginal=marginal,
-        pt_coeffs=cp,
-        inequality_agrees=agrees,
-    )
+    return _verdict(_State(rho))
 
 
 def pure_pt_spectrum(state):
@@ -169,54 +204,3 @@ def pure_separable(state, tol: float = TAU_SEP) -> bool:
     """A pure two-qubit state is a product state iff ad - bc = 0."""
     a, b, c, d = (complex(x) for x in np.asarray(state).ravel())
     return abs(a * d - b * c) <= tol
-
-
-def rank_shortcut(rho, check: bool = True) -> SeparabilityReport | None:
-    """Rank-based fast path for states whose partial transpose is singular.
-
-    Two or more vanishing PT eigenvalues force separability outright: the
-    remaining pair (1 +/- sqrt(2 tr2 - 1))/2 is nonnegative whenever the
-    purity is at most one, which it always is. Exactly one vanishing PT
-    eigenvalue reduces the verdict to positivity of the residual cubic:
-    sqrt(6 tr2 - 2) cos(phi - pi/3) <= 1, or tr2 <= 5/9 in the d = 0
-    subcase. Returns None when neither applies; the verdict must then come
-    from peres_test. This path is advisory: it must always agree with
-    peres_test where both apply, and the test suite enforces that.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        validate_density_matrix(rho)
-    t = to_bloch(rho)
-    c = coeffs_from_traces(rho)
-    cp = pt_coeffs(c, t)
-    if abs(cp.b0) > TAU_BRANCH:
-        return None
-
-    if abs(cp.b1) <= TAU_BRANCH:
-        pair = rank2_eigs(cp.tr2)
-        lam_min = min(0.0, pair[1])
-        separable = True
-        branch = "RankTwoPT"
-    else:
-        cc = cubic_coeffs(cp, b0_tol=TAU_BRANCH)
-        eigs, _ = cubic_eigs(cc)
-        lam_min = min(0.0, eigs[-1])
-        if abs(cc.d) <= TAU_BRANCH:
-            separable = cp.tr2 <= 5.0 / 9.0 + 1e-10
-        else:
-            shifted = 1.0 - 3.0 * cc.b2
-            amp = math.sqrt(max(6.0 * cp.tr2 - 2.0, 0.0))
-            ratio = cc.d / (2.0 * max(shifted, 1e-300) ** 1.5)
-            ratio = min(1.0, max(-1.0, ratio))
-            phi = math.acos(ratio) / 3.0
-            separable = amp * math.cos(phi - math.pi / 3.0) <= 1.0 + 3.0 * TAU_SEP
-        branch = "OneZeroPT"
-
-    return SeparabilityReport(
-        separable=separable,
-        lambda_min_pt=lam_min,
-        branch=branch,
-        marginal=abs(lam_min) <= TAU_SEP,
-        pt_coeffs=cp,
-        inequality_agrees=None,
-    )

@@ -129,6 +129,10 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     (A xi_b). Getting either of these wrong breaks the determinant term
     while leaving every symmetric test case unchanged, so the pairing is
     pinned down by randomized cross-validation against coeffs_from_traces.
+
+    The adjugate term tr(adj(A) adj(A)^T), the sum of the squared 2x2
+    minors of the correlation block A, is evaluated by Cauchy-Binet as
+    ((tr G)^2 - tr(G^2)) / 2 with G = A A^T the Gram matrix of A's rows.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
@@ -152,12 +156,9 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     quad = float(xi_b @ corr @ (corr @ xi_a))
     tr_corr_sq = float((corr * corr.T).sum())
 
-    r0, r1, r2 = corr[0], corr[1], corr[2]
-    cross_sq = (
-        float(np.cross(r0, r1) @ np.cross(r0, r1))
-        + float(np.cross(r1, r2) @ np.cross(r1, r2))
-        + float(np.cross(r2, r0) @ np.cross(r2, r0))
-    )
+    gram = corr @ corr.T
+    tr_gram = float(gram[0, 0] + gram[1, 1] + gram[2, 2])
+    cross_sq = 0.5 * (tr_gram * tr_gram - float((gram * gram).sum()))
 
     b0 = (
         1.0
@@ -236,6 +237,21 @@ def _poly_residual(c: CharCoeffs, eigs) -> float:
     )
 
 
+def _resolvent_terms(c: CharCoeffs, c1: float, phi: float):
+    """(sqrt(x), u, w) for the largest resolvent root x. The quartic's
+    roots are 1/4 + s sqrt(x)/(4 sqrt 3) +/- sqrt(u - s w)/(2 sqrt 6) for
+    s = +/-1. None if x degenerates (which only happens next to the
+    all-quarter point)."""
+    cphi = math.cos(phi)
+    x = 4.0 * c.tr2 - 1.0 + 8.0 * c1 * cphi
+    if x <= 1e-12:
+        return None
+    sx = math.sqrt(x)
+    u = 4.0 * c.tr2 - 1.0 - 4.0 * c1 * cphi
+    w = 3.0 * SQRT3 * (1.0 + 8.0 * c.b1 - 2.0 * c.tr2) / sx
+    return sx, u, w
+
+
 def _generic_eigs(
     c: CharCoeffs,
     c1: float,
@@ -244,15 +260,12 @@ def _generic_eigs(
     flush: float = 0.0,
 ):
     """Four roots from the largest resolvent root; None if that root
-    degenerates (which only happens next to the all-quarter point)."""
-    cphi = math.cos(phi)
-    x = 4.0 * c.tr2 - 1.0 + 8.0 * c1 * cphi
-    if x <= 1e-12:
+    degenerates."""
+    terms = _resolvent_terms(c, c1, phi)
+    if terms is None:
         return None
-    sx = math.sqrt(x)
+    sx, u, w = terms
     shift = sx / (4.0 * SQRT3)
-    u = 4.0 * c.tr2 - 1.0 - 4.0 * c1 * cphi
-    w = 3.0 * SQRT3 * (1.0 + 8.0 * c.b1 - 2.0 * c.tr2) / sx
     half_low = _clamped_sqrt(u + w, "inner(-)", band, flush) / (2.0 * SQRT6)
     half_high = _clamped_sqrt(u - w, "inner(+)", band, flush) / (2.0 * SQRT6)
     return (

@@ -6,8 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from twoqubit.cli import EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, EXIT_VALIDATION, main
-from twoqubit.sampling import bell_state, pure_density
+import twoqubit.bloch
+import twoqubit.separability
+from twoqubit.bloch import to_bloch
+from twoqubit.cli import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_TOLERANCE,
+    EXIT_VALIDATION,
+    main,
+)
+from twoqubit.entanglement import entanglement_report
+from twoqubit.errors import InternalInconsistencyError, OracleConvergenceError
+from twoqubit.sampling import bell_state, ginibre_density, pure_density, werner_state
+from twoqubit.separability import peres_test
+from twoqubit.spectrum import coeffs_from_traces, quartic_eigs
 
 
 def run(capsys, *argv):
@@ -22,11 +36,12 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+def matrix_doc(rho):
+    return {"matrix": [[[x.real, x.imag] for x in row] for row in rho]}
+
+
 def bell_matrix_doc():
-    rho = pure_density(bell_state())
-    return {
-        "matrix": [[[x.real, x.imag] for x in row] for row in rho]
-    }
+    return matrix_doc(pure_density(bell_state()))
 
 
 def test_analyze_bell(tmp_path, capsys):
@@ -50,13 +65,60 @@ def test_analyze_json_output(tmp_path, capsys):
     assert min(doc["pt_eigenvalues"]) < -0.49
 
 
+def test_analyze_json_matches_library(tmp_path, capsys):
+    """Every analyze --json field equals what the library returns for the
+    same matrix, exactly: the CLI adds no arithmetic of its own."""
+    rng = np.random.default_rng(62)
+    states = [ginibre_density(rng), pure_density(bell_state()), werner_state(0.2)]
+    for k, rho in enumerate(states):
+        path = write_json(tmp_path, f"s{k}.json", matrix_doc(rho))
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        c = coeffs_from_traces(rho)
+        spec = quartic_eigs(c)
+        sep = peres_test(rho)
+        ent = entanglement_report(rho)
+        assert doc == {
+            "eigenvalues": list(spec.eigenvalues),
+            "branch": spec.branch.value,
+            "bloch": to_bloch(rho).tolist(),
+            "purity": c.tr2,
+            "pt_eigenvalues": list(quartic_eigs(sep.pt_coeffs).eigenvalues),
+            "separable": sep.separable,
+            "marginal": sep.marginal,
+            "concurrence": ent.concurrence,
+            "eof": ent.eof,
+            "negativity": ent.negativity,
+            "eof_upper_bound": ent.eof_upper_bound,
+        }
+
+
+@pytest.mark.parametrize(
+    "module, name, error",
+    [
+        (twoqubit.separability, "quartic_eigs", InternalInconsistencyError),
+        (twoqubit.bloch, "eig_hermitian_oracle", OracleConvergenceError),
+    ],
+    ids=["inconsistency", "oracle"],
+)
+def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, module, name, error):
+    def fail(*args, **kwargs):
+        raise error("solver gave up")
+
+    monkeypatch.setattr(module, name, fail)
+    path = write_json(tmp_path, "bell.json", bell_matrix_doc())
+    code, out, err = run(capsys, "analyze", path)
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "error: solver gave up\n"
+
+
 def test_analyze_matrix_and_bloch_agree(tmp_path, capsys):
     """The same state supplied both ways: identical verdicts, and every
     number equal up to the rounding of the tensor round trip."""
     rho = 0.9 * pure_density(bell_state()) + 0.1 * np.eye(4) / 4.0
-    m_doc = {"matrix": [[[x.real, x.imag] for x in row] for row in rho]}
-    from twoqubit.bloch import to_bloch
-
+    m_doc = matrix_doc(rho)
     t_doc = {"bloch": [[float(x) for x in row] for row in to_bloch(rho)]}
     code_m, out_m, _ = run(capsys, "analyze", write_json(tmp_path, "m.json", m_doc), "--json")
     code_t, out_t, _ = run(capsys, "analyze", write_json(tmp_path, "t.json", t_doc), "--json")
@@ -186,4 +248,4 @@ def test_unknown_family_is_an_argparse_error(capsys):
 
 def test_exit_tolerance_is_distinct():
     # the breach exit code must stay distinguishable for scripting
-    assert EXIT_TOLERANCE not in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
+    assert EXIT_TOLERANCE not in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_INTERNAL)

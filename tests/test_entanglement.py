@@ -163,13 +163,32 @@ def test_eof_upper_bound_near_pure():
 
 
 def test_report_is_consistent():
+    """The report's fields equal the standalone measures exactly, across
+    full-rank, rank-deficient, pure, Werner and product states."""
     rng = np.random.default_rng(59)
-    rho = ginibre_density(rng)
-    report = entanglement_report(rho, check=False)
-    assert report.concurrence == concurrence(rho, check=False)
-    assert report.negativity == negativity(rho, check=False)
-    assert abs(report.eof - eof(rho, check=False)) <= 1e-15
-    assert report.eof_upper_bound == eof_upper_bound(rho, check=False)
+    states = []
+    for _ in range(10):
+        states += [
+            ginibre_density(rng),
+            rank_deficient_density(rng, 2),
+            rank_deficient_density(rng, 3),
+            pure_density(haar_pure(rng)),
+            werner_state(rng.uniform(-1.0 / 3.0, 1.0)),
+            pure_density(random_product_pure(rng)),
+        ]
+    bounded = 0
+    for rho in states:
+        report = entanglement_report(rho, check=False)
+        assert report.concurrence == concurrence(rho, check=False)
+        assert report.eof == eof(rho, check=False)
+        assert report.negativity == negativity(rho, check=False)
+        try:
+            bound = eof_upper_bound(rho, check=False)
+        except NotApplicableError:
+            bound = None
+        assert report.eof_upper_bound == bound
+        bounded += bound is not None
+    assert 0 < bounded < len(states)
 
 
 def test_report_bound_is_none_for_pure():

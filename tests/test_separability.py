@@ -21,7 +21,6 @@ from twoqubit.separability import (
     pt_coeffs,
     pure_pt_spectrum,
     pure_separable,
-    rank_shortcut,
 )
 from twoqubit.spectrum import coeffs_from_traces, quartic_eigs
 
@@ -137,42 +136,25 @@ def test_inequality_agreement_flag():
         assert report.inequality_agrees is not False
 
 
-def test_rank_shortcut_product_pure():
+def test_peres_product_pure_is_separable():
     rng = np.random.default_rng(47)
     for _ in range(50):
-        rho = pure_density(random_product_pure(rng))
-        report = rank_shortcut(rho, check=False)
-        assert report is not None
-        assert report.branch == "RankTwoPT"
+        report = peres_test(pure_density(random_product_pure(rng)), check=False)
         assert report.separable
+        assert report.lambda_min_pt >= -TAU_SEP
 
 
-def test_rank_shortcut_single_zero():
-    # a diagonal state is its own partial transpose, so one vanishing
-    # eigenvalue lands the cubic subcase; diagonal states are separable
-    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
-    report = rank_shortcut(rho, check=False)
-    assert report is not None
-    assert report.branch == "OneZeroPT"
-    assert report.separable
-
-
-def test_rank_shortcut_declines_generic_input():
-    assert rank_shortcut(pure_density(bell_state()), check=False) is None
-    rng = np.random.default_rng(48)
-    assert rank_shortcut(ginibre_density(rng), check=False) is None
-
-
-def test_rank_shortcut_agrees_with_peres():
-    """Random diagonal rank-3 states keep the shortcut honest."""
+def test_peres_diagonal_rank3_is_separable():
+    """A diagonal state is its own partial transpose, so a zero on the
+    diagonal leaves one vanishing PT eigenvalue; diagonal states are
+    separable. Random Dirichlet weights plus one fixed state."""
     rng = np.random.default_rng(49)
-    for _ in range(200):
-        w = rng.dirichlet(np.ones(3))
+    weights = [np.array([0.5, 0.3, 0.2])] + [rng.dirichlet(np.ones(3)) for _ in range(200)]
+    for w in weights:
         rho = np.diag([w[0], w[1], w[2], 0.0]).astype(complex)
-        report = rank_shortcut(rho, check=False)
-        if report is None:
-            continue
-        assert report.separable == peres_test(rho, check=False).separable
+        report = peres_test(rho, check=False)
+        assert report.separable
+        assert report.lambda_min_pt >= -TAU_SEP
 
 
 def test_validation_is_on_by_default():
