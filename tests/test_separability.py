@@ -144,17 +144,29 @@ def test_peres_product_pure_is_separable():
         assert report.lambda_min_pt >= -TAU_SEP
 
 
-def test_peres_diagonal_rank3_is_separable():
-    """A diagonal state is its own partial transpose, so a zero on the
-    diagonal leaves one vanishing PT eigenvalue; diagonal states are
-    separable. Random Dirichlet weights plus one fixed state."""
+def test_rank_shortcut_single_zero():
+    # A diagonal state is its own partial transpose, so a zero on the
+    # diagonal leaves one vanishing PT eigenvalue. The general quartic
+    # path must land it exactly on zero: separable and marginal.
+    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    report = peres_test(rho, check=False)
+    assert report.separable
+    assert report.marginal
+    assert abs(report.lambda_min_pt - pt_oracle_min(rho)) <= 1e-12
+
+
+def test_rank_shortcut_agrees_with_peres():
+    """Random diagonal rank-3 states, the rank-deficient PT case: the
+    closed-form lambda_min agrees with the oracle and the verdict is
+    separable, as it is for every diagonal state."""
     rng = np.random.default_rng(49)
-    weights = [np.array([0.5, 0.3, 0.2])] + [rng.dirichlet(np.ones(3)) for _ in range(200)]
-    for w in weights:
+    for _ in range(200):
+        w = rng.dirichlet(np.ones(3))
         rho = np.diag([w[0], w[1], w[2], 0.0]).astype(complex)
         report = peres_test(rho, check=False)
         assert report.separable
         assert report.lambda_min_pt >= -TAU_SEP
+        assert abs(report.lambda_min_pt - pt_oracle_min(rho)) <= 1e-12
 
 
 def test_validation_is_on_by_default():
