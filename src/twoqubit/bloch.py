@@ -25,13 +25,11 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
-def validate_density_matrix(m, psd: bool = True):
+def validate_density_matrix(m):
     """Check that m is a physical two-qubit state and return it as complex.
 
-    Verifies hermiticity and unit trace, and (unless ``psd=False``) positive
-    semidefiniteness via the Jacobi oracle. Passing ``psd=False`` gives the
-    relaxed Hermitian trace-one check used for objects like partial
-    transposes that may legitimately have negative eigenvalues.
+    Verifies finiteness, hermiticity, unit trace and positive
+    semidefiniteness, the last via the Jacobi oracle.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -43,10 +41,9 @@ def validate_density_matrix(m, psd: bool = True):
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be one, got {tr}")
-    if psd:
-        lo = eig_hermitian_oracle(m)[-1]
-        if lo < -PSD_TOL:
-            raise ValueError(f"matrix is not positive semidefinite (min eig {lo:.3e})")
+    lo = eig_hermitian_oracle(m)[-1]
+    if lo < -PSD_TOL:
+        raise ValueError(f"matrix is not positive semidefinite (min eig {lo:.3e})")
     return m
 
 

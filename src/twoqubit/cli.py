@@ -182,6 +182,10 @@ def _parse_sweep(text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise _ValidationFailure(f"--sweep values must be numbers: {exc}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise _ValidationFailure("--sweep values must be finite")
+    if not 0.0 <= start <= 1.0 or not 0.0 <= stop <= 1.0:
+        raise _ValidationFailure("--sweep endpoints must lie in [0, 1]")
     if step <= 0 or stop < start:
         raise _ValidationFailure("--sweep needs step > 0 and stop >= start")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -259,6 +263,8 @@ class _FuzzTally:
         self.dumps = []
 
     def record(self, check: str, error: float, tol: float, index: int, payload):
+        """Fold one check's error into the tally; payload() builds the
+        input dump and is called only for a breach that is dumped."""
         prev = self.max_error.get(check, 0.0)
         if error > prev:
             self.max_error[check] = error
@@ -271,7 +277,7 @@ class _FuzzTally:
                         "error": float(error),
                         "tolerance": tol,
                         "index": index,
-                        "input": payload,
+                        "input": payload(),
                     }
                 )
 
@@ -282,19 +288,13 @@ def _fuzz_spectrum_checks(s: _State, idx, tally: _FuzzTally) -> None:
     closed = s.own.eigenvalues
     oracle = eig_hermitian_oracle(s.rho)
     err = max(abs(a - b) for a, b in zip(closed, oracle))
-    tally.record(
-        "eigenvalues_vs_oracle", err, 1e-9, idx,
-        _matrix_json(s.rho) if err > 1e-9 else None,
-    )
+    tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, lambda: _matrix_json(s.rho))
     ca = s.c
     cb = coeffs_from_bloch(s.t)
     err = max(
         abs(ca.b0 - cb.b0), abs(ca.b1 - cb.b1), abs(ca.b2 - cb.b2), abs(ca.tr2 - cb.tr2)
     )
-    tally.record(
-        "bloch_vs_flv_coeffs", err, 1e-10, idx,
-        _matrix_json(s.rho) if err > 1e-10 else None,
-    )
+    tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, lambda: _matrix_json(s.rho))
 
 
 def _fuzz_density_checks(rho, idx, tally: _FuzzTally):
@@ -305,22 +305,19 @@ def _fuzz_density_checks(rho, idx, tally: _FuzzTally):
     sep = _verdict(s)
     pt_oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
     lam_err = abs(sep.lambda_min_pt - pt_oracle_min)
-    tally.record(
-        "pt_lambda_min_vs_oracle", lam_err, 1e-9, idx,
-        _matrix_json(rho) if lam_err > 1e-9 else None,
-    )
+    tally.record("pt_lambda_min_vs_oracle", lam_err, 1e-9, idx, lambda: _matrix_json(rho))
     if abs(pt_oracle_min) > TAU_SEP and abs(sep.lambda_min_pt) > TAU_SEP:
         agree = sep.separable == (pt_oracle_min >= 0.0)
         tally.record(
             "verdict_vs_oracle_sign", 0.0 if agree else 1.0, 0.5, idx,
-            _matrix_json(rho) if not agree else None,
+            lambda: _matrix_json(rho),
         )
     if abs(sep.lambda_min_pt) > 1e-8:
         c = concurrence(rho, check=False)
         agree = (c > TAU_SEP) == (not sep.separable)
         tally.record(
             "concurrence_vs_verdict", 0.0 if agree else 1.0, 0.5, idx,
-            _matrix_json(rho) if not agree else None,
+            lambda: _matrix_json(rho),
         )
 
 
@@ -337,18 +334,13 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
         closed = pure_pt_spectrum(v)
         oracle = eig_hermitian_oracle(partial_transpose(rho))
         err = max(abs(a - b) for a, b in zip(closed, oracle))
-        tally.record(
-            "pure_pt_vs_oracle", err, 1e-12, idx, state_json if err > 1e-12 else None
-        )
+        tally.record("pure_pt_vs_oracle", err, 1e-12, idx, lambda: state_json)
         err = abs(concurrence(rho, check=False) - concurrence_pure(v))
-        tally.record(
-            "pure_concurrence_bridge", err, 1e-10, idx,
-            state_json if err > 1e-10 else None,
-        )
+        tally.record("pure_concurrence_bridge", err, 1e-10, idx, lambda: state_json)
         agree = pure_separable(v) == peres_test(rho, check=False).separable
         tally.record(
             "pure_verdict_agreement", 0.0 if agree else 1.0, 0.5, idx,
-            state_json if not agree else None,
+            lambda: state_json,
         )
     elif family in ("rank2", "rank3"):
         rho = rank_deficient_density(rng, 2 if family == "rank2" else 3)
@@ -359,10 +351,7 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
         _fuzz_density_checks(rho, idx, tally)
         c = concurrence(rho, check=False)
         err = abs(c - max(0.0, (3.0 * p - 1.0) / 2.0))
-        tally.record(
-            "werner_concurrence_formula", err, 1e-10, idx,
-            [p] if err > 1e-10 else None,
-        )
+        tally.record("werner_concurrence_formula", err, 1e-10, idx, lambda: [p])
     else:
         raise _ValidationFailure(f"unknown family {family!r}")
 

@@ -17,7 +17,7 @@ import numpy as np
 from .bloch import validate_density_matrix
 from .errors import InternalInconsistencyError, NotApplicableError
 from .linalg import SIGMA_Y, charpoly_flv, kron
-from .separability import _State
+from .separability import _State, _checked_state
 from .spectrum import TAU_BRANCH, CharCoeffs, quartic_eigs
 
 _YY = kron(SIGMA_Y, SIGMA_Y)
@@ -125,10 +125,7 @@ def _negativity(s: _State) -> float:
 def negativity(rho, check: bool = True) -> float:
     """Sum of the absolute values of the negative partial-transpose
     eigenvalues, computed from the closed-form PT spectrum."""
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        validate_density_matrix(rho)
-    return _negativity(_State(rho))
+    return _negativity(_checked_state(rho, check))
 
 
 def _eof_bound(s: _State) -> float:
@@ -153,10 +150,7 @@ def eof_upper_bound(rho, check: bool = True) -> float:
     branches where the trigonometric form is undefined the lambda_min
     identity supplies the value directly.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        validate_density_matrix(rho)
-    return _eof_bound(_State(rho))
+    return _eof_bound(_checked_state(rho, check))
 
 
 @dataclass(frozen=True)
@@ -185,7 +179,4 @@ def _report(s: _State) -> EntanglementReport:
 def entanglement_report(rho, check: bool = True) -> EntanglementReport:
     """All entanglement measures in one pass. eof_upper_bound is None when
     the state is not full rank."""
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        validate_density_matrix(rho)
-    return _report(_State(rho))
+    return _report(_checked_state(rho, check))

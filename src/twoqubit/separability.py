@@ -107,7 +107,7 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     tp = trig_params(c)
     if tp.phi is None:
         return None
-    terms = _resolvent_terms(c, tp.c1, tp.phi)
+    terms = _resolvent_terms(c, tp.c1, math.cos(tp.phi))
     if terms is None:
         return None
     sx, u, w = terms
@@ -154,6 +154,15 @@ class _State:
         return inequality_rhs(self.cp)
 
 
+def _checked_state(rho, check: bool) -> _State:
+    """The record for one public call's input, validated first unless
+    ``check`` is false."""
+    rho = np.asarray(rho, dtype=complex)
+    if check:
+        validate_density_matrix(rho)
+    return _State(rho)
+
+
 def _verdict(s: _State) -> SeparabilityReport:
     lam_min = s.pt.eigenvalues[-1]
     separable = lam_min >= -TAU_SEP
@@ -179,10 +188,7 @@ def peres_test(rho, check: bool = True) -> SeparabilityReport:
     marginal when |lambda_min| <= TAU_SEP. Set ``check=False`` to skip the
     (oracle-backed) density matrix validation for inputs known to be valid.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        validate_density_matrix(rho)
-    return _verdict(_State(rho))
+    return _verdict(_checked_state(rho, check))
 
 
 def pure_pt_spectrum(state):

@@ -16,14 +16,18 @@ root differences, hence is never positive. The angle phi = acos(c2 / (2
 c1^3)) / 3 lies in [0, pi/3] and selects the largest root of the resolvent
 cubic, which keeps the downstream square roots well conditioned.
 
-Degenerate inputs (c2 = 0, or c1 = c2 = 0) take dedicated branch formulas;
-this module also carries the rank-reduced cubic and quadratic solvers for
-spectra with known zero eigenvalues.
+One four-root formula serves every resolvent root: where c2 = 0 it is
+also evaluated on the middle root 4 tr2 - 1 (cos theta = 0), and the
+candidate with the smaller residual wins. Single+triple spectra (and with
+them c1 = c2 = 0) take a closed form driven by tr2 alone; this module also
+carries the rank-reduced cubic and quadratic solvers for spectra with
+known zero eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -237,31 +241,26 @@ def _poly_residual(c: CharCoeffs, eigs) -> float:
     )
 
 
-def _resolvent_terms(c: CharCoeffs, c1: float, phi: float):
-    """(sqrt(x), u, w) for the largest resolvent root x. The quartic's
-    roots are 1/4 + s sqrt(x)/(4 sqrt 3) +/- sqrt(u - s w)/(2 sqrt 6) for
-    s = +/-1. None if x degenerates (which only happens next to the
-    all-quarter point)."""
-    cphi = math.cos(phi)
-    x = 4.0 * c.tr2 - 1.0 + 8.0 * c1 * cphi
+def _resolvent_terms(c: CharCoeffs, c1: float, cos_theta: float):
+    """(sqrt(x), u, w) for the resolvent root x = 4 tr2 - 1 + 8 c1 cos_theta:
+    the largest root at cos_theta = cos(phi), the middle one at cos_theta = 0
+    when c2 = 0 (where u = x). The quartic's roots are
+    1/4 + s sqrt(x)/(4 sqrt 3) +/- sqrt(u - s w)/(2 sqrt 6) for s = +/-1.
+    None if x degenerates (which only happens next to the all-quarter
+    point)."""
+    x = 4.0 * c.tr2 - 1.0 + 8.0 * c1 * cos_theta
     if x <= 1e-12:
         return None
     sx = math.sqrt(x)
-    u = 4.0 * c.tr2 - 1.0 - 4.0 * c1 * cphi
+    u = 4.0 * c.tr2 - 1.0 - 4.0 * c1 * cos_theta
     w = 3.0 * SQRT3 * (1.0 + 8.0 * c.b1 - 2.0 * c.tr2) / sx
     return sx, u, w
 
 
-def _generic_eigs(
-    c: CharCoeffs,
-    c1: float,
-    phi: float,
-    band: float = _CLAMP_BAND,
-    flush: float = 0.0,
-):
-    """Four roots from the largest resolvent root; None if that root
+def _generic_eigs(c: CharCoeffs, c1: float, cos_theta: float, band: float, flush: float):
+    """Four roots from the resolvent root at cos_theta; None if that root
     degenerates."""
-    terms = _resolvent_terms(c, c1, phi)
+    terms = _resolvent_terms(c, c1, cos_theta)
     if terms is None:
         return None
     sx, u, w = terms
@@ -276,59 +275,40 @@ def _generic_eigs(
     )
 
 
-def _c2zero_eigs(c: CharCoeffs, band: float = _CLAMP_BAND, flush: float = 0.0):
-    """Roots when c2 = 0, built on the middle resolvent root 4 tr2 - 1."""
-    x = 4.0 * c.tr2 - 1.0
-    if x <= 1e-12:
-        return None
-    sx = math.sqrt(x)
-    shift = sx / (4.0 * SQRT3)
-    w = 3.0 * SQRT3 * (1.0 + 8.0 * c.b1 - 2.0 * c.tr2) / sx
-    half_low = _clamped_sqrt(x + w, "inner(-)", band, flush) / (2.0 * SQRT6)
-    half_high = _clamped_sqrt(x - w, "inner(+)", band, flush) / (2.0 * SQRT6)
-    return (
-        0.25 + shift + half_high,
-        0.25 + shift - half_high,
-        0.25 - shift + half_low,
-        0.25 - shift - half_low,
-    )
-
-
-def _double_zero_candidates(tr2: float):
-    """The two spectra compatible with c1 = c2 = 0 at purity tr2 > 1/4.
+def _single_triple(c: CharCoeffs, norm):
+    """The single+triple spectrum at purity tr2 > 1/4 that best matches
+    (b0, b1), as (mismatch, (eigenvalues, branch)).
 
     Case 1 is a low triple eigenvalue below a single large one, case 2 the
-    mirror image. Each comes with the (b0, b1) values it implies so the
-    caller can match against the actual coefficients.
+    mirror image. Each implies its own (b0, b1); norm combines the two
+    absolute mismatches, and a tie goes to case 1.
     """
-    s = math.sqrt(max(4.0 * tr2 - 1.0, 0.0))
+    s = math.sqrt(max(4.0 * c.tr2 - 1.0, 0.0))
     s3 = SQRT3 * s ** 3
-    base0 = 3.0 - 6.0 * tr2 - 6.0 * tr2 * tr2
-    base1 = 18.0 * tr2 - 9.0
+    base0 = 3.0 - 6.0 * c.tr2 - 6.0 * c.tr2 * c.tr2
+    base1 = 18.0 * c.tr2 - 9.0
     low = 0.25 - s / (4.0 * SQRT3)
     high = 0.25 + s / (4.0 * SQRT3)
-    case1 = (
-        (0.25 + SQRT3 * s / 4.0, low, low, low),
-        (base0 + s3) / 288.0,
-        (base1 - s3) / 72.0,
-    )
-    case2 = (
-        (high, high, high, 0.25 - SQRT3 * s / 4.0),
-        (base0 - s3) / 288.0,
-        (base1 + s3) / 72.0,
-    )
-    return case1, case2
+    err1 = norm(abs(c.b0 - (base0 + s3) / 288.0), abs(c.b1 - (base1 - s3) / 72.0))
+    err2 = norm(abs(c.b0 - (base0 - s3) / 288.0), abs(c.b1 - (base1 + s3) / 72.0))
+    if err1 <= err2:
+        best = ((0.25 + SQRT3 * s / 4.0, low, low, low), Branch.DOUBLE_ZERO_CASE1)
+    else:
+        best = ((high, high, high, 0.25 - SQRT3 * s / 4.0), Branch.DOUBLE_ZERO_CASE2)
+    return min(err1, err2), best
 
 
 def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticSpectrum:
     """All four eigenvalues of the trace-one quartic, sorted descending.
 
-    Dispatch: single+triple spectra are detected first by coefficient
-    proximity (see below), then the all-quarter point, the c1 = c2 = 0
-    family by its own gate, c2 = 0, and finally the generic trigonometric
-    formulas. Near-degenerate inputs are additionally run through the
-    generic path and the candidate with the smaller polynomial residual
-    wins; a residual beyond tolerance raises InternalInconsistencyError.
+    Dispatch, first match wins: single+triple spectra by coefficient
+    proximity (see below), the double root at the origin (b0 = b1 = 0), a
+    single root there (b0 = 0), then the all-quarter point and the
+    c1 = c2 = 0 family, c2 = 0, and finally the generic trigonometric
+    formula. The c2 = 0 branch evaluates that same formula on the middle
+    resolvent root and on the largest one, and the candidate with the
+    smaller polynomial residual wins; a residual beyond tolerance raises
+    InternalInconsistencyError.
 
     The proximity pre-gate exists because a triple root is exactly where
     the trigonometric route is worst (it splits the root with an error of
@@ -341,83 +321,51 @@ def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticS
     trace) widen every band at once through coeff_tol.
     """
     tp = trig_params(c, coeff_tol)
-    candidates: list[tuple[tuple[float, float, float, float], Branch]] = []
+    band = max(_CLAMP_BAND, 300.0 * coeff_tol)
+    flush = 30.0 * coeff_tol
 
-    degenerate = None
-    if c.tr2 > 0.25 + TAU_BRANCH:
-        case1, case2 = _double_zero_candidates(c.tr2)
-        err1 = max(abs(c.b0 - case1[1]), abs(c.b1 - case1[2]))
-        err2 = max(abs(c.b0 - case2[1]), abs(c.b1 - case2[2]))
-        if min(err1, err2) <= coeff_tol:
-            if err1 <= err2:
-                degenerate = (case1[0], Branch.DOUBLE_ZERO_CASE1)
-            else:
-                degenerate = (case2[0], Branch.DOUBLE_ZERO_CASE2)
-
-    if degenerate is None and abs(c.b0) <= coeff_tol and abs(c.b1) <= coeff_tol:
+    if c.tr2 > 0.25 + TAU_BRANCH and (near := _single_triple(c, max))[0] <= coeff_tol:
+        candidates = [near[1]]
+    elif abs(c.b0) <= coeff_tol and abs(c.b1) <= coeff_tol:
         # Vanishing b0 and b1 factor the quartic as lambda^2 times
         # (lambda^2 - lambda + b2): a double root at the origin beside a
         # well-conditioned quadratic pair. The resolvent route places the
         # origin pair only to square-root-of-noise accuracy when a third
         # eigenvalue sits nearby, so the factored form takes precedence.
         # It is still the generic stratum, just evaluated differently.
-        r = _clamped_sqrt(
-            1.0 - 4.0 * c.b2,
-            "origin-pair factor",
-            max(_CLAMP_BAND, 300.0 * coeff_tol),
-            30.0 * coeff_tol,
-        )
-        degenerate = (
-            ((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0),
-            Branch.GENERIC,
-        )
-
-    if degenerate is None and abs(c.b0) <= coeff_tol:
+        r = _clamped_sqrt(1.0 - 4.0 * c.b2, "origin-pair factor", band, flush)
+        candidates = [(((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC)]
+    elif abs(c.b0) <= coeff_tol:
         # A vanishing constant term factors one root out at the origin
         # exactly. The residual cubic keeps a neighbor of that root well
         # conditioned, where the resolvent route would smear both.
         three, _ = cubic_eigs(cubic_coeffs(c, b0_tol=coeff_tol))
-        degenerate = ((three[0], three[1], three[2], 0.0), Branch.GENERIC)
-
-    if degenerate is not None:
-        candidates.append(degenerate)
+        candidates = [((three[0], three[1], three[2], 0.0), Branch.GENERIC)]
     elif tp.phi is None:
         # The all-quarter gate is deliberately much tighter than the
         # c1/c2 dispatch band: tr2 - 1/4 equals the summed squared
         # eigenvalue offsets, so it resolves a single+triple split of
         # size delta as 12 delta^2 well below the dispatch tolerance,
-        # and the case forms below reconstruct delta from it. A band of
+        # and the case forms reconstruct delta from it. A band of
         # 1e-8 here would flatten real splits up to 3e-5 wide; splits
         # under sqrt(coeff_tol/12) stay invisible either way.
         if abs(c.tr2 - 0.25) <= coeff_tol:
-            branch = Branch.ALL_QUARTER
-            candidates.append(((0.25, 0.25, 0.25, 0.25), branch))
+            candidates = [((0.25, 0.25, 0.25, 0.25), Branch.ALL_QUARTER)]
         else:
-            case1, case2 = _double_zero_candidates(c.tr2)
-            err1 = abs(c.b0 - case1[1]) + abs(c.b1 - case1[2])
-            err2 = abs(c.b0 - case2[1]) + abs(c.b1 - case2[2])
-            if err1 <= err2:
-                branch = Branch.DOUBLE_ZERO_CASE1
-                candidates.append((case1[0], branch))
-            else:
-                branch = Branch.DOUBLE_ZERO_CASE2
-                candidates.append((case2[0], branch))
+            # Summed mismatch here, maximal in the pre-gate (whose
+            # tolerance bounds each coefficient). On near-single+triple
+            # spectra such as (1/4 - 3e-6, 1/4 + 1e-6 x3) the two cases'
+            # maximal mismatches tie at about 1e-17, and the tie would
+            # pick case 1, 4e-6 off; the sums separate them.
+            candidates = [_single_triple(c, operator.add)[1]]
     elif abs(tp.c2) <= TAU_BRANCH:
-        branch = Branch.C2_ZERO
-        clamp = max(_CLAMP_BAND, 300.0 * coeff_tol)
-        flush = 30.0 * coeff_tol
-        got = _c2zero_eigs(c, clamp, flush)
-        if got is not None:
-            candidates.append((got, branch))
-        alt = _generic_eigs(c, tp.c1, tp.phi, clamp, flush)
-        if alt is not None:
-            candidates.append((alt, branch))
+        # Middle resolvent root first, then the largest; a residual tie
+        # goes to the middle root.
+        tries = (_generic_eigs(c, tp.c1, ct, band, flush) for ct in (0.0, math.cos(tp.phi)))
+        candidates = [(eigs, Branch.C2_ZERO) for eigs in tries if eigs is not None]
     else:
-        branch = Branch.GENERIC
-        clamp = max(_CLAMP_BAND, 300.0 * coeff_tol)
-        got = _generic_eigs(c, tp.c1, tp.phi, clamp, 30.0 * coeff_tol)
-        if got is not None:
-            candidates.append((got, branch))
+        eigs = _generic_eigs(c, tp.c1, math.cos(tp.phi), band, flush)
+        candidates = [] if eigs is None else [(eigs, Branch.GENERIC)]
 
     if not candidates:
         raise InternalInconsistencyError(f"no computable branch for coefficients {c}")

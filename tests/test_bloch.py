@@ -106,8 +106,6 @@ def test_validate_rejects_bad_matrices():
     neg = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         validate_density_matrix(neg)
-    # same matrix passes once positivity is waived
-    validate_density_matrix(neg, psd=False)
 
 
 def test_to_bloch_requires_unit_trace():

@@ -212,6 +212,10 @@ def test_chain_validation_failures(capsys):
     assert code == EXIT_VALIDATION
     code, _, _ = run(capsys, "chain", "--q", "0.5", "--sweep", "0.3:0.1:0.1")
     assert code == EXIT_VALIDATION
+    # non-finite or out-of-range sweep fields are rejected before any row
+    for sweep in ("nan:1:0.1", "0:inf:0.1", "0:0.3:nan", "-0.1:0.3:0.1", "0:1.5:0.1"):
+        code, out, err = run(capsys, "chain", "--q", "0.5", f"--sweep={sweep}")
+        assert code == EXIT_VALIDATION and out == "" and "error:" in err, sweep
     # unbounded table: eps = 0 with no n to stop it
     code, _, _ = run(capsys, "chain", "--q", "0.5", "--epsilon", "0")
     assert code == EXIT_VALIDATION

@@ -239,6 +239,22 @@ def test_near_quarter_resolution_walk():
     assert max(abs(x - 0.25) for x in spec.eigenvalues) <= 1e-6
 
 
+def test_single_triple_fallback_uses_summed_mismatch():
+    """(1/4 + 1e-6 x3, 1/4 - 3e-6) sits in the c1 = c2 = 0 fallback, where
+    the two cases' maximal (b0, b1) mismatches tie near 1e-17; only the
+    summed mismatch picks case 2 (case 1 would be 4e-6 off)."""
+    c = CharCoeffs(
+        b0=0.0039062499996249988,
+        b1=-0.062499999997000004,
+        b2=0.374999999994,
+        tr2=0.25000000001199996,
+    )
+    spec = quartic_eigs(c)
+    assert spec.branch is Branch.DOUBLE_ZERO_CASE2
+    want = (0.25 + 1e-6, 0.25 + 1e-6, 0.25 + 1e-6, 0.25 - 3e-6)
+    assert max(abs(a - b) for a, b in zip(spec.eigenvalues, want)) <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # rank-reduced solvers
 # ---------------------------------------------------------------------------
