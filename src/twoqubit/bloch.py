@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULIS, eig_hermitian_oracle, is_hermitian, kron
+from .linalg import PAULIS, is_hermitian, kron
 
 # Stacked sigma_mu (x) sigma_nu basis, indexed [mu, nu, i, j].
 _BASIS = np.array([[kron(PAULIS[m], PAULIS[n]) for n in range(4)] for m in range(4)])
@@ -29,7 +29,9 @@ def validate_density_matrix(m):
     """Check that m is a physical two-qubit state and return it as complex.
 
     Verifies finiteness, hermiticity, unit trace and positive
-    semidefiniteness, the last via the Jacobi oracle.
+    semidefiniteness, the last from the smallest eigenvalue of LAPACK's
+    Hermitian solver (``np.linalg.eigvalsh``), which shares no code with
+    the closed forms it guards.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -41,7 +43,9 @@ def validate_density_matrix(m):
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be one, got {tr}")
-    lo = eig_hermitian_oracle(m)[-1]
+    # Not the closed-form spectrum: its b0 ~ 0 gate flushes a lambda_min of
+    # -1e-9 to 0.0 on some rotated spectra, which would pass a bad matrix.
+    lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -PSD_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eig {lo:.3e})")
     return m

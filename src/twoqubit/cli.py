@@ -3,8 +3,8 @@ or fuzz the closed forms against the Jacobi oracle.
 
 Exit codes: 0 success, 1 input parse error, 2 validation error (bad matrix
 or bad parameter ranges), 3 tolerance breach during fuzzing, 4 internal
-error (a closed form failed its own consistency check, or the Jacobi oracle
-did not converge).
+error (a closed form failed its own consistency check, or, in fuzz, the
+Jacobi oracle did not converge).
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_INTERNAL = 4
+
+_SWEEP_MAX_POINTS = 10**6
 
 
 class _ParseFailure(Exception):
@@ -188,8 +190,11 @@ def _parse_sweep(text: str):
         raise _ValidationFailure("--sweep endpoints must lie in [0, 1]")
     if step <= 0 or stop < start:
         raise _ValidationFailure("--sweep needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    span = (stop - start) / step + 1e-9
+    if span >= _SWEEP_MAX_POINTS:
+        raise _ValidationFailure(f"--sweep gives more than {_SWEEP_MAX_POINTS} points")
+    # Rounding can put start + k * step one ulp past stop.
+    return [min(start + k * step, stop) for k in range(int(span) + 1)]
 
 
 def cmd_chain(args) -> int:
@@ -201,8 +206,6 @@ def cmd_chain(args) -> int:
             raise _ValidationFailure("--n only applies with --epsilon")
         rows = []
         for eps in _parse_sweep(args.sweep):
-            if not 0.0 <= eps <= 1.0:
-                raise _ValidationFailure(f"sweep epsilon {eps} outside [0, 1]")
             n_max = max_transfer_distance(args.q, eps)
             rows.append((eps, n_max))
         if args.csv:
@@ -397,7 +400,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True, help="initial |ad - bc|")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--epsilon", type=float, help="fixed noise strength")
-    group.add_argument("--sweep", help="epsilon range start:stop:step")
+    group.add_argument(
+        "--sweep",
+        help=f"epsilon range start:stop:step, at most {_SWEEP_MAX_POINTS} points",
+    )
     p.add_argument("--n", type=int, help="last step to tabulate (default n_max + 1)")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     p.set_defaults(func=cmd_chain)

@@ -186,7 +186,7 @@ def peres_test(rho, check: bool = True) -> SeparabilityReport:
     The partial-transpose spectrum is computed in closed form; the state is
     separable iff its smallest eigenvalue is >= -TAU_SEP, and flagged
     marginal when |lambda_min| <= TAU_SEP. Set ``check=False`` to skip the
-    (oracle-backed) density matrix validation for inputs known to be valid.
+    density matrix validation for inputs known to be valid.
     """
     return _verdict(_checked_state(rho, check))
 

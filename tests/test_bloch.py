@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoqubit.bloch import (
+    PSD_TOL,
     from_bloch,
     partial_transpose,
     partial_transpose_bloch,
@@ -11,7 +12,23 @@ from twoqubit.bloch import (
     to_bloch,
     validate_density_matrix,
 )
-from twoqubit.sampling import bell_state, ginibre_density, pure_density
+from twoqubit.linalg import eig_hermitian_oracle
+from twoqubit.sampling import (
+    bell_state,
+    ginibre_density,
+    haar_pure,
+    pure_density,
+    rank_deficient_density,
+)
+
+
+def haar_rotated(spectrum, rng):
+    """U diag(spectrum) U^dag with U Haar (QR of a complex Ginibre matrix)."""
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    m = u @ np.diag(spectrum) @ u.conj().T
+    return (m + m.conj().T) / 2.0
 
 
 def test_round_trip_matrix_bloch_matrix():
@@ -106,6 +123,55 @@ def test_validate_rejects_bad_matrices():
     neg = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         validate_density_matrix(neg)
+    huge = np.eye(4, dtype=complex) / 4.0
+    huge[0, 1] = huge[1, 0] = 1e200  # finite, and no OverflowError on the way
+    with pytest.raises(ValueError, match=r"semidefinite \(min eig -1\.000e\+200\)"):
+        validate_density_matrix(huge)
+
+
+def test_validate_rejects_flushed_negative_eigenvalue():
+    """The closed form's b0 ~ 0 gate can report 0.0 for the smallest
+    eigenvalue of this spectrum; the PSD check must still see -1e-9."""
+    rng = np.random.default_rng(41)
+    spectrum = (0.5, 0.5 - 1e-5 + 1e-9, 1e-5, -1e-9)
+    for _ in range(20):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            validate_density_matrix(haar_rotated(spectrum, rng))
+
+
+def test_validate_psd_threshold():
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        with pytest.raises(ValueError, match=r"min eig -2\.000e-10"):
+            validate_density_matrix(haar_rotated((0.5, 0.3, 0.2 + 2e-10, -2e-10), rng))
+        validate_density_matrix(haar_rotated((0.5, 0.3, 0.2 + 5e-11, -5e-11), rng))
+        validate_density_matrix(pure_density(haar_pure(rng)))
+        validate_density_matrix(rank_deficient_density(rng, 2))
+
+
+def test_validate_psd_agrees_with_oracle():
+    """Accepted exactly when the oracle's smallest eigenvalue is >= -PSD_TOL:
+    on seeded states as drawn, and on the same states shifted and rescaled
+    so the smallest eigenvalue lands within 3e-10 of zero."""
+    rng = np.random.default_rng(43)
+    states = [ginibre_density(rng) for _ in range(200)]
+    states += [rank_deficient_density(rng, 1 + k % 3) for k in range(200)]
+    states += [pure_density(haar_pure(rng)) for _ in range(200)]
+    shifted = []
+    for m in states:
+        target = rng.uniform(-3e-10, 3e-10)
+        d = (eig_hermitian_oracle(m)[-1] - target) / (1.0 - 4.0 * target)
+        shifted.append((m - d * np.eye(4)) / (1.0 - 4.0 * d))
+    accepted = []
+    for m in states + shifted:
+        try:
+            validate_density_matrix(m)
+            accepted.append(True)
+        except ValueError:
+            accepted.append(False)
+        assert accepted[-1] == (eig_hermitian_oracle(m)[-1] >= -PSD_TOL)
+    assert all(accepted[: len(states)])
+    assert 0 < sum(accepted[len(states):]) < len(shifted)
 
 
 def test_to_bloch_requires_unit_trace():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import twoqubit.bloch
+import twoqubit.cli
 import twoqubit.separability
 from twoqubit.bloch import to_bloch
 from twoqubit.cli import (
@@ -95,20 +95,24 @@ def test_analyze_json_matches_library(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "module, name, error",
+    "module, name, error, command",
     [
-        (twoqubit.separability, "quartic_eigs", InternalInconsistencyError),
-        (twoqubit.bloch, "eig_hermitian_oracle", OracleConvergenceError),
+        (twoqubit.separability, "quartic_eigs", InternalInconsistencyError, "analyze"),
+        # fuzz is the only command that runs the Jacobi oracle
+        (twoqubit.cli, "eig_hermitian_oracle", OracleConvergenceError, "fuzz"),
     ],
     ids=["inconsistency", "oracle"],
 )
-def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, module, name, error):
+def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, module, name, error, command):
     def fail(*args, **kwargs):
         raise error("solver gave up")
 
     monkeypatch.setattr(module, name, fail)
-    path = write_json(tmp_path, "bell.json", bell_matrix_doc())
-    code, out, err = run(capsys, "analyze", path)
+    if command == "analyze":
+        argv = ["analyze", write_json(tmp_path, "bell.json", bell_matrix_doc())]
+    else:
+        argv = ["fuzz", "--samples", "1", "--seed", "1", "--family", "ginibre"]
+    code, out, err = run(capsys, *argv)
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert err == "error: solver gave up\n"
@@ -167,6 +171,13 @@ def test_analyze_validation_failures(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", write_json(tmp_path, "neg.json", doc))
     assert code == EXIT_VALIDATION and "error:" in err
 
+    # finite but huge off-diagonal entries: one error line, no traceback
+    rows = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    rows[0][1] = rows[1][0] = 1e200
+    code, out, err = run(capsys, "analyze", write_json(tmp_path, "huge.json", {"matrix": rows}))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "error: matrix is not positive semidefinite (min eig -1.000e+200)\n"
+
     doc = {"pure": [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     code, _, _ = run(capsys, "analyze", write_json(tmp_path, "norm.json", doc))
     assert code == EXIT_VALIDATION
@@ -197,8 +208,13 @@ def test_chain_sweep(capsys):
     code, out, _ = run(capsys, "chain", "--q", "0.5", "--sweep", "0.1:0.3:0.1")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert [row["epsilon"] for row in doc] == [0.1, 0.2, 0.30000000000000004]
+    assert [row["epsilon"] for row in doc] == [0.1, 0.2, 0.3]
     assert doc[0]["n_max"] == 10
+    # 0.09 + 13 * 0.07 rounds one ulp past 1; the point is clamped to stop
+    code, out, _ = run(capsys, "chain", "--q", "0.4", "--sweep", "0.09:1:0.07")
+    assert code == EXIT_OK
+    eps = [row["epsilon"] for row in json.loads(out)]
+    assert len(eps) == 14 and eps[-1] == 1.0
 
 
 def test_chain_validation_failures(capsys):
@@ -216,6 +232,9 @@ def test_chain_validation_failures(capsys):
     for sweep in ("nan:1:0.1", "0:inf:0.1", "0:0.3:nan", "-0.1:0.3:0.1", "0:1.5:0.1"):
         code, out, err = run(capsys, "chain", "--q", "0.5", f"--sweep={sweep}")
         assert code == EXIT_VALIDATION and out == "" and "error:" in err, sweep
+    # about 1e300 points: refused from the count, before any list is built
+    code, out, err = run(capsys, "chain", "--q", "0.5", "--sweep", "0:1:1e-300")
+    assert code == EXIT_VALIDATION and out == "" and "points" in err
     # unbounded table: eps = 0 with no n to stop it
     code, _, _ = run(capsys, "chain", "--q", "0.5", "--epsilon", "0")
     assert code == EXIT_VALIDATION
