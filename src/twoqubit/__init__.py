@@ -17,7 +17,6 @@ from .bloch import (
     validate_density_matrix,
 )
 from .chain import (
-    ChainParams,
     ChainReport,
     chain_lambda_min,
     chain_report,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch",
-    "ChainParams",
     "ChainReport",
     "CharCoeffs",
     "CubicCoeffs",

@@ -21,21 +21,6 @@ import numpy as np
 from .separability import TAU_SEP
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    epsilon: float
-    n: int
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"n must be a nonnegative integer, got {self.n}")
-        if not 0.0 <= self.q <= 0.5:
-            raise ValueError(f"q must lie in [0, 1/2], got {self.q}")
-
-
 def swap_gate() -> np.ndarray:
     """Two-qubit swap, S|ab> = |ba>."""
     s = np.zeros((4, 4))
@@ -132,8 +117,6 @@ def chain_report(q: float, epsilon: float, n: int | None = None) -> ChainReport:
     distance is 0. An unbounded n_max with no explicit n is an error since
     the table would never end.
     """
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"q must lie in [0, 1/2], got {q}")
     n_max = max_transfer_distance(q, epsilon)
     if n is None:
         if n_max is math.inf:

@@ -57,11 +57,14 @@ class _ValidationFailure(Exception):
 
 
 def _complex_entry(x):
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise _ParseFailure(f"expected a number or an [re, im] pair, got {x!r}")
+    re_im = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0.0)
+    # JSON true/false load as bool, which Python counts as an int
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in re_im):
+        raise _ParseFailure(f"expected a number or an [re, im] pair, got {x!r}")
+    try:
+        return complex(float(re_im[0]), float(re_im[1]))
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise _ParseFailure(f"entry out of range: {exc}") from exc
 
 
 def _load_state_file(path: str) -> np.ndarray:
@@ -72,7 +75,7 @@ def _load_state_file(path: str) -> np.ndarray:
             doc = json.load(fh)
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise _ParseFailure(f"{path} is not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
@@ -98,7 +101,7 @@ def _load_state_file(path: str) -> np.ndarray:
     elif kind == "bloch":
         try:
             t = np.array(data, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _ParseFailure(f'"bloch" must be a 4x4 real array: {exc}') from exc
         if t.shape != (4, 4):
             raise _ParseFailure('"bloch" must be a 4x4 real array')

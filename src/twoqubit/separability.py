@@ -24,7 +24,7 @@ from .spectrum import (
     QuarticSpectrum,
     _DEGEN_COEFF_TOL,
     _clamped_sqrt,
-    _det3,
+    _pt_odd_terms,
     _resolvent_terms,
     coeffs_from_bloch,
     coeffs_from_traces,
@@ -57,28 +57,17 @@ def pt_coeffs(c: CharCoeffs, t) -> CharCoeffs:
                     - 2 tr A xi_b.A.xi_a] / 32 + det(A) / 16
         b1' = b1 - det(A) / 4
 
-    with A the correlation block of the Bloch tensor t. The result is
-    cross-checked against re-deriving the coefficients from the
-    column-flipped tensor; disagreement raises InternalInconsistencyError.
+    with A the correlation block of the Bloch tensor t: each moves by twice
+    the part the partial transpose flips, which in 64 b0 is the bracket
+    minus 2 det(A). spectrum._pt_odd_terms computes those terms for
+    coeffs_from_bloch as well. The result is cross-checked against
+    re-deriving the coefficients from the column-flipped tensor;
+    disagreement raises InternalInconsistencyError.
     """
     t = np.asarray(t, dtype=float)
-    xi_a = t[1:, 0]
-    xi_b = t[0, 1:]
-    corr = t[1:, 1:]
-
-    tr_corr = float(corr[0, 0] + corr[1, 1] + corr[2, 2])
-    tr_corr_sq = float((corr * corr.T).sum())
-    det_corr = _det3(corr)
-    quad = float(xi_b @ corr @ (corr @ xi_a))
-    bilin_rev = float(xi_b @ corr @ xi_a)
-
-    correction = (
-        (tr_corr * tr_corr - tr_corr_sq) * float(xi_a @ xi_b)
-        + 2.0 * quad
-        - 2.0 * tr_corr * bilin_rev
-    )
+    odd, det_corr = _pt_odd_terms(t)
     out = CharCoeffs(
-        b0=c.b0 - correction / 32.0 + det_corr / 16.0,
+        b0=c.b0 - odd / 32.0 + det_corr / 16.0,
         b1=c.b1 - det_corr / 4.0,
         b2=c.b2,
         tr2=c.tr2,

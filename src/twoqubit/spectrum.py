@@ -124,6 +124,31 @@ def _det3(a) -> float:
     )
 
 
+def _pt_odd_terms(t) -> tuple[float, float]:
+    """(odd, det A) for a (4, 4) float Bloch tensor t with correlation block
+    A, where
+
+        odd = ((tr A)^2 - tr(A^2)) xi_a.xi_b + 2 xi_b.A^2.xi_a
+              - 2 tr A xi_b.A.xi_a.
+
+    The partial transpose flips the sign of odd - 2 det A in 64 b0 and of
+    det A in 8 b1, and leaves every other term of either alone.
+    """
+    xi_a = t[1:, 0]
+    xi_b = t[0, 1:]
+    corr = t[1:, 1:]
+    tr_corr = float(corr[0, 0] + corr[1, 1] + corr[2, 2])
+    tr_corr_sq = float((corr * corr.T).sum())
+    quad = float(xi_b @ corr @ (corr @ xi_a))
+    bilin_rev = float(xi_b @ corr @ xi_a)
+    odd = (
+        (tr_corr * tr_corr - tr_corr_sq) * float(xi_a @ xi_b)
+        + 2.0 * quad
+        - 2.0 * tr_corr * bilin_rev
+    )
+    return odd, _det3(corr)
+
+
 def coeffs_from_bloch(t) -> CharCoeffs:
     """Characteristic coefficients directly from a Bloch tensor.
 
@@ -137,6 +162,8 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     The adjugate term tr(adj(A) adj(A)^T), the sum of the squared 2x2
     minors of the correlation block A, is evaluated by Cauchy-Binet as
     ((tr G)^2 - tr(G^2)) / 2 with G = A A^T the Gram matrix of A's rows.
+    The terms that change sign under the partial transpose come from
+    _pt_odd_terms, which pt_coeffs shares.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
@@ -148,17 +175,13 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     tr2 = 0.25 * float((t * t).sum())
     b2 = 0.5 * (1.0 - tr2)
 
-    tr_corr = float(corr[0, 0] + corr[1, 1] + corr[2, 2])
-    det_corr = _det3(corr)
+    odd, det_corr = _pt_odd_terms(t)
     bilin = float(xi_a @ corr @ xi_b)
-    bilin_rev = float(xi_b @ corr @ xi_a)
 
     b1 = 0.125 * (2.0 * tr2 - 1.0 - bilin + det_corr)
 
     row_action = corr.T @ xi_a
     col_action = corr @ xi_b
-    quad = float(xi_b @ corr @ (corr @ xi_a))
-    tr_corr_sq = float((corr * corr.T).sum())
 
     gram = corr @ corr.T
     tr_gram = float(gram[0, 0] + gram[1, 1] + gram[2, 2])
@@ -170,9 +193,7 @@ def coeffs_from_bloch(t) -> CharCoeffs:
         - float(row_action @ row_action)
         - float(col_action @ col_action)
         + 2.0 * bilin
-        + (tr_corr * tr_corr - tr_corr_sq) * float(xi_a @ xi_b)
-        + 2.0 * quad
-        - 2.0 * tr_corr * bilin_rev
+        + odd
         - cross_sq
         - 2.0 * det_corr
     ) / 64.0 - (tr2 - tr2 * tr2) / 16.0

@@ -8,7 +8,6 @@ import pytest
 
 from twoqubit.bloch import partial_transpose
 from twoqubit.chain import (
-    ChainParams,
     chain_lambda_min,
     chain_report,
     critical_noise,
@@ -85,6 +84,11 @@ def test_max_transfer_distance_boundaries():
         max_transfer_distance(0.7, 0.1)
     with pytest.raises(ValueError):
         max_transfer_distance(0.5, -0.1)
+    # chain_report checks q and epsilon only through max_transfer_distance
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1/2\], got 0.7"):
+        chain_report(0.7, 0.1)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\], got -0.1"):
+        chain_report(0.5, -0.1)
 
 
 def test_max_transfer_distance_is_the_boundary_integer():
@@ -113,16 +117,6 @@ def test_critical_noise_validation():
         critical_noise(0.0, 5)
     with pytest.raises(ValueError):
         critical_noise(0.5, 0)
-
-
-def test_chain_params_validation():
-    ChainParams(epsilon=0.1, n=3, q=0.5)
-    with pytest.raises(ValueError):
-        ChainParams(epsilon=1.2, n=3, q=0.5)
-    with pytest.raises(ValueError):
-        ChainParams(epsilon=0.1, n=-1, q=0.5)
-    with pytest.raises(ValueError):
-        ChainParams(epsilon=0.1, n=3, q=0.6)
 
 
 def test_chain_report_default_rows():

@@ -144,6 +144,10 @@ def test_analyze_pure_input(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", write_json(tmp_path, "p.json", doc), "--json")
     assert code == EXIT_OK
     assert abs(json.loads(out)["concurrence"] - 1.0) <= 1e-10
+    # a product state's PT has a zero eigenvalue: separable, and marginal
+    code, out, _ = run(capsys, "analyze", write_json(tmp_path, "prod.json", {"pure": [1, 0, 0, 0]}))
+    assert code == EXIT_OK
+    assert "separable: yes (marginal)\n" in out
 
 
 def test_analyze_parse_failures(tmp_path, capsys):
@@ -164,6 +168,40 @@ def test_analyze_parse_failures(tmp_path, capsys):
     code, _, _ = run(capsys, "analyze", write_json(tmp_path, "scalar.json", [1, 2, 3]))
     assert code == EXIT_PARSE
 
+    def matrix_with(entry):
+        rows = [[0.25 if i == j else 0 for j in range(4)] for i in range(4)]
+        rows[0][0] = entry
+        return {"matrix": rows}
+
+    big = 10**400  # a valid JSON integer beyond the float range
+    docs = {
+        "matrix_str_pair": matrix_with(["a", 0]),
+        "matrix_null_pair": matrix_with([None, 0]),
+        "matrix_bool_pair": matrix_with([0.25, True]),
+        "matrix_bool": matrix_with(True),
+        "matrix_big": matrix_with(big),
+        "matrix_ragged_row": {
+            "matrix": [[0.25, 0, 0, 0], [0, 0.25, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]
+        },
+        "pure_str_pair": {"pure": [["a", 0], 0, 0, 0]},
+        "pure_null_pair": {"pure": [[None, 0], 0, 0, 0]},
+        "pure_bool": {"pure": [True, 0, 0, 0]},
+        "pure_big_pair": {"pure": [[big, 0], 0, 0, 0]},
+        "pure_length_3": {"pure": [1, 0, 0]},
+        "bloch_shape": {"bloch": [[1, 0], [0, 0]]},
+        "bloch_str": {"bloch": [["a", 0, 0, 0]] + [[0, 0, 0, 0]] * 3},
+        "bloch_ragged": {"bloch": [[1, 0, 0, 0], [0, 0, 0]] + [[0, 0, 0, 0]] * 2},
+        "bloch_big": {"bloch": [[big, 0, 0, 0]] + [[0, 0, 0, 0]] * 3},
+    }
+    paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    # an integer too long for Python to read back from text
+    paths["long_int"] = str(tmp_path / "long_int.json")
+    (tmp_path / "long_int.json").write_text('{"pure": [' + "1" * 5000 + ", 0, 0, 0]}")
+    for name, path in paths.items():
+        code, out, err = run(capsys, "analyze", path)
+        assert code == EXIT_PARSE and out == "", name
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+
 
 def test_analyze_validation_failures(tmp_path, capsys):
     # Hermitian, trace one, but not positive
@@ -181,6 +219,14 @@ def test_analyze_validation_failures(tmp_path, capsys):
     doc = {"pure": [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     code, _, _ = run(capsys, "analyze", write_json(tmp_path, "norm.json", doc))
     assert code == EXIT_VALIDATION
+
+    # well-formed tensors that describe no trace-one matrix
+    zeros = [[0.0] * 4 for _ in range(3)]
+    for name, first in (("t00", [2.0, 0, 0, 0]), ("nan", [1.0, math.nan, 0, 0])):
+        path = write_json(tmp_path, f"{name}.json", {"bloch": [first] + zeros})
+        code, out, err = run(capsys, "analyze", path)
+        assert code == EXIT_VALIDATION and out == "", name
+        assert err.startswith("error: ") and err.count("\n") == 1, name
 
 
 def test_chain_table(capsys):
@@ -202,6 +248,9 @@ def test_chain_csv(capsys):
     assert lines[0] == "n,lambda_min,entangled"
     assert len(lines) == 5
     assert lines[1].startswith("0,-0.5,true")
+    code, out, _ = run(capsys, "chain", "--q", "0.5", "--sweep", "0:0.2:0.1", "--csv")
+    assert code == EXIT_OK
+    assert out == "epsilon,n_max\n0.0,inf\n0.1,10\n0.2,4\n"
 
 
 def test_chain_sweep(capsys):
@@ -251,6 +300,27 @@ def test_fuzz_families_pass(capsys, family):
     assert doc["breaches"] == 0
     assert doc["counterexamples"] == []
     assert all(v >= 0.0 for v in doc["max_error"].values())
+
+
+def test_fuzz_breach_exits_3(capsys, monkeypatch):
+    """An oracle 1e-6 off breaches both eigenvalue checks on every sample:
+    each breach is counted, and only the first three are dumped."""
+    oracle = twoqubit.cli.eig_hermitian_oracle
+    monkeypatch.setattr(
+        twoqubit.cli, "eig_hermitian_oracle", lambda m: [x + 1e-6 for x in oracle(m)]
+    )
+    code, out, _ = run(capsys, "fuzz", "--samples", "4", "--seed", "3", "--family", "ginibre")
+    assert code == EXIT_TOLERANCE == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["breaches"] == 8
+    assert [d["check"] for d in doc["counterexamples"]] == [
+        "eigenvalues_vs_oracle",
+        "pt_lambda_min_vs_oracle",
+        "eigenvalues_vs_oracle",
+    ]
+    assert [d["index"] for d in doc["counterexamples"]] == [0, 0, 1]
+    assert all(len(d["input"]) == 4 for d in doc["counterexamples"])
 
 
 def test_fuzz_is_deterministic(capsys):
