@@ -24,6 +24,7 @@ from .linalg import eig_hermitian_oracle
 from .sampling import (
     ginibre_density,
     haar_pure,
+    near_quarter_density,
     pure_density,
     random_hermitian_trace_one,
     rank_deficient_density,
@@ -37,7 +38,7 @@ from .separability import (
     pure_pt_spectrum,
     pure_separable,
 )
-from .spectrum import coeffs_from_bloch
+from .spectrum import coeffs_from_traces
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -56,10 +57,14 @@ class _ValidationFailure(Exception):
     pass
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _complex_entry(x):
     re_im = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0.0)
-    # JSON true/false load as bool, which Python counts as an int
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in re_im):
+    if not all(_is_number(v) for v in re_im):
         raise _ParseFailure(f"expected a number or an [re, im] pair, got {x!r}")
     try:
         return complex(float(re_im[0]), float(re_im[1]))
@@ -103,8 +108,9 @@ def _load_state_file(path: str) -> np.ndarray:
             t = np.array(data, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise _ParseFailure(f'"bloch" must be a 4x4 real array: {exc}') from exc
-        if t.shape != (4, 4):
-            raise _ParseFailure('"bloch" must be a 4x4 real array')
+        # numpy would read true/false (and numeric strings) as numbers
+        if t.shape != (4, 4) or not all(_is_number(x) for row in data for x in row):
+            raise _ParseFailure('"bloch" must be a 4x4 array of real numbers')
         try:
             rho = from_bloch(t)
         except ValueError as exc:
@@ -271,9 +277,8 @@ class _FuzzTally:
     def record(self, check: str, error: float, tol: float, index: int, payload):
         """Fold one check's error into the tally; payload() builds the
         input dump and is called only for a breach that is dumped."""
-        prev = self.max_error.get(check, 0.0)
-        if error > prev:
-            self.max_error[check] = error
+        # every check that ran is listed, an exact 0.0 included
+        self.max_error[check] = max(error, self.max_error.get(check, 0.0))
         if error > tol:
             self.breaches += 1
             if len(self.dumps) < self._DUMP_CAP:
@@ -295,8 +300,8 @@ def _fuzz_spectrum_checks(s: _State, idx, tally: _FuzzTally) -> None:
     oracle = eig_hermitian_oracle(s.rho)
     err = max(abs(a - b) for a, b in zip(closed, oracle))
     tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, lambda: _matrix_json(s.rho))
-    ca = s.c
-    cb = coeffs_from_bloch(s.t)
+    ca = coeffs_from_traces(s.rho)
+    cb = s.c
     err = max(
         abs(ca.b0 - cb.b0), abs(ca.b1 - cb.b1), abs(ca.b2 - cb.b2), abs(ca.tr2 - cb.tr2)
     )
@@ -348,6 +353,8 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
             "pure_verdict_agreement", 0.0 if agree else 1.0, 0.5, idx,
             lambda: state_json,
         )
+    elif family == "near_quarter":
+        _fuzz_density_checks(near_quarter_density(rng), idx, tally)
     elif family in ("rank2", "rank3"):
         rho = rank_deficient_density(rng, 2 if family == "rank2" else 3)
         _fuzz_density_checks(rho, idx, tally)
@@ -417,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=["ginibre", "hermitian", "pure", "rank2", "rank3", "werner"],
+        choices=["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"],
     )
     p.set_defaults(func=cmd_fuzz)
     return parser

@@ -16,9 +16,9 @@ import numpy as np
 
 from .bloch import validate_density_matrix
 from .errors import InternalInconsistencyError, NotApplicableError
-from .linalg import SIGMA_Y, charpoly_flv, kron
+from .linalg import SIGMA_Y, kron
 from .separability import _State, _checked_state
-from .spectrum import TAU_BRANCH, CharCoeffs, quartic_eigs
+from .spectrum import TAU_BRANCH, coeffs_from_traces, quartic_eigs
 
 _YY = kron(SIGMA_Y, SIGMA_Y)
 
@@ -69,8 +69,7 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
     noise = max(5e-13, 1e-13 * k / t)
     if noise > _FLIP_NOISE_CEILING:
         return (t, 0.0, 0.0, 0.0)
-    q = charpoly_flv(m_hat, imag_tol=max(1e-9, 10.0 * noise))
-    coeffs = CharCoeffs(b0=q.c0, b1=q.c1, b2=q.c2, tr2=1.0 - 2.0 * q.c2)
+    coeffs = coeffs_from_traces(m_hat, imag_tol=max(1e-9, 10.0 * noise))
     spec = quartic_eigs(coeffs, coeff_tol=noise)
     out = []
     for lam in spec.eigenvalues:

@@ -46,6 +46,19 @@ def random_hermitian_trace_one(
     return h
 
 
+def near_quarter_density(rng: np.random.Generator) -> np.ndarray:
+    """U diag(1/4 + d v) U^dag with U Haar (QR of a complex Gaussian), v a
+    random traceless unit vector and d log-uniform in [1e-9, 1e-2]: a state
+    whose spectrum lies within d of the maximally mixed one."""
+    v = rng.standard_normal(4)
+    v -= v.mean()
+    v *= 10.0 ** rng.uniform(-9.0, -2.0) / np.linalg.norm(v)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    m = (u * (0.25 + v)) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
 def haar_pure(rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure two-qubit state vector (length-4, unit norm)."""
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -27,7 +27,6 @@ from .spectrum import (
     _pt_odd_terms,
     _resolvent_terms,
     coeffs_from_bloch,
-    coeffs_from_traces,
     quartic_eigs,
     trig_params,
 )
@@ -49,37 +48,28 @@ class SeparabilityReport:
 
 
 def pt_coeffs(c: CharCoeffs, t) -> CharCoeffs:
-    """Characteristic coefficients of the partial transpose.
+    """Characteristic data of the partial transpose.
 
-    Only b0 and b1 move:
+    The partial transpose keeps the trace and the purity, so s does not
+    move; only the shape does:
 
-        b0' = b0 - [((tr A)^2 - tr(A^2)) xi_a.xi_b + 2 xi_b.A^2.xi_a
-                    - 2 tr A xi_b.A.xi_a] / 32 + det(A) / 16
-        b1' = b1 - det(A) / 4
+        k3' = k3 + det(A) / 4
+        k4' = k4 - [((tr A)^2 - tr(A^2)) xi_a.xi_b + 2 xi_b.A^2.xi_a
+                    - 2 tr A xi_b.A.xi_a] / 32
 
-    with A the correlation block of the Bloch tensor t: each moves by twice
-    the part the partial transpose flips, which in 64 b0 is the bracket
-    minus 2 det(A). spectrum._pt_odd_terms computes those terms for
-    coeffs_from_bloch as well. The result is cross-checked against
-    re-deriving the coefficients from the column-flipped tensor;
-    disagreement raises InternalInconsistencyError.
+    with xi_a, xi_b and A the parts of the unit tensor t / s: each moves by
+    twice the part the partial transpose flips. spectrum._pt_odd_terms
+    computes those terms for coeffs_from_bloch as well. The result is
+    cross-checked against re-deriving the data from the column-flipped
+    tensor; disagreement raises InternalInconsistencyError.
     """
     t = np.asarray(t, dtype=float)
-    odd, det_corr = _pt_odd_terms(t)
-    out = CharCoeffs(
-        b0=c.b0 - odd / 32.0 + det_corr / 16.0,
-        b1=c.b1 - det_corr / 4.0,
-        b2=c.b2,
-        tr2=c.tr2,
-    )
+    # at s = 0 (I/4, its own partial transpose) there is no unit tensor
+    odd, det_corr = _pt_odd_terms(t / c.s) if c.s else (0.0, 0.0)
+    out = CharCoeffs(s=c.s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
 
     check = coeffs_from_bloch(partial_transpose_bloch(t))
-    drift = max(
-        abs(out.b0 - check.b0),
-        abs(out.b1 - check.b1),
-        abs(out.b2 - check.b2),
-        abs(out.tr2 - check.tr2),
-    )
+    drift = max(abs(out.s - check.s), abs(out.k3 - check.k3), abs(out.k4 - check.k4))
     if drift > 1e-9:
         raise InternalInconsistencyError(
             f"PT coefficient map drifted {drift:.3e} from the Bloch route "
@@ -91,23 +81,21 @@ def pt_coeffs(c: CharCoeffs, t) -> CharCoeffs:
 def inequality_rhs(c: CharCoeffs) -> float | None:
     """Right side of the explicit separability inequality, which must not
     exceed 1 for a separable state. Algebraically this is 1 - 4 lambda_min
-    of the quartic with coefficients c; it is only defined away from the
+    of the quartic with coefficients c: s times (sqrt(x)/sqrt(3) + 2
+    inner/sqrt(6)) on the unit shape. It is only defined away from the
     doubly degenerate branches, so those return None."""
     tp = trig_params(c)
-    if tp.phi is None:
+    if tp.phi is None or c.s == 0.0:
         return None
-    terms = _resolvent_terms(c, tp.c1, math.cos(tp.phi))
-    if terms is None:
-        return None
-    sx, u, w = terms
-    inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL)
-    return sx / SQRT3 + 2.0 * inner / SQRT6
+    sx, u, w = _resolvent_terms(c, tp.c1, math.cos(tp.phi))
+    inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL / c.s)
+    return c.s * (sx / SQRT3 + 2.0 * inner / SQRT6)
 
 
 class _State:
     """One state's data, shared by everything a single public call reads:
-    Bloch tensor t, coefficients c and own spectrum, PT coefficients cp and
-    PT spectrum, and the inequality right side on cp.
+    Bloch tensor t, coefficients c (from t) and own spectrum, PT
+    coefficients cp and PT spectrum, and the inequality right side on cp.
 
     Each piece is computed on first use and kept, so a call runs the solver
     stages in the order it reads them and never runs one twice. A record
@@ -123,7 +111,7 @@ class _State:
 
     @cached_property
     def c(self) -> CharCoeffs:
-        return coeffs_from_traces(self.rho)
+        return coeffs_from_bloch(self.t)
 
     @cached_property
     def own(self) -> QuarticSpectrum:
@@ -131,8 +119,7 @@ class _State:
 
     @cached_property
     def cp(self) -> CharCoeffs:
-        t = self.t  # to_bloch before coeffs_from_traces, the callers' order
-        return pt_coeffs(self.c, t)
+        return pt_coeffs(self.c, self.t)
 
     @cached_property
     def pt(self) -> QuarticSpectrum:

@@ -1,59 +1,59 @@
 """Closed-form eigenvalues of 4x4 Hermitian trace-one matrices.
 
-The characteristic polynomial of such a matrix is
+A matrix m is solved on its centred, unit-scale shape: with X = m - I/4
+and s = sqrt(tr X^2), its eigenvalues are 1/4 + s mu over the roots mu of
 
-    lambda^4 - lambda^3 + b2 lambda^2 + b1 lambda + b0,
+    mu^4 - mu^2 / 2 - k3 mu + k4,   k3 = e3(X / s),  k4 = det(X / s),
 
-and because the spectrum is real the quartic can be solved entirely with
-square roots and a single arccosine. Two auxiliary quantities drive the
-solution,
+which, the spectrum being real, take only square roots and one arccosine.
+Two auxiliary quantities drive the solution,
 
-    c1 = sqrt(12 b0 + 3 b1 + b2^2),
-    c2 = 27 b1^2 + b0 (27 - 72 b2) + 9 b1 b2 + 2 b2^3,
+    c1 = sqrt(1/4 + 12 k4),   c2 = -1/4 + 27 k3^2 + 36 k4,
 
 whose combination c2^2 - 4 c1^6 equals -27 times the product of squared
 root differences, hence is never positive. The angle phi = acos(c2 / (2
 c1^3)) / 3 lies in [0, pi/3] and selects the largest root of the resolvent
-cubic, which keeps the downstream square roots well conditioned.
+cubic, which keeps the downstream square roots well conditioned. None of
+this depends on s, so a small spread near I/4 costs no digits.
 
 One four-root formula serves every resolvent root: where c2 = 0 it is
-also evaluated on the middle root 4 tr2 - 1 (cos theta = 0), and the
-candidate with the smaller residual wins. Single+triple spectra (and with
-them c1 = c2 = 0) take a closed form driven by tr2 alone; this module also
-carries the rank-reduced cubic and quadratic solvers for spectra with
-known zero eigenvalues.
+also evaluated on the middle root (cos theta = 0), and the candidate with
+the smaller residual wins. Single+triple spectra (and with them
+c1 = c2 = 0) are two fixed shapes; this module also carries the
+rank-reduced cubic and quadratic solvers for spectra with known zeros.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .linalg import charpoly_flv, trace_power
+from .linalg import charpoly_flv
 
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
 
-# Width of the band around zero inside which c1, c2, |tr2 - 1/4| or the
-# cubic's d are treated as exactly degenerate.
+# Width of the band around zero inside which c1, c2 or the cubic's d are
+# treated as exactly degenerate.
 TAU_BRANCH = 1e-8
 
 # Radicands may dip this far below zero before we refuse to clamp them.
 _CLAMP_BAND = 1e-9
 
-# A candidate spectrum whose polynomial residual exceeds this is rejected.
+# A candidate spectrum whose unit-quartic residual exceeds this is rejected.
 _RESIDUAL_TOL = 1e-6
 
-# How close (b0, b1) must sit to the values implied by a single+triple
-# spectrum at the same purity before that structure is trusted over the
+# Absolute coefficient uncertainty; over s, how close the shape must sit to
+# a single+triple one before that structure is trusted over the
 # trigonometric route. Far above coefficient rounding (~1e-15), far below
 # anything a genuinely four-point spectrum produces.
 _DEGEN_COEFF_TOL = 5e-13
+
+_QUARTER_I = np.eye(4) / 4.0
 
 
 class Branch(Enum):
@@ -68,17 +68,36 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class CharCoeffs:
-    """Quartic coefficients b0, b1, b2 plus the purity tr2 = Tr(m^2)."""
+    """Scale s = sqrt(tr X^2) and shape k3 = e3(X / s), k4 = det(X / s) of
+    X = m - I/4 for a trace-one 4x4 matrix m (k3 = k4 = 0 when s = 0). The
+    purity tr2 and the coefficients of lambda^4 - lambda^3 + b2 lambda^2 +
+    b1 lambda + b0 are derived from them."""
 
-    b0: float
-    b1: float
-    b2: float
-    tr2: float
+    s: float
+    k3: float
+    k4: float
+
+    @property
+    def tr2(self) -> float:
+        return 0.25 + self.s * self.s
+
+    @property
+    def b2(self) -> float:
+        return 0.375 - 0.5 * self.s * self.s
+
+    @property
+    def b1(self) -> float:
+        return -0.0625 + (0.25 - self.k3 * self.s) * self.s * self.s
+
+    @property
+    def b0(self) -> float:
+        s = self.s
+        return 1.0 / 256.0 + (-1.0 / 32.0 + (0.25 * self.k3 + self.k4 * s) * s) * s * s
 
 
 @dataclass(frozen=True)
 class TrigParams:
-    """Resolvent parameters c1, c2 and the angle phi.
+    """Resolvent parameters c1, c2 and the angle phi of a unit shape.
 
     phi is None when c1 (and necessarily c2) vanish within TAU_BRANCH; the
     caller must dispatch to a degenerate branch in that case.
@@ -105,15 +124,19 @@ class CubicCoeffs:
     d: float
 
 
-def coeffs_from_traces(m) -> CharCoeffs:
-    """Characteristic coefficients of a trace-one 4x4 matrix, via the
-    Faddeev-LeVerrier recurrence. This is the authoritative route; the
-    Bloch-parameter formulas below are validated against it."""
-    quartic = charpoly_flv(m)
-    if abs(quartic.c3 + 1.0) > 1e-12:
-        raise ValueError(f"matrix trace must be one (c3 = {quartic.c3})")
-    tr2 = trace_power(m, 2)
-    return CharCoeffs(b0=quartic.c0, b1=quartic.c1, b2=quartic.c2, tr2=tr2)
+def coeffs_from_traces(m, imag_tol: float = 1e-12) -> CharCoeffs:
+    """Characteristic data of a trace-one 4x4 matrix by one Faddeev-LeVerrier
+    pass on X = m - I/4: s^2 = -2 e2, k3 = e3 / s^3, k4 = e4 / s^4. The
+    reference route, which the Bloch formulas below are validated against;
+    it also serves the non-Hermitian spin-flip product."""
+    q = charpoly_flv(np.asarray(m) - _QUARTER_I, imag_tol=imag_tol)
+    if abs(q.c3) > 1e-12:
+        raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
+    s2 = -2.0 * q.c2
+    if s2 <= 0.0:
+        return CharCoeffs(s=0.0, k3=0.0, k4=0.0)
+    s = math.sqrt(s2)
+    return CharCoeffs(s=s, k3=-q.c1 / (s2 * s), k4=q.c0 / (s2 * s2))
 
 
 def _det3(a) -> float:
@@ -131,8 +154,8 @@ def _pt_odd_terms(t) -> tuple[float, float]:
         odd = ((tr A)^2 - tr(A^2)) xi_a.xi_b + 2 xi_b.A^2.xi_a
               - 2 tr A xi_b.A.xi_a.
 
-    The partial transpose flips the sign of odd - 2 det A in 64 b0 and of
-    det A in 8 b1, and leaves every other term of either alone.
+    The partial transpose flips the sign of odd in 64 k4 and of det A in
+    8 k3, and leaves every other term of either alone. t[0, 0] is not read.
     """
     xi_a = t[1:, 0]
     xi_b = t[0, 1:]
@@ -150,35 +173,41 @@ def _pt_odd_terms(t) -> tuple[float, float]:
 
 
 def coeffs_from_bloch(t) -> CharCoeffs:
-    """Characteristic coefficients directly from a Bloch tensor.
+    """Characteristic data directly from a Bloch tensor.
 
-    Closed-form polynomial in the 15 parameters, no matrix products. Note
-    the two quadratic-in-A terms act on opposite sides: the qubit A vector
-    contracts A's first index (A^T xi_a), the qubit B vector its second
-    (A xi_b). Getting either of these wrong breaks the determinant term
-    while leaving every symmetric test case unchanged, so the pairing is
-    pinned down by randomized cross-validation against coeffs_from_traces.
+    Closed-form polynomials in the 15 parameters, homogeneous on the unit
+    tensor u (t with t[0, 0] dropped, over s; its squares sum to 4):
 
-    The adjugate term tr(adj(A) adj(A)^T), the sum of the squared 2x2
-    minors of the correlation block A, is evaluated by Cauchy-Binet as
-    ((tr G)^2 - tr(G^2)) / 2 with G = A A^T the Gram matrix of A's rows.
-    The terms that change sign under the partial transpose come from
-    _pt_odd_terms, which pt_coeffs shares.
+        8 k3  = xi_a.A.xi_b - det A
+        64 k4 = 4 - |xi_a|^2 |xi_b|^2 - |A^T xi_a|^2 - |A xi_b|^2
+                + odd - tr(adj(A) adj(A)^T)
+
+    Note the two quadratic-in-A terms act on opposite sides: the qubit A
+    vector contracts A's first index (A^T xi_a), the qubit B vector its
+    second (A xi_b). Getting either of these wrong breaks k4 while leaving
+    every symmetric test case unchanged, so the pairing is pinned down by
+    randomized cross-validation against coeffs_from_traces.
+
+    The adjugate term, the sum of the squared 2x2 minors of A, is evaluated
+    by Cauchy-Binet as ((tr G)^2 - tr(G^2)) / 2 with G = A A^T the Gram
+    matrix of A's rows. The terms that change sign under the partial
+    transpose come from _pt_odd_terms, which pt_coeffs shares.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
         raise ValueError("expected a (4, 4) Bloch tensor")
-    xi_a = t[1:, 0]
-    xi_b = t[0, 1:]
-    corr = t[1:, 1:]
+    x = t.copy()
+    x[0, 0] = 0.0
+    s = 0.5 * math.sqrt(float((x * x).sum()))
+    if s == 0.0:
+        return CharCoeffs(s=0.0, k3=0.0, k4=0.0)
+    u = x / s
+    xi_a = u[1:, 0]
+    xi_b = u[0, 1:]
+    corr = u[1:, 1:]
 
-    tr2 = 0.25 * float((t * t).sum())
-    b2 = 0.5 * (1.0 - tr2)
-
-    odd, det_corr = _pt_odd_terms(t)
-    bilin = float(xi_a @ corr @ xi_b)
-
-    b1 = 0.125 * (2.0 * tr2 - 1.0 - bilin + det_corr)
+    odd, det_corr = _pt_odd_terms(u)
+    k3 = (float(xi_a @ corr @ xi_b) - det_corr) / 8.0
 
     row_action = corr.T @ xi_a
     col_action = corr @ xi_b
@@ -187,22 +216,21 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     tr_gram = float(gram[0, 0] + gram[1, 1] + gram[2, 2])
     cross_sq = 0.5 * (tr_gram * tr_gram - float((gram * gram).sum()))
 
-    b0 = (
-        1.0
+    k4 = (
+        4.0
         - float(xi_a @ xi_a) * float(xi_b @ xi_b)
         - float(row_action @ row_action)
         - float(col_action @ col_action)
-        + 2.0 * bilin
         + odd
         - cross_sq
-        - 2.0 * det_corr
-    ) / 64.0 - (tr2 - tr2 * tr2) / 16.0
+    ) / 64.0
 
-    return CharCoeffs(b0=b0, b1=b1, b2=b2, tr2=tr2)
+    return CharCoeffs(s=s, k3=k3, k4=k4)
 
 
 def trig_params(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> TrigParams:
-    """Resolvent parameters (c1, c2, phi) for a real-spectrum quartic.
+    """Resolvent parameters (c1, c2, phi) of a real-spectrum unit shape:
+    the monic quartic's c1 and c2 over s^2 and s^6, with the same phi.
 
     phi comes from acos(c2 / (2 c1^3)) / 3 with the ratio clamped to
     [-1, 1]; the equivalent complex-argument form is exercised as an
@@ -211,21 +239,17 @@ def trig_params(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> TrigParam
     c1 <= TAU_BRANCH with |c2| materially nonzero raises
     InternalInconsistencyError instead of guessing.
 
-    coeff_tol is the absolute uncertainty the caller attributes to b0 and
-    b1; the realness guards scale with it so coefficients that are merely
-    noisy are not mistaken for a complex spectrum.
+    coeff_tol is the absolute uncertainty the caller attributes to the
+    coefficients; the realness guards scale with coeff_tol / s, its size on
+    the shape, so coefficients that are merely noisy are not mistaken for a
+    complex spectrum.
     """
-    band = 30.0 * coeff_tol
-    disc = 12.0 * c.b0 + 3.0 * c.b1 + c.b2 * c.b2
+    band = 30.0 * coeff_tol / c.s if c.s else 0.0
+    disc = 0.25 + 12.0 * c.k4
     if disc < -max(1e-12, band):
-        raise ValueError(f"12 b0 + 3 b1 + b2^2 = {disc:.3e} < 0: spectrum is not real")
+        raise ValueError(f"1/4 + 12 k4 = {disc:.3e} < 0: spectrum is not real")
     c1 = math.sqrt(disc) if disc > 0.0 else 0.0
-    c2 = (
-        27.0 * c.b1 * c.b1
-        + c.b0 * (27.0 - 72.0 * c.b2)
-        + 9.0 * c.b1 * c.b2
-        + 2.0 * c.b2 ** 3
-    )
+    c2 = -0.25 + 27.0 * c.k3 * c.k3 + 36.0 * c.k4
     if c1 <= TAU_BRANCH:
         if abs(c2) > max(TAU_BRANCH, band):
             raise InternalInconsistencyError(
@@ -234,7 +258,7 @@ def trig_params(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> TrigParam
             )
         return TrigParams(c1=c1, c2=c2, phi=None)
     gap = c2 * c2 - 4.0 * c1 ** 6
-    if gap > max(1e-9 * max(1.0, c1 ** 6), 2.0 * band * max(abs(c2), c1 ** 3)):
+    if gap > max(1e-9, 2.0 * band * max(abs(c2), c1 ** 3)):
         raise ValueError(f"c2^2 - 4 c1^6 = {gap:.3e} > 0: spectrum is not real")
     ratio = c2 / (2.0 * c1 ** 3)
     ratio = min(1.0, max(-1.0, ratio))
@@ -257,97 +281,87 @@ def _clamped_sqrt(
 
 
 def _poly_residual(c: CharCoeffs, eigs) -> float:
+    """Largest |p(mu)| of the unit quartic over mu = (lambda - 1/4) / s."""
     return max(
-        abs((((lam - 1.0) * lam + c.b2) * lam + c.b1) * lam + c.b0) for lam in eigs
+        abs(((mu * mu - 0.5) * mu - c.k3) * mu + c.k4)
+        for mu in ((lam - 0.25) / c.s for lam in eigs)
     )
 
 
 def _resolvent_terms(c: CharCoeffs, c1: float, cos_theta: float):
-    """(sqrt(x), u, w) for the resolvent root x = 4 tr2 - 1 + 8 c1 cos_theta:
-    the largest root at cos_theta = cos(phi), the middle one at cos_theta = 0
-    when c2 = 0 (where u = x). The quartic's roots are
-    1/4 + s sqrt(x)/(4 sqrt 3) +/- sqrt(u - s w)/(2 sqrt 6) for s = +/-1.
-    None if x degenerates (which only happens next to the all-quarter
-    point)."""
-    x = 4.0 * c.tr2 - 1.0 + 8.0 * c1 * cos_theta
-    if x <= 1e-12:
-        return None
-    sx = math.sqrt(x)
-    u = 4.0 * c.tr2 - 1.0 - 4.0 * c1 * cos_theta
-    w = 3.0 * SQRT3 * (1.0 + 8.0 * c.b1 - 2.0 * c.tr2) / sx
-    return sx, u, w
+    """(sqrt(x), u, w) on the unit shape for the resolvent root
+    x = 4 + 8 c1 cos_theta: the largest root at cos_theta = cos(phi), the
+    middle one at cos_theta = 0 when c2 = 0 (where u = x). The unit
+    quartic's roots are sgn sqrt(x)/(4 sqrt 3) +/- sqrt(u - sgn w)/(2 sqrt 6)
+    for sgn = +/-1. Since c1 and cos_theta are nonnegative, x >= 4."""
+    sx = math.sqrt(4.0 + 8.0 * c1 * cos_theta)
+    return sx, 4.0 - 4.0 * c1 * cos_theta, -24.0 * SQRT3 * c.k3 / sx
 
 
 def _generic_eigs(c: CharCoeffs, c1: float, cos_theta: float, band: float, flush: float):
-    """Four roots from the resolvent root at cos_theta; None if that root
-    degenerates."""
-    terms = _resolvent_terms(c, c1, cos_theta)
-    if terms is None:
-        return None
-    sx, u, w = terms
+    """Four eigenvalues from the resolvent root at cos_theta."""
+    sx, u, w = _resolvent_terms(c, c1, cos_theta)
     shift = sx / (4.0 * SQRT3)
     half_low = _clamped_sqrt(u + w, "inner(-)", band, flush) / (2.0 * SQRT6)
     half_high = _clamped_sqrt(u - w, "inner(+)", band, flush) / (2.0 * SQRT6)
+    s = c.s
     return (
-        0.25 + shift + half_high,
-        0.25 + shift - half_high,
-        0.25 - shift + half_low,
-        0.25 - shift - half_low,
+        0.25 + s * (shift + half_high),
+        0.25 + s * (shift - half_high),
+        0.25 - s * (shift - half_low),
+        0.25 - s * (shift + half_low),
     )
 
 
-def _single_triple(c: CharCoeffs, norm):
-    """The single+triple spectrum at purity tr2 > 1/4 that best matches
-    (b0, b1), as (mismatch, (eigenvalues, branch)).
-
-    Case 1 is a low triple eigenvalue below a single large one, case 2 the
-    mirror image. Each implies its own (b0, b1); norm combines the two
-    absolute mismatches, and a tie goes to case 1.
-    """
-    s = math.sqrt(max(4.0 * c.tr2 - 1.0, 0.0))
-    s3 = SQRT3 * s ** 3
-    base0 = 3.0 - 6.0 * c.tr2 - 6.0 * c.tr2 * c.tr2
-    base1 = 18.0 * c.tr2 - 9.0
-    low = 0.25 - s / (4.0 * SQRT3)
-    high = 0.25 + s / (4.0 * SQRT3)
-    err1 = norm(abs(c.b0 - (base0 + s3) / 288.0), abs(c.b1 - (base1 - s3) / 72.0))
-    err2 = norm(abs(c.b0 - (base0 - s3) / 288.0), abs(c.b1 - (base1 + s3) / 72.0))
-    if err1 <= err2:
-        best = ((0.25 + SQRT3 * s / 4.0, low, low, low), Branch.DOUBLE_ZERO_CASE1)
-    else:
-        best = ((high, high, high, 0.25 - SQRT3 * s / 4.0), Branch.DOUBLE_ZERO_CASE2)
-    return min(err1, err2), best
+def _single_triple(c: CharCoeffs):
+    """The single+triple spectrum at c's scale whose shape is nearest c's,
+    as (mismatch, (eigenvalues, branch)), with mismatch the sum of the k3
+    and k4 distances. The two shapes are (k3, k4) = (+/-1/(3 sqrt 3),
+    -1/48), so the sign of k3 picks the case: case 1 is a single eigenvalue
+    above a low triple, case 2 the mirror image."""
+    sgn = 1.0 if c.k3 >= 0.0 else -1.0
+    mismatch = abs(c.k3 - sgn / (3.0 * SQRT3)) + abs(c.k4 + 1.0 / 48.0)
+    single = 0.25 + sgn * SQRT3 * c.s / 2.0
+    triple = 0.25 - sgn * c.s / (2.0 * SQRT3)
+    branch = Branch.DOUBLE_ZERO_CASE1 if sgn > 0.0 else Branch.DOUBLE_ZERO_CASE2
+    return mismatch, ((single, triple, triple, triple), branch)
 
 
 def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticSpectrum:
     """All four eigenvalues of the trace-one quartic, sorted descending.
 
-    Dispatch, first match wins: single+triple spectra by coefficient
-    proximity (see below), the double root at the origin (b0 = b1 = 0), a
-    single root there (b0 = 0), then the all-quarter point and the
-    c1 = c2 = 0 family, c2 = 0, and finally the generic trigonometric
-    formula. The c2 = 0 branch evaluates that same formula on the middle
-    resolvent root and on the largest one, and the candidate with the
-    smaller polynomial residual wins; a residual beyond tolerance raises
-    InternalInconsistencyError.
+    Dispatch, first match wins: the all-quarter point s = 0, single+triple
+    shapes by proximity (see below) together with the c1 = c2 = 0 family,
+    the double root at the origin (b0 = b1 = 0), a single root there
+    (b0 = 0), c2 = 0, and finally the generic trigonometric formula. The
+    c2 = 0 branch evaluates that same formula on the middle resolvent root
+    and on the largest one, and the candidate with the smaller residual
+    wins; a residual beyond tolerance raises InternalInconsistencyError.
 
     The proximity pre-gate exists because a triple root is exactly where
     the trigonometric route is worst (it splits the root with an error of
     order the cube root of the coefficient noise) while the degenerate
-    form, driven by tr2 alone, stays at machine precision. Residuals are
-    flat near a multiple root and cannot arbitrate, so membership is
-    tested where it is sharp: (b0, b1) against the values the single+triple
-    family implies. Callers whose coefficients carry more rounding noise
-    than direct trace evaluation (for example after rescaling by a small
-    trace) widen every band at once through coeff_tol.
-    """
-    tp = trig_params(c, coeff_tol)
-    band = max(_CLAMP_BAND, 300.0 * coeff_tol)
-    flush = 30.0 * coeff_tol
+    form, driven by s alone, stays at machine precision. Residuals are flat
+    near a multiple root and cannot arbitrate, so membership is tested
+    where it is sharp: (k3, k4) against the two single+triple shapes.
 
-    if c.tr2 > 0.25 + TAU_BRANCH and (near := _single_triple(c, max))[0] <= coeff_tol:
-        candidates = [near[1]]
-    elif abs(c.b0) <= coeff_tol and abs(c.b1) <= coeff_tol:
+    The rank gates on b0 and b1 take coeff_tol as it is, the gates on the
+    shape coeff_tol / s. Callers whose coefficients carry more rounding
+    noise than direct trace evaluation (for example after rescaling by a
+    small trace) widen every band at once through coeff_tol.
+    """
+    if c.s == 0.0:
+        return QuarticSpectrum(eigenvalues=(0.25, 0.25, 0.25, 0.25), branch=Branch.ALL_QUARTER)
+    tp = trig_params(c, coeff_tol)
+    tol = coeff_tol / c.s
+    band = max(_CLAMP_BAND, 300.0 * tol)
+    flush = 30.0 * tol
+    b0 = c.b0
+
+    mismatch, near = _single_triple(c)
+    if mismatch <= tol or tp.phi is None:
+        candidates = [near]
+    elif abs(b0) <= coeff_tol and abs(c.b1) <= coeff_tol:
         # Vanishing b0 and b1 factor the quartic as lambda^2 times
         # (lambda^2 - lambda + b2): a double root at the origin beside a
         # well-conditioned quadratic pair. The resolvent route places the
@@ -356,44 +370,23 @@ def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticS
         # It is still the generic stratum, just evaluated differently.
         r = _clamped_sqrt(1.0 - 4.0 * c.b2, "origin-pair factor", band, flush)
         candidates = [(((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC)]
-    elif abs(c.b0) <= coeff_tol:
+    elif abs(b0) <= coeff_tol:
         # A vanishing constant term factors one root out at the origin
         # exactly. The residual cubic keeps a neighbor of that root well
         # conditioned, where the resolvent route would smear both.
         three, _ = cubic_eigs(cubic_coeffs(c, b0_tol=coeff_tol))
         candidates = [((three[0], three[1], three[2], 0.0), Branch.GENERIC)]
-    elif tp.phi is None:
-        # The all-quarter gate is deliberately much tighter than the
-        # c1/c2 dispatch band: tr2 - 1/4 equals the summed squared
-        # eigenvalue offsets, so it resolves a single+triple split of
-        # size delta as 12 delta^2 well below the dispatch tolerance,
-        # and the case forms reconstruct delta from it. A band of
-        # 1e-8 here would flatten real splits up to 3e-5 wide; splits
-        # under sqrt(coeff_tol/12) stay invisible either way.
-        if abs(c.tr2 - 0.25) <= coeff_tol:
-            candidates = [((0.25, 0.25, 0.25, 0.25), Branch.ALL_QUARTER)]
-        else:
-            # Summed mismatch here, maximal in the pre-gate (whose
-            # tolerance bounds each coefficient). On near-single+triple
-            # spectra such as (1/4 - 3e-6, 1/4 + 1e-6 x3) the two cases'
-            # maximal mismatches tie at about 1e-17, and the tie would
-            # pick case 1, 4e-6 off; the sums separate them.
-            candidates = [_single_triple(c, operator.add)[1]]
     elif abs(tp.c2) <= TAU_BRANCH:
         # Middle resolvent root first, then the largest; a residual tie
         # goes to the middle root.
-        tries = (_generic_eigs(c, tp.c1, ct, band, flush) for ct in (0.0, math.cos(tp.phi)))
-        candidates = [(eigs, Branch.C2_ZERO) for eigs in tries if eigs is not None]
+        tries = (0.0, math.cos(tp.phi))
+        candidates = [(_generic_eigs(c, tp.c1, ct, band, flush), Branch.C2_ZERO) for ct in tries]
     else:
-        eigs = _generic_eigs(c, tp.c1, math.cos(tp.phi), band, flush)
-        candidates = [] if eigs is None else [(eigs, Branch.GENERIC)]
-
-    if not candidates:
-        raise InternalInconsistencyError(f"no computable branch for coefficients {c}")
+        candidates = [(_generic_eigs(c, tp.c1, math.cos(tp.phi), band, flush), Branch.GENERIC)]
 
     best = min(candidates, key=lambda cand: _poly_residual(c, cand[0]))
     residual = _poly_residual(c, best[0])
-    if residual > max(_RESIDUAL_TOL, 30.0 * coeff_tol):
+    if residual > max(_RESIDUAL_TOL, 30.0 * tol):
         raise InternalInconsistencyError(
             f"closed-form spectrum residual {residual:.3e} for coefficients {c}"
         )

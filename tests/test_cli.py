@@ -21,7 +21,7 @@ from twoqubit.entanglement import entanglement_report
 from twoqubit.errors import InternalInconsistencyError, OracleConvergenceError
 from twoqubit.sampling import bell_state, ginibre_density, pure_density, werner_state
 from twoqubit.separability import peres_test
-from twoqubit.spectrum import coeffs_from_traces, quartic_eigs
+from twoqubit.spectrum import coeffs_from_bloch, quartic_eigs
 
 
 def run(capsys, *argv):
@@ -67,7 +67,8 @@ def test_analyze_json_output(tmp_path, capsys):
 
 def test_analyze_json_matches_library(tmp_path, capsys):
     """Every analyze --json field equals what the library returns for the
-    same matrix, exactly: the CLI adds no arithmetic of its own."""
+    same matrix, exactly: the CLI adds no arithmetic of its own. The
+    library's own route reads the coefficients off the Bloch tensor."""
     rng = np.random.default_rng(62)
     states = [ginibre_density(rng), pure_density(bell_state()), werner_state(0.2)]
     for k, rho in enumerate(states):
@@ -75,14 +76,15 @@ def test_analyze_json_matches_library(tmp_path, capsys):
         code, out, _ = run(capsys, "analyze", path, "--json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        c = coeffs_from_traces(rho)
+        t = to_bloch(rho)
+        c = coeffs_from_bloch(t)
         spec = quartic_eigs(c)
         sep = peres_test(rho)
         ent = entanglement_report(rho)
         assert doc == {
             "eigenvalues": list(spec.eigenvalues),
             "branch": spec.branch.value,
-            "bloch": to_bloch(rho).tolist(),
+            "bloch": t.tolist(),
             "purity": c.tr2,
             "pt_eigenvalues": list(quartic_eigs(sep.pt_coeffs).eigenvalues),
             "separable": sep.separable,
@@ -192,6 +194,9 @@ def test_analyze_parse_failures(tmp_path, capsys):
         "bloch_str": {"bloch": [["a", 0, 0, 0]] + [[0, 0, 0, 0]] * 3},
         "bloch_ragged": {"bloch": [[1, 0, 0, 0], [0, 0, 0]] + [[0, 0, 0, 0]] * 2},
         "bloch_big": {"bloch": [[big, 0, 0, 0]] + [[0, 0, 0, 0]] * 3},
+        # numpy reads these as 1.0 and 0.0, which is I/4
+        "bloch_bool": {"bloch": [[True, 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, False]]},
+        "bloch_numeric_str": {"bloch": [["1", 0, 0, 0]] + [[0, 0, 0, 0]] * 3},
     }
     paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
     # an integer too long for Python to read back from text
@@ -290,7 +295,7 @@ def test_chain_validation_failures(capsys):
 
 
 @pytest.mark.parametrize(
-    "family", ["ginibre", "hermitian", "pure", "rank2", "rank3", "werner"]
+    "family", ["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"]
 )
 def test_fuzz_families_pass(capsys, family):
     code, out, _ = run(capsys, "fuzz", "--samples", "60", "--seed", "5", "--family", family)
@@ -300,6 +305,9 @@ def test_fuzz_families_pass(capsys, family):
     assert doc["breaches"] == 0
     assert doc["counterexamples"] == []
     assert all(v >= 0.0 for v in doc["max_error"].values())
+    if family != "pure":
+        # the Bloch route of the solver against the trace route
+        assert "bloch_vs_flv_coeffs" in doc["max_error"]
 
 
 def test_fuzz_breach_exits_3(capsys, monkeypatch):

@@ -1,9 +1,10 @@
-"""Reproducers of open defects, each pinned as a strict expected failure.
+"""Reproducers of defects, open ones pinned as strict expected failures.
 
 Each reason names the ROADMAP item that fixes it. The change that fixes a
 defect makes its test pass, and strict mode then fails the run until that
-change drops the marker. Every draw below shows the defect on the current
-solver, so the assertions hold each draw, not only the worst one.
+change drops the marker; the test then stays as a regression test. Every
+draw below shows its defect on the solver that had it, so the assertions
+hold each draw, not only the worst one.
 """
 
 import math
@@ -11,8 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from twoqubit.bloch import partial_transpose, to_bloch
+from twoqubit.entanglement import entanglement_report
+from twoqubit.sampling import werner_state
 from twoqubit.separability import peres_test
-from twoqubit.spectrum import coeffs_from_traces, quartic_eigs
+from twoqubit.spectrum import coeffs_from_bloch, coeffs_from_traces, quartic_eigs
 
 DRAWS = 20
 
@@ -58,12 +62,9 @@ def test_weakly_entangled_pure_state_is_entangled():
         assert not peres_test(np.outer(v, v.conj())).separable
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP 1: near I/4 the resolvent invariants cancel; 2.7e-4 off at spread 1e-3",
-)
 def test_near_quarter_spectrum_accuracy():
+    """ROADMAP 1: the monic quartic's resolvent invariants cancel near I/4
+    (2.7e-4 off at spread 1e-3); those of the unit shape do not."""
     rng = np.random.default_rng(73)
     d = 1e-3
     spectrum = (0.25 + d, 0.25 + d / 3, 0.25 - d / 2, 0.25 - 5 * d / 6)
@@ -72,3 +73,44 @@ def test_near_quarter_spectrum_accuracy():
         got = quartic_eigs(coeffs_from_traces(m)).eigenvalues
         want = np.linalg.eigvalsh(m)[::-1]
         assert np.max(np.abs(np.array(got) - want)) <= 1e-9
+
+
+def near_mixed(g, rng):
+    """The near-maximally-mixed recipe (1/4+3g, 1/4-g, 1/4-g/2, 1/4-3g/2)."""
+    return haar_rotated((0.25 + 3 * g, 0.25 - g, 0.25 - g / 2, 0.25 - 1.5 * g), rng)
+
+
+def near_quarter(d, rng):
+    """The near-all-quarter recipe (1/4+d, 1/4+d/3, 1/4-d/2, 1/4-5d/6)."""
+    return haar_rotated((0.25 + d, 0.25 + d / 3, 0.25 - d / 2, 0.25 - 5 * d / 6), rng)
+
+
+def rotated_werner(p, rng):
+    """Werner state under a local Haar rotation: single+triple, and so is
+    its partial transpose."""
+    u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    m = u @ werner_state(p) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "recipe, spread",
+    [(near_mixed, 10.0**-k) for k in range(3, 10)]
+    + [(near_quarter, 10.0**-k) for k in range(2, 10)]
+    + [(rotated_werner, 10.0**-k) for k in range(4, 10)],
+    ids=lambda x: x.__name__ if callable(x) else f"{x:g}",
+)
+def test_spectra_near_quarter_are_exact(recipe, spread):
+    """ROADMAP 1 and the bench's 3(a) signature: states within 1e-2 of I/4
+    neither raise nor lose digits, in their own spectrum or their partial
+    transpose's, all the way down to a spread of 1e-9."""
+    rng = np.random.default_rng(74)
+    for _ in range(DRAWS):
+        rho = recipe(spread, rng)
+        sep = peres_test(rho)
+        entanglement_report(rho)
+        own = quartic_eigs(coeffs_from_bloch(to_bloch(rho))).eigenvalues
+        pt = quartic_eigs(sep.pt_coeffs).eigenvalues
+        assert np.max(np.abs(np.array(own) - np.linalg.eigvalsh(rho)[::-1])) <= 1e-12
+        want_pt = np.linalg.eigvalsh(partial_transpose(rho))[::-1]
+        assert np.max(np.abs(np.array(pt) - want_pt)) <= 1e-12

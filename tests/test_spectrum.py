@@ -110,15 +110,16 @@ def test_phi_range_and_sign_convention():
 
 
 def test_trig_params_rejects_unreal_spectrum():
+    # 1/4 + 12 k4 < 0: c1 would be imaginary
     with pytest.raises(ValueError):
-        trig_params(CharCoeffs(b0=-1.0, b1=0.0, b2=0.0, tr2=0.5))
+        trig_params(CharCoeffs(s=0.5, k3=0.0, k4=-1.0))
 
 
 def test_trig_params_rejects_vanishing_c1_with_live_c2():
-    # 12 b0 + 3 b1 + b2^2 = 0 while c2 stays finite: impossible for any
-    # real spectrum, so it must be flagged rather than dispatched.
+    # 1/4 + 12 k4 = 0 while c2 = -1: impossible for any real spectrum, so
+    # it must be flagged rather than dispatched.
     with pytest.raises(InternalInconsistencyError):
-        trig_params(CharCoeffs(b0=0.01, b1=-0.04, b2=0.0, tr2=0.5))
+        trig_params(CharCoeffs(s=0.5, k3=0.0, k4=-1.0 / 48.0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +153,10 @@ def test_quartic_output_invariants():
 
 
 def test_quartic_rejects_inconsistent_coefficients():
-    # coefficients of one spectrum glued to the purity of another
-    c = CharCoeffs(b0=0.0024, b1=-0.05, b2=0.35, tr2=0.9)
+    # No real spectrum has this shape (real shapes have k4 <= 1/16): its
+    # roots are two complex pairs, which pass the discriminant sign test,
+    # so the inconsistency surfaces as a negative inner radicand.
+    c = CharCoeffs(s=0.5, k3=0.0, k4=0.1)
     with pytest.raises(InternalInconsistencyError):
         quartic_eigs(c)
 
@@ -223,36 +226,36 @@ def test_single_zero_factorization():
 
 
 def test_near_quarter_resolution_walk():
-    """Spectra close to the fully degenerate point: the split must be
-    resolved down to the coefficient noise floor, and inside the blind
-    band the flat spectrum is the only defensible answer."""
+    """Spectra close to the fully degenerate point: the unit shape carries
+    the split at every scale, so it is resolved to rounding all the way
+    down, and only I/4 itself takes the all-quarter branch."""
     for p, tol in ((1e-1, 1e-11), (1e-3, 1e-11), (1e-5, 1e-11), (1e-6, 1e-9)):
         m = werner_state(p)
         exact = sorted([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3, reverse=True)
         got = quartic_eigs(coeffs_from_traces(m)).eigenvalues
         err = max(abs(a - b) for a, b in zip(got, exact))
         assert err <= tol, f"p={p}: err={err:.3e}"
-    # below the resolution floor tr2 - 1/4 drowns in rounding and the
-    # all-quarter answer is taken; the miss is bounded by the band width
-    spec = quartic_eigs(coeffs_from_traces(werner_state(3e-7)))
-    assert spec.branch is Branch.ALL_QUARTER
-    assert max(abs(x - 0.25) for x in spec.eigenvalues) <= 1e-6
+    # tr2 - 1/4 is lost to rounding here, the unit shape is not
+    for p in (3e-7, 1e-12):
+        spec = quartic_eigs(coeffs_from_traces(werner_state(p)))
+        assert spec.branch is Branch.DOUBLE_ZERO_CASE1
+        exact = sorted([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3, reverse=True)
+        assert max(abs(a - b) for a, b in zip(spec.eigenvalues, exact)) <= 1e-16
 
 
 def test_single_triple_fallback_uses_summed_mismatch():
-    """(1/4 + 1e-6 x3, 1/4 - 3e-6) sits in the c1 = c2 = 0 fallback, where
-    the two cases' maximal (b0, b1) mismatches tie near 1e-17; only the
-    summed mismatch picks case 2 (case 1 would be 4e-6 off)."""
-    c = CharCoeffs(
-        b0=0.0039062499996249988,
-        b1=-0.062499999997000004,
-        b2=0.374999999994,
-        tr2=0.25000000001199996,
-    )
-    spec = quartic_eigs(c)
-    assert spec.branch is Branch.DOUBLE_ZERO_CASE2
+    """(1/4 + 1e-6 x3, 1/4 - 3e-6) lies within 1e-17 of both single+triple
+    cases in (b0, b1). On the unit shape the cases share k4 and the sign of
+    k3 picks case 2 (case 1 would be 4e-6 off), whichever gate claims the
+    input: the exact shape, or one nudged in k3 past the pre-gate (c1 = 0
+    with c2 inside its band)."""
+    s = 2e-6 * math.sqrt(3.0)
     want = (0.25 + 1e-6, 0.25 + 1e-6, 0.25 + 1e-6, 0.25 - 3e-6)
-    assert max(abs(a - b) for a, b in zip(spec.eigenvalues, want)) <= 1e-11
+    k3 = -1.0 / (3.0 * math.sqrt(3.0))
+    for nudge in (0.0, -2e-7):
+        spec = quartic_eigs(CharCoeffs(s=s, k3=k3 + nudge, k4=-1.0 / 48.0))
+        assert spec.branch is Branch.DOUBLE_ZERO_CASE2
+        assert max(abs(a - b) for a, b in zip(spec.eigenvalues, want)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
