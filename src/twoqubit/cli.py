@@ -18,7 +18,7 @@ import numpy as np
 
 from .bloch import from_bloch, partial_transpose, validate_density_matrix
 from .chain import chain_report, max_transfer_distance
-from .entanglement import _report, concurrence, concurrence_pure
+from .entanglement import _concurrence, _report, concurrence_pure
 from .errors import InternalInconsistencyError, OracleConvergenceError
 from .linalg import eig_hermitian_oracle
 from .sampling import (
@@ -34,7 +34,6 @@ from .separability import (
     TAU_SEP,
     _State,
     _verdict,
-    peres_test,
     pure_pt_spectrum,
     pure_separable,
 )
@@ -308,9 +307,9 @@ def _fuzz_spectrum_checks(s: _State, idx, tally: _FuzzTally) -> None:
     tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, lambda: _matrix_json(s.rho))
 
 
-def _fuzz_density_checks(rho, idx, tally: _FuzzTally):
+def _fuzz_density_checks(rho, idx, tally: _FuzzTally) -> _State:
     """The spectrum checks plus verdict equivalence for one density
-    matrix."""
+    matrix; returns its record."""
     s = _State(rho)
     _fuzz_spectrum_checks(s, idx, tally)
     sep = _verdict(s)
@@ -324,12 +323,13 @@ def _fuzz_density_checks(rho, idx, tally: _FuzzTally):
             lambda: _matrix_json(rho),
         )
     if abs(sep.lambda_min_pt) > 1e-8:
-        c = concurrence(rho, check=False)
+        c = _concurrence(s)
         agree = (c > TAU_SEP) == (not sep.separable)
         tally.record(
             "concurrence_vs_verdict", 0.0 if agree else 1.0, 0.5, idx,
             lambda: _matrix_json(rho),
         )
+    return s
 
 
 def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally):
@@ -340,15 +340,15 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
         _fuzz_spectrum_checks(_State(h), idx, tally)
     elif family == "pure":
         v = haar_pure(rng)
-        rho = pure_density(v)
+        s = _State(pure_density(v))
         state_json = [[float(x.real), float(x.imag)] for x in v]
         closed = pure_pt_spectrum(v)
-        oracle = eig_hermitian_oracle(partial_transpose(rho))
+        oracle = eig_hermitian_oracle(partial_transpose(s.rho))
         err = max(abs(a - b) for a, b in zip(closed, oracle))
         tally.record("pure_pt_vs_oracle", err, 1e-12, idx, lambda: state_json)
-        err = abs(concurrence(rho, check=False) - concurrence_pure(v))
+        err = abs(_concurrence(s) - concurrence_pure(v))
         tally.record("pure_concurrence_bridge", err, 1e-10, idx, lambda: state_json)
-        agree = pure_separable(v) == peres_test(rho, check=False).separable
+        agree = pure_separable(v) == _verdict(s).separable
         tally.record(
             "pure_verdict_agreement", 0.0 if agree else 1.0, 0.5, idx,
             lambda: state_json,
@@ -360,9 +360,8 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
         _fuzz_density_checks(rho, idx, tally)
     elif family == "werner":
         p = rng.uniform(-1.0 / 3.0, 1.0)
-        rho = werner_state(p)
-        _fuzz_density_checks(rho, idx, tally)
-        c = concurrence(rho, check=False)
+        s = _fuzz_density_checks(werner_state(p), idx, tally)
+        c = _concurrence(s)
         err = abs(c - max(0.0, (3.0 * p - 1.0) / 2.0))
         tally.record("werner_concurrence_formula", err, 1e-10, idx, lambda: [p])
     else:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import validate_density_matrix
 from .errors import InternalInconsistencyError, NotApplicableError
 from .linalg import SIGMA_Y, kron
 from .separability import _State, _checked_state
@@ -55,7 +54,6 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
     inputs. Anything below -1e-8 after rescaling means the closed form and
     the input disagree badly enough to abort.
     """
-    rho = np.asarray(rho, dtype=complex)
     m = rho @ spin_flip(rho)
     t = float(m.trace().real)
     if t <= _FLIP_TRACE_FLOOR:
@@ -82,15 +80,15 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
     return tuple(out)
 
 
+def _concurrence(s: _State) -> float:
+    r = [math.sqrt(x) for x in _flip_product_eigs(s.rho)]
+    return max(0.0, r[0] - r[1] - r[2] - r[3])
+
+
 def concurrence(rho, check: bool = True) -> float:
     """Concurrence C(rho) = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4))
     with mu_i the descending eigenvalues of rho times its spin flip."""
-    rho = np.asarray(rho, dtype=complex)
-    if check:
-        validate_density_matrix(rho)
-    mu = _flip_product_eigs(rho)
-    r = [math.sqrt(x) for x in mu]
-    return max(0.0, r[0] - r[1] - r[2] - r[3])
+    return _concurrence(_checked_state(rho, check))
 
 
 def _binary_entropy(x: float) -> float:
@@ -161,7 +159,7 @@ class EntanglementReport:
 
 
 def _report(s: _State) -> EntanglementReport:
-    c = concurrence(s.rho, check=False)
+    c = _concurrence(s)
     neg = _negativity(s)
     try:
         bound = _eof_bound(s)

@@ -17,10 +17,7 @@ from .linalg import kron
 def ginibre_density(rng: np.random.Generator) -> np.ndarray:
     """Full-rank random density matrix G G^dag / tr(G G^dag), complex
     Gaussian G. This is the Hilbert-Schmidt ensemble."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    m /= m.trace().real
-    return (m + m.conj().T) / 2.0
+    return rank_deficient_density(rng, 4)
 
 
 def rank_deficient_density(rng: np.random.Generator, rank: int) -> np.ndarray:

@@ -37,9 +37,13 @@ from .linalg import charpoly_flv
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
 
-# Width of the band around zero inside which c1, c2 or the cubic's d are
-# treated as exactly degenerate.
+# Width of the band around zero inside which c1 or c2 is treated as exactly
+# degenerate.
 TAU_BRANCH = 1e-8
+
+# The residual cubic's two snap bands; cubic_eigs says why they are no wider.
+_ALL_THIRD_TOL = 1e-15
+_D_ZERO_TOL = 1e-14
 
 # Radicands may dip this far below zero before we refuse to clamp them.
 _CLAMP_BAND = 1e-9
@@ -406,31 +410,33 @@ def cubic_coeffs(c: CharCoeffs, b0_tol: float = 1e-10) -> CubicCoeffs:
 def cubic_eigs(c: CubicCoeffs):
     """Nonzero-part spectrum of a rank <= 3 trace-one matrix.
 
-    Returns (eigenvalues descending, branch string). Branches: "AllThird"
-    for the fully degenerate point tr2 = 1/3, "DZero" when d = 0, and
-    "Generic" for the trigonometric solution with
-    cos(3 phi) = d / (2 (1 - 3 b2)^(3/2)).
+    Returns (eigenvalues descending, branch string). One formula gives all
+    three: (1 + amp cos phi) / 3 and (1 - amp cos(phi -/+ pi/3)) / 3, with
+    amp = sqrt(6 tr2 - 2) and cos(3 phi) = d / (2 (1 - 3 b2)^(3/2)).
+    "AllThird" snaps amp to 0 where tr2 - 1/3 <= 1e-15 (negative only by
+    rounding), "DZero" snaps phi to pi/6 where |d| <= 1e-14, and anything
+    else is "Generic". Each band is its invariant's rounding (measured up
+    to 1.7e-16 and 8.9e-16): a real split moves tr2 - 1/3 by its square
+    and d by its cube, so a wider band would snap real splits.
     """
     shifted = 1.0 - 3.0 * c.b2  # equals (3 tr2 - 1)/2 for a trace-one input
     if shifted < -1e-10:
         raise ValueError(f"1 - 3 b2 = {shifted:.3e} < 0: spectrum is not real")
-    if abs(c.tr2 - 1.0 / 3.0) <= TAU_BRANCH:
-        third = 1.0 / 3.0
-        return (third, third, third), "AllThird"
-    if abs(c.d) <= TAU_BRANCH:
-        spread = math.sqrt(1.5) * math.sqrt(max(3.0 * c.tr2 - 1.0, 0.0))
-        eigs = ((1.0 + spread) / 3.0, 1.0 / 3.0, (1.0 - spread) / 3.0)
-        return tuple(sorted(eigs, reverse=True)), "DZero"
     amp = math.sqrt(max(6.0 * c.tr2 - 2.0, 0.0))
-    ratio = c.d / (2.0 * max(shifted, 1e-300) ** 1.5)
-    ratio = min(1.0, max(-1.0, ratio))
-    phi = math.acos(ratio) / 3.0
+    if c.tr2 - 1.0 / 3.0 <= _ALL_THIRD_TOL:
+        amp, phi, branch = 0.0, 0.0, "AllThird"
+    elif abs(c.d) <= _D_ZERO_TOL:
+        phi, branch = math.pi / 6.0, "DZero"
+    else:
+        ratio = c.d / (2.0 * max(shifted, 1e-300) ** 1.5)
+        ratio = min(1.0, max(-1.0, ratio))
+        phi, branch = math.acos(ratio) / 3.0, "Generic"
     eigs = (
         (1.0 + amp * math.cos(phi)) / 3.0,
         (1.0 - amp * math.cos(phi - math.pi / 3.0)) / 3.0,
         (1.0 - amp * math.cos(phi + math.pi / 3.0)) / 3.0,
     )
-    return tuple(sorted(eigs, reverse=True)), "Generic"
+    return tuple(sorted(eigs, reverse=True)), branch
 
 
 def rank2_eigs(tr2: float):

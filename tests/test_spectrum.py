@@ -301,6 +301,51 @@ def test_cubic_rejects_unreal():
         cubic_eigs(CubicCoeffs(b1=0.0, b2=0.4, tr2=0.1, d=2.0 - 9.0 * 0.4))
 
 
+def test_cubic_all_third_below_a_third():
+    # A fourth eigenvalue of 1e-11 passes the b0 gate and leaves tr2 just
+    # below 1/3, where 1 - 3 b2 is negative: that is the amp = 0 snap, not a
+    # division by the floored 1 - 3 b2.
+    third = 1.0 / 3.0
+    m = diag_density(third + 1e-6, third, third - 1e-6 - 1e-11, 1e-11)
+    c = coeffs_from_traces(m)
+    assert c.tr2 < third - 1e-15
+    eigs, branch = cubic_eigs(cubic_coeffs(c))
+    assert branch == "AllThird" and eigs == (third, third, third)
+    quartic_eigs(c)
+
+
+def haar_rotated(spectrum, rng):
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    m = (u * np.asarray(spectrum)) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "kind, e, tol",
+    [
+        ("progression", 3e-5, 1e-9),
+        ("progression", 1e-5, 1e-9),
+        ("progression", 1e-6, 1e-9),
+        ("near_triple", 1e-3, 1e-7),
+    ],
+)
+def test_rank3_near_triple_keeps_its_split(kind, e, tol):
+    """Three eigenvalues within e of 1/3 beside an exact zero reach
+    cubic_eigs through the b0 gate. Its snaps act only inside the rounding
+    of tr2 - 1/3 and d, so a real split comes back as the split: the
+    progression (1/3 + e, 1/3, 1/3 - e) sits on d = 0 exactly, the generic
+    triple (1/3 + a, 1/3 + b, 1/3 - a - b) has a, b uniform in +/-e."""
+    rng = np.random.default_rng(76)
+    third = 1.0 / 3.0
+    for _ in range(20):
+        a, b = (e, 0.0) if kind == "progression" else rng.uniform(-e, e, 2)
+        m = haar_rotated((third + a, third + b, third - a - b, 0.0), rng)
+        got = np.array(quartic_eigs(coeffs_from_traces(m)).eigenvalues)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(m)[::-1])) <= tol
+
+
 def test_rank2():
     pair = rank2_eigs(0.58)
     assert abs(pair[0] - 0.7) <= 1e-12 and abs(pair[1] - 0.3) <= 1e-12
