@@ -53,14 +53,14 @@ def validate_density_matrix(m):
 
 def to_bloch(rho):
     """Bloch tensor a[mu, nu] = Tr(rho sigma_mu (x) sigma_nu) of a Hermitian
-    trace-one matrix. The imaginary parts of the traces must vanish."""
+    trace-one matrix. The imaginary parts of the traces must vanish, which
+    checks hermiticity (for rho = H + iK, each |K_ij| <= max |Im a| with
+    Im a = Tr(K sigma_mu (x) sigma_nu)) and finiteness."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not is_hermitian(rho, tol=HERMITIAN_TOL):
-        raise ValueError("matrix is not Hermitian")
     a = np.einsum("mnij,ji->mn", _BASIS, rho)
-    if np.max(np.abs(a.imag)) > 1e-10:
+    if not np.max(np.abs(a.imag)) <= 1e-10:
         raise ValueError("Bloch coefficients are not real")
     a = a.real.copy()
     if abs(a[0, 0] - 1.0) > TRACE_TOL:

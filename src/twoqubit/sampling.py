@@ -31,13 +31,11 @@ def rank_deficient_density(rng: np.random.Generator, rank: int) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def random_hermitian_trace_one(
-    rng: np.random.Generator, scale: float = 1.0
-) -> np.ndarray:
+def random_hermitian_trace_one(rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with trace one but no positivity: Gaussian
     Hermitian, then the trace surplus is spread over the diagonal. Probes
     the solver on the full Hermitian domain, not just density matrices."""
-    g = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
     h += (1.0 - h.trace().real) / 4.0 * np.eye(4)
     return h

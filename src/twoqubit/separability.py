@@ -23,10 +23,10 @@ from .spectrum import (
     CharCoeffs,
     QuarticSpectrum,
     _DEGEN_COEFF_TOL,
+    _bloch_pass,
     _clamped_sqrt,
     _pt_odd_terms,
     _resolvent_terms,
-    coeffs_from_bloch,
     quartic_eigs,
     trig_params,
 )
@@ -47,6 +47,21 @@ class SeparabilityReport:
     inequality_agrees: bool | None = None
 
 
+def _pt_map(c: CharCoeffs, p) -> CharCoeffs:
+    """pt_coeffs of c on the terms p of a _bloch_pass, with its check."""
+    pc, u, bilin, rest, cross_sq, odd, det_corr = p
+    out = CharCoeffs(s=c.s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
+    odd_f, det_f = _pt_odd_terms(partial_transpose_bloch(u))
+    check = CharCoeffs(s=pc.s, k3=(bilin - det_f) / 8.0, k4=(rest + odd_f - cross_sq) / 64.0)
+    drift = max(abs(out.s - check.s), abs(out.k3 - check.k3), abs(out.k4 - check.k4))
+    if drift > 1e-9:
+        raise InternalInconsistencyError(
+            f"PT coefficient map drifted {drift:.3e} from the Bloch route "
+            f"(input coefficients {c})"
+        )
+    return out
+
+
 def pt_coeffs(c: CharCoeffs, t) -> CharCoeffs:
     """Characteristic data of the partial transpose.
 
@@ -57,25 +72,14 @@ def pt_coeffs(c: CharCoeffs, t) -> CharCoeffs:
         k4' = k4 - [((tr A)^2 - tr(A^2)) xi_a.xi_b + 2 xi_b.A^2.xi_a
                     - 2 tr A xi_b.A.xi_a] / 32
 
-    with xi_a, xi_b and A the parts of the unit tensor t / s: each moves by
-    twice the part the partial transpose flips. spectrum._pt_odd_terms
-    computes those terms for coeffs_from_bloch as well. The result is
-    cross-checked against re-deriving the data from the column-flipped
-    tensor; disagreement raises InternalInconsistencyError.
+    with xi_a, xi_b and A the parts of t's unit tensor: each moves by twice
+    the part the partial transpose flips. A drift above 1e-9 from the
+    column-flipped unit tensor raises InternalInconsistencyError. The flip
+    negates A's y column and xi_b's y entry, which every other term of s,
+    k3 and k4 pairs or squares, so the check takes those from t's one
+    spectrum._bloch_pass and evaluates only odd and det A again.
     """
-    t = np.asarray(t, dtype=float)
-    # at s = 0 (I/4, its own partial transpose) there is no unit tensor
-    odd, det_corr = _pt_odd_terms(t / c.s) if c.s else (0.0, 0.0)
-    out = CharCoeffs(s=c.s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
-
-    check = coeffs_from_bloch(partial_transpose_bloch(t))
-    drift = max(abs(out.s - check.s), abs(out.k3 - check.k3), abs(out.k4 - check.k4))
-    if drift > 1e-9:
-        raise InternalInconsistencyError(
-            f"PT coefficient map drifted {drift:.3e} from the Bloch route "
-            f"(input coefficients {c})"
-        )
-    return out
+    return _pt_map(c, _bloch_pass(t))
 
 
 def inequality_rhs(c: CharCoeffs) -> float | None:
@@ -98,8 +102,8 @@ class _State:
     coefficients cp and PT spectrum, and the inequality right side on cp.
 
     Each piece is computed on first use and kept, so a call runs the solver
-    stages in the order it reads them and never runs one twice. A record
-    belongs to one call; nothing is kept between calls.
+    stages in the order it reads them and never runs one twice (c and cp
+    share one Bloch pass). A record belongs to one call; nothing is kept.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -110,8 +114,12 @@ class _State:
         return to_bloch(self.rho)
 
     @cached_property
+    def terms(self):
+        return _bloch_pass(self.t)
+
+    @cached_property
     def c(self) -> CharCoeffs:
-        return coeffs_from_bloch(self.t)
+        return self.terms[0]
 
     @cached_property
     def own(self) -> QuarticSpectrum:
@@ -119,7 +127,7 @@ class _State:
 
     @cached_property
     def cp(self) -> CharCoeffs:
-        return pt_coeffs(self.c, self.t)
+        return _pt_map(self.c, self.terms)
 
     @cached_property
     def pt(self) -> QuarticSpectrum:
@@ -182,7 +190,7 @@ def pure_pt_spectrum(state):
     return ((1.0 + s) / 2.0, q, (1.0 - s) / 2.0, -q)
 
 
-def pure_separable(state, tol: float = TAU_SEP) -> bool:
-    """A pure two-qubit state is a product state iff ad - bc = 0."""
+def pure_separable(state) -> bool:
+    """A pure two-qubit state is a product state iff |ad - bc| <= TAU_SEP."""
     a, b, c, d = (complex(x) for x in np.asarray(state).ravel())
-    return abs(a * d - b * c) <= tol
+    return abs(a * d - b * c) <= TAU_SEP

@@ -176,6 +176,43 @@ def _pt_odd_terms(t) -> tuple[float, float]:
     return odd, _det3(corr)
 
 
+def _bloch_pass(t):
+    """(c, u, bilin, rest, cross_sq, odd, det A): coeffs_from_bloch(t), the
+    unit tensor u (zero at s = 0) and the terms of 8 k3 = bilin - det A and
+    64 k4 = rest + odd - cross_sq on it."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (4, 4):
+        raise ValueError("expected a (4, 4) Bloch tensor")
+    x = t.copy()
+    x[0, 0] = 0.0
+    s = 0.5 * math.sqrt(float((x * x).sum()))
+    if s == 0.0:
+        return CharCoeffs(s=0.0, k3=0.0, k4=0.0), x, 0.0, 0.0, 0.0, 0.0, 0.0
+    u = x / s
+    xi_a = u[1:, 0]
+    xi_b = u[0, 1:]
+    corr = u[1:, 1:]
+
+    odd, det_corr = _pt_odd_terms(u)
+    bilin = float(xi_a @ corr @ xi_b)
+
+    row_action = corr.T @ xi_a
+    col_action = corr @ xi_b
+
+    gram = corr @ corr.T
+    tr_gram = float(gram[0, 0] + gram[1, 1] + gram[2, 2])
+    cross_sq = 0.5 * (tr_gram * tr_gram - float((gram * gram).sum()))
+
+    rest = (
+        4.0
+        - float(xi_a @ xi_a) * float(xi_b @ xi_b)
+        - float(row_action @ row_action)
+        - float(col_action @ col_action)
+    )
+    c = CharCoeffs(s=s, k3=(bilin - det_corr) / 8.0, k4=(rest + odd - cross_sq) / 64.0)
+    return c, u, bilin, rest, cross_sq, odd, det_corr
+
+
 def coeffs_from_bloch(t) -> CharCoeffs:
     """Characteristic data directly from a Bloch tensor.
 
@@ -195,41 +232,9 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     The adjugate term, the sum of the squared 2x2 minors of A, is evaluated
     by Cauchy-Binet as ((tr G)^2 - tr(G^2)) / 2 with G = A A^T the Gram
     matrix of A's rows. The terms that change sign under the partial
-    transpose come from _pt_odd_terms, which pt_coeffs shares.
+    transpose come from _pt_odd_terms; pt_coeffs reuses all via _bloch_pass.
     """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (4, 4):
-        raise ValueError("expected a (4, 4) Bloch tensor")
-    x = t.copy()
-    x[0, 0] = 0.0
-    s = 0.5 * math.sqrt(float((x * x).sum()))
-    if s == 0.0:
-        return CharCoeffs(s=0.0, k3=0.0, k4=0.0)
-    u = x / s
-    xi_a = u[1:, 0]
-    xi_b = u[0, 1:]
-    corr = u[1:, 1:]
-
-    odd, det_corr = _pt_odd_terms(u)
-    k3 = (float(xi_a @ corr @ xi_b) - det_corr) / 8.0
-
-    row_action = corr.T @ xi_a
-    col_action = corr @ xi_b
-
-    gram = corr @ corr.T
-    tr_gram = float(gram[0, 0] + gram[1, 1] + gram[2, 2])
-    cross_sq = 0.5 * (tr_gram * tr_gram - float((gram * gram).sum()))
-
-    k4 = (
-        4.0
-        - float(xi_a @ xi_a) * float(xi_b @ xi_b)
-        - float(row_action @ row_action)
-        - float(col_action @ col_action)
-        + odd
-        - cross_sq
-    ) / 64.0
-
-    return CharCoeffs(s=s, k3=k3, k4=k4)
+    return _bloch_pass(t)[0]
 
 
 def trig_params(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> TrigParams:
@@ -417,7 +422,8 @@ def cubic_eigs(c: CubicCoeffs):
     rounding), "DZero" snaps phi to pi/6 where |d| <= 1e-14, and anything
     else is "Generic". Each band is its invariant's rounding (measured up
     to 1.7e-16 and 8.9e-16): a real split moves tr2 - 1/3 by its square
-    and d by its cube, so a wider band would snap real splits.
+    and d by its cube, so a wider band would snap real splits. 1 - 3 b2 = 0
+    with tr2 above that band raises InternalInconsistencyError.
     """
     shifted = 1.0 - 3.0 * c.b2  # equals (3 tr2 - 1)/2 for a trace-one input
     if shifted < -1e-10:
@@ -428,8 +434,10 @@ def cubic_eigs(c: CubicCoeffs):
     elif abs(c.d) <= _D_ZERO_TOL:
         phi, branch = math.pi / 6.0, "DZero"
     else:
-        ratio = c.d / (2.0 * max(shifted, 1e-300) ** 1.5)
-        ratio = min(1.0, max(-1.0, ratio))
+        denom = 2.0 * max(shifted, 0.0) ** 1.5
+        if denom == 0.0:
+            raise InternalInconsistencyError(f"b2 = {c.b2!r} and tr2 = {c.tr2!r} disagree")
+        ratio = min(1.0, max(-1.0, c.d / denom))
         phi, branch = math.acos(ratio) / 3.0, "Generic"
     eigs = (
         (1.0 + amp * math.cos(phi)) / 3.0,
@@ -448,17 +456,17 @@ def rank2_eigs(tr2: float):
     return (1.0 + s) / 2.0, (1.0 - s) / 2.0
 
 
-def purity_bound_check(eigs, zero_tol: float = 1e-10) -> bool:
+def purity_bound_check(eigs) -> bool:
     """Purity bounds for a trace-one spectrum: sum(l^2) >= 1/m with m the
-    number of nonzero eigenvalues, and <= 1 when all eigenvalues are
-    nonnegative."""
+    number of eigenvalues beyond 1e-10 in magnitude, and <= 1 when none is
+    below -1e-10. Each bound is allowed 1e-10 of rounding."""
     eigs = [float(x) for x in eigs]
     tr2 = sum(x * x for x in eigs)
-    m = sum(1 for x in eigs if abs(x) > zero_tol)
+    m = sum(1 for x in eigs if abs(x) > 1e-10)
     if m == 0:
         return False
     if tr2 < 1.0 / m - 1e-10:
         return False
-    if min(eigs) >= -zero_tol and tr2 > 1.0 + 1e-10:
+    if min(eigs) >= -1e-10 and tr2 > 1.0 + 1e-10:
         return False
     return True

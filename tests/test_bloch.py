@@ -179,6 +179,19 @@ def test_to_bloch_requires_unit_trace():
         to_bloch(np.eye(4, dtype=complex) / 2.0)
 
 
+@pytest.mark.parametrize(
+    "entry, bad", [((0, 1), 1e-6j), ((0, 1), np.nan), ((2, 2), np.nan), ((1, 3), np.inf)]
+)
+def test_to_bloch_rejects_non_hermitian_and_non_finite(entry, bad):
+    """The imaginary-part check is also to_bloch's hermiticity and
+    finiteness check: an asymmetric 1e-6j entry leaves imaginary Bloch
+    coefficients of that size, and a NaN or inf entry leaves NaN ones."""
+    m = np.eye(4, dtype=complex) / 4.0
+    m[entry] += bad
+    with pytest.raises(ValueError):
+        to_bloch(m)
+
+
 def test_from_bloch_guards():
     t = np.zeros((4, 4))
     t[0, 0] = 0.5

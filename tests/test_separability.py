@@ -1,28 +1,53 @@
 """Peres criterion: closed-form partial-transpose spectra and verdicts."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from twoqubit.bloch import partial_transpose, to_bloch
+from twoqubit.bloch import partial_transpose, partial_transpose_bloch, to_bloch
+from twoqubit.errors import InternalInconsistencyError
 from twoqubit.linalg import eig_hermitian_oracle
 from twoqubit.sampling import (
     bell_state,
     ginibre_density,
     haar_pure,
+    near_quarter_density,
     pure_density,
+    random_hermitian_trace_one,
     random_product_pure,
     rank_deficient_density,
     werner_state,
 )
 from twoqubit.separability import (
     TAU_SEP,
+    _State,
     inequality_rhs,
     peres_test,
     pt_coeffs,
     pure_pt_spectrum,
     pure_separable,
 )
-from twoqubit.spectrum import coeffs_from_traces, quartic_eigs
+from twoqubit.spectrum import (
+    _bloch_pass,
+    _pt_odd_terms,
+    coeffs_from_bloch,
+    coeffs_from_traces,
+    quartic_eigs,
+)
+
+# Every sampling family, as a density (or trace-one Hermitian) matrix.
+FAMILIES = {
+    "ginibre": ginibre_density,
+    "hermitian": random_hermitian_trace_one,
+    "rank1": lambda rng: rank_deficient_density(rng, 1),
+    "rank2": lambda rng: rank_deficient_density(rng, 2),
+    "rank3": lambda rng: rank_deficient_density(rng, 3),
+    "near_quarter": near_quarter_density,
+    "werner": lambda rng: werner_state(rng.uniform(-1.0 / 3.0, 1.0)),
+    "product": lambda rng: pure_density(random_product_pure(rng)),
+}
 
 
 def pt_oracle_min(rho):
@@ -173,3 +198,52 @@ def test_validation_is_on_by_default():
     not_a_state = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         peres_test(not_a_state)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_record_shares_one_bloch_pass(family):
+    """The column flip negates A's y column and xi_b's y entry. Every
+    product in s, bilin, rest and cross_sq pairs two of those negations or
+    squares one, so they equal the flipped tensor's exactly and det A is
+    exactly negated: the PT cross-check loses nothing by reusing them. The
+    record's c and cp are, bit for bit, the public functions' answers."""
+    rng = np.random.default_rng(sorted(FAMILIES).index(family) + 90)
+    for _ in range(200):
+        rho = FAMILIES[family](rng)
+        t = to_bloch(rho)
+        c, _, bilin, rest, cross_sq, _, det_corr = _bloch_pass(t)
+        cf, _, bilin_f, rest_f, cross_sq_f, _, det_f = _bloch_pass(partial_transpose_bloch(t))
+        assert (cf.s, bilin_f, rest_f, cross_sq_f) == (c.s, bilin, rest, cross_sq)
+        assert det_f == -det_corr
+        record = _State(rho)
+        assert record.c == coeffs_from_bloch(t)
+        assert record.cp == pt_coeffs(record.c, t)
+
+
+def test_pt_cross_check_rejects_moved_coefficients():
+    t = to_bloch(ginibre_density(np.random.default_rng(97)))
+    c = coeffs_from_bloch(t)
+    pt_coeffs(c, t)
+    with pytest.raises(InternalInconsistencyError, match="drifted"):
+        pt_coeffs(dataclasses.replace(c, k4=c.k4 + 1e-6), t)
+
+
+def test_pt_cross_check_rejects_wrong_odd_terms(monkeypatch):
+    """An odd term off by 1e-6 everywhere moves k4 by 1e-6/64 and the PT
+    k4 by -1e-6/64, while the flipped tensor's k4 moves by +1e-6/64: the
+    check sees a drift of 1e-6/32 = 3.1e-8 and peres_test raises."""
+
+    def off_by_delta(t):
+        odd, det_corr = _pt_odd_terms(t)
+        return odd + 1e-6, det_corr
+
+    holders = [
+        mod
+        for name, mod in sorted(sys.modules.items())
+        if name.startswith("twoqubit") and getattr(mod, "_pt_odd_terms", None) is _pt_odd_terms
+    ]
+    assert len(holders) >= 2  # spectrum, which defines it, and separability
+    for mod in holders:
+        monkeypatch.setattr(mod, "_pt_odd_terms", off_by_delta)
+    with pytest.raises(InternalInconsistencyError, match=r"drifted 3\.12\de-08"):
+        peres_test(ginibre_density(np.random.default_rng(98)), check=False)

@@ -301,6 +301,14 @@ def test_cubic_rejects_unreal():
         cubic_eigs(CubicCoeffs(b1=0.0, b2=0.4, tr2=0.1, d=2.0 - 9.0 * 0.4))
 
 
+def test_cubic_inconsistent_record_raises_typed_error():
+    # 1 - 3 b2 = 0 leaves the generic branch nothing to divide by, while
+    # tr2 = 0.34 says the spectrum is split: b2 and tr2 disagree, which is
+    # an internal inconsistency, not an arithmetic error.
+    with pytest.raises(InternalInconsistencyError):
+        cubic_eigs(CubicCoeffs(b1=0.0, b2=1.0 / 3.0, tr2=0.34, d=0.5))
+
+
 def test_cubic_all_third_below_a_third():
     # A fourth eigenvalue of 1e-11 passes the b0 gate and leaves tr2 just
     # below 1/3, where 1 - 3 b2 is negative: that is the amp = 0 snap, not a
