@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, NotApplicableError
 from .linalg import SIGMA_Y, kron
-from .separability import _State, _checked_state
+from .separability import _State, _checked_state, _pure_q
 from .spectrum import TAU_BRANCH, coeffs_from_traces, quartic_eigs
 
 _YY = kron(SIGMA_Y, SIGMA_Y)
@@ -110,9 +110,9 @@ def eof(rho, check: bool = True) -> float:
 
 
 def concurrence_pure(state) -> float:
-    """Concurrence of a pure state a|00> + b|01> + c|10> + d|11>: 2 |ad - bc|."""
-    a, b, c, d = (complex(x) for x in np.asarray(state).ravel())
-    return 2.0 * abs(a * d - b * c)
+    """Concurrence of a pure state a|00> + b|01> + c|10> + d|11>: 2 |ad - bc|.
+    An unnormalized state raises ValueError."""
+    return 2.0 * _pure_q(state)
 
 
 def _negativity(s: _State) -> float:

@@ -3,8 +3,8 @@
 A two-qubit state is separable exactly when its partial transpose is
 positive semidefinite. The partial transpose changes the characteristic
 coefficients in a simple closed way (the purity is untouched), so the PT
-spectrum, and with it the verdict, comes out of the same quartic solver
-with no matrix diagonalization anywhere.
+spectrum, and with it the verdict, comes out of the same quartic solver;
+only the input validation (on by default) diagonalizes, with eigvalsh.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import partial_transpose_bloch, to_bloch, validate_density_matrix
-from .errors import InternalInconsistencyError
+from .bloch import to_bloch, validate_density_matrix
 from .spectrum import (
     SQRT3,
     SQRT6,
@@ -25,7 +24,6 @@ from .spectrum import (
     _DEGEN_COEFF_TOL,
     _bloch_pass,
     _clamped_sqrt,
-    _pt_odd_terms,
     _resolvent_terms,
     quartic_eigs,
     trig_params,
@@ -47,23 +45,8 @@ class SeparabilityReport:
     inequality_agrees: bool | None = None
 
 
-def _pt_map(c: CharCoeffs, p) -> CharCoeffs:
-    """pt_coeffs of c on the terms p of a _bloch_pass, with its check."""
-    pc, u, bilin, rest, cross_sq, odd, det_corr = p
-    out = CharCoeffs(s=c.s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
-    odd_f, det_f = _pt_odd_terms(partial_transpose_bloch(u))
-    check = CharCoeffs(s=pc.s, k3=(bilin - det_f) / 8.0, k4=(rest + odd_f - cross_sq) / 64.0)
-    drift = max(abs(out.s - check.s), abs(out.k3 - check.k3), abs(out.k4 - check.k4))
-    if drift > 1e-9:
-        raise InternalInconsistencyError(
-            f"PT coefficient map drifted {drift:.3e} from the Bloch route "
-            f"(input coefficients {c})"
-        )
-    return out
-
-
-def pt_coeffs(c: CharCoeffs, t) -> CharCoeffs:
-    """Characteristic data of the partial transpose.
+def pt_coeffs(t) -> CharCoeffs:
+    """Characteristic data of the partial transpose, from a Bloch tensor t.
 
     The partial transpose keeps the trace and the purity, so s does not
     move; only the shape does:
@@ -73,13 +56,10 @@ def pt_coeffs(c: CharCoeffs, t) -> CharCoeffs:
                     - 2 tr A xi_b.A.xi_a] / 32
 
     with xi_a, xi_b and A the parts of t's unit tensor: each moves by twice
-    the part the partial transpose flips. A drift above 1e-9 from the
-    column-flipped unit tensor raises InternalInconsistencyError. The flip
-    negates A's y column and xi_b's y entry, which every other term of s,
-    k3 and k4 pairs or squares, so the check takes those from t's one
-    spectrum._bloch_pass and evaluates only odd and det A again.
+    the part the partial transpose flips. spectrum._bloch_pass computes it
+    beside t's own k3 and k4 and checks it on the column-flipped tensor.
     """
-    return _pt_map(c, _bloch_pass(t))
+    return _bloch_pass(t)[1]
 
 
 def inequality_rhs(c: CharCoeffs) -> float | None:
@@ -103,7 +83,8 @@ class _State:
 
     Each piece is computed on first use and kept, so a call runs the solver
     stages in the order it reads them and never runs one twice (c and cp
-    share one Bloch pass). A record belongs to one call; nothing is kept.
+    come from one spectrum._bloch_pass). A record belongs to one call;
+    nothing is kept.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -114,20 +95,20 @@ class _State:
         return to_bloch(self.rho)
 
     @cached_property
-    def terms(self):
+    def coeffs(self) -> tuple[CharCoeffs, CharCoeffs]:
         return _bloch_pass(self.t)
 
-    @cached_property
+    @property
     def c(self) -> CharCoeffs:
-        return self.terms[0]
+        return self.coeffs[0]
 
     @cached_property
     def own(self) -> QuarticSpectrum:
         return quartic_eigs(self.c)
 
-    @cached_property
+    @property
     def cp(self) -> CharCoeffs:
-        return _pt_map(self.c, self.terms)
+        return self.coeffs[1]
 
     @cached_property
     def pt(self) -> QuarticSpectrum:
@@ -175,22 +156,27 @@ def peres_test(rho, check: bool = True) -> SeparabilityReport:
     return _verdict(_checked_state(rho, check))
 
 
+def _pure_q(state) -> float:
+    """|ad - bc| of a pure state (a, b, c, d); ValueError unless |norm^2 - 1| <= 1e-10."""
+    a, b, c, d = (complex(x) for x in np.asarray(state).ravel())
+    norm = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state is not normalized (norm^2 = {norm})")
+    return abs(a * d - b * c)
+
+
 def pure_pt_spectrum(state):
     """PT eigenvalues of a pure state a|00> + b|01> + c|10> + d|11>.
 
     With q = |ad - bc| they are (1 + s)/2, q, (1 - s)/2, -q where
     s = sqrt(1 - 4 q^2); already in descending order since q <= 1/2.
     """
-    a, b, c, d = (complex(x) for x in np.asarray(state).ravel())
-    norm = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized (norm^2 = {norm})")
-    q = abs(a * d - b * c)
+    q = _pure_q(state)
     s = math.sqrt(max(1.0 - 4.0 * q * q, 0.0))
     return ((1.0 + s) / 2.0, q, (1.0 - s) / 2.0, -q)
 
 
 def pure_separable(state) -> bool:
-    """A pure two-qubit state is a product state iff |ad - bc| <= TAU_SEP."""
-    a, b, c, d = (complex(x) for x in np.asarray(state).ravel())
-    return abs(a * d - b * c) <= TAU_SEP
+    """A pure two-qubit state is a product state iff |ad - bc| <= TAU_SEP.
+    An unnormalized state raises ValueError."""
+    return _pure_q(state) <= TAU_SEP

@@ -31,6 +31,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bloch import partial_transpose_bloch
 from .errors import InternalInconsistencyError
 from .linalg import charpoly_flv
 
@@ -176,24 +177,11 @@ def _pt_odd_terms(t) -> tuple[float, float]:
     return odd, _det3(corr)
 
 
-def _bloch_pass(t):
-    """(c, u, bilin, rest, cross_sq, odd, det A): coeffs_from_bloch(t), the
-    unit tensor u (zero at s = 0) and the terms of 8 k3 = bilin - det A and
-    64 k4 = rest + odd - cross_sq on it."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (4, 4):
-        raise ValueError("expected a (4, 4) Bloch tensor")
-    x = t.copy()
-    x[0, 0] = 0.0
-    s = 0.5 * math.sqrt(float((x * x).sum()))
-    if s == 0.0:
-        return CharCoeffs(s=0.0, k3=0.0, k4=0.0), x, 0.0, 0.0, 0.0, 0.0, 0.0
-    u = x / s
+def _even_terms(u) -> tuple[float, float, float]:
+    """(bilin, rest, cross_sq) on a unit tensor u: the flip-even terms of 8 k3 and 64 k4."""
     xi_a = u[1:, 0]
     xi_b = u[0, 1:]
     corr = u[1:, 1:]
-
-    odd, det_corr = _pt_odd_terms(u)
     bilin = float(xi_a @ corr @ xi_b)
 
     row_action = corr.T @ xi_a
@@ -209,8 +197,35 @@ def _bloch_pass(t):
         - float(row_action @ row_action)
         - float(col_action @ col_action)
     )
+    return bilin, rest, cross_sq
+
+
+def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
+    """(coeffs_from_bloch(t), separability.pt_coeffs(t)) from one evaluation
+    of the Bloch polynomials on t's unit tensor u. The column flip keeps s,
+    bilin, rest and cross_sq bit for bit, so the check evaluates only odd
+    and det A on the flipped u; InternalInconsistencyError if either moves
+    k4 or k3 more than 1e-9 away from plain negation."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (4, 4):
+        raise ValueError("expected a (4, 4) Bloch tensor")
+    x = t.copy()
+    x[0, 0] = 0.0
+    s = 0.5 * math.sqrt(float((x * x).sum()))
+    if s == 0.0:
+        return (CharCoeffs(s=0.0, k3=0.0, k4=0.0),) * 2
+    u = x / s
+    bilin, rest, cross_sq = _even_terms(u)
+    odd, det_corr = _pt_odd_terms(u)
     c = CharCoeffs(s=s, k3=(bilin - det_corr) / 8.0, k4=(rest + odd - cross_sq) / 64.0)
-    return c, u, bilin, rest, cross_sq, odd, det_corr
+    odd_f, det_f = _pt_odd_terms(partial_transpose_bloch(u))
+    drift = max(abs(det_corr + det_f) / 8.0, abs(odd + odd_f) / 64.0)
+    if drift > 1e-9:
+        raise InternalInconsistencyError(
+            f"PT coefficient map drifted {drift:.3e} from the Bloch route "
+            f"(input coefficients {c})"
+        )
+    return c, CharCoeffs(s=s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
 
 
 def coeffs_from_bloch(t) -> CharCoeffs:
@@ -231,8 +246,7 @@ def coeffs_from_bloch(t) -> CharCoeffs:
 
     The adjugate term, the sum of the squared 2x2 minors of A, is evaluated
     by Cauchy-Binet as ((tr G)^2 - tr(G^2)) / 2 with G = A A^T the Gram
-    matrix of A's rows. The terms that change sign under the partial
-    transpose come from _pt_odd_terms; pt_coeffs reuses all via _bloch_pass.
+    matrix of A's rows. It is _bloch_pass's c, PT cross-check included.
     """
     return _bloch_pass(t)[0]
 
@@ -393,14 +407,13 @@ def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticS
     else:
         candidates = [(_generic_eigs(c, tp.c1, math.cos(tp.phi), band, flush), Branch.GENERIC)]
 
-    best = min(candidates, key=lambda cand: _poly_residual(c, cand[0]))
-    residual = _poly_residual(c, best[0])
+    scored = [(_poly_residual(c, e), e, b) for e, b in candidates]
+    residual, eigs, branch = min(scored, key=lambda x: x[0])
     if residual > max(_RESIDUAL_TOL, 30.0 * tol):
         raise InternalInconsistencyError(
             f"closed-form spectrum residual {residual:.3e} for coefficients {c}"
         )
-    eigs = tuple(sorted(best[0], reverse=True))
-    return QuarticSpectrum(eigenvalues=eigs, branch=best[1])
+    return QuarticSpectrum(eigenvalues=tuple(sorted(eigs, reverse=True)), branch=branch)
 
 
 def cubic_coeffs(c: CharCoeffs, b0_tol: float = 1e-10) -> CubicCoeffs:

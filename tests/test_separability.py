@@ -1,12 +1,11 @@
 """Peres criterion: closed-form partial-transpose spectra and verdicts."""
 
-import dataclasses
-import sys
-
 import numpy as np
 import pytest
 
+from twoqubit import spectrum
 from twoqubit.bloch import partial_transpose, partial_transpose_bloch, to_bloch
+from twoqubit.entanglement import concurrence_pure
 from twoqubit.errors import InternalInconsistencyError
 from twoqubit.linalg import eig_hermitian_oracle
 from twoqubit.sampling import (
@@ -30,7 +29,7 @@ from twoqubit.separability import (
     pure_separable,
 )
 from twoqubit.spectrum import (
-    _bloch_pass,
+    _even_terms,
     _pt_odd_terms,
     coeffs_from_bloch,
     coeffs_from_traces,
@@ -62,7 +61,7 @@ def test_pt_coeffs_match_direct_evaluation():
     worst = 0.0
     for _ in range(500):
         rho = ginibre_density(rng)
-        cp = pt_coeffs(coeffs_from_traces(rho), to_bloch(rho))
+        cp = pt_coeffs(to_bloch(rho))
         want = coeffs_from_traces(partial_transpose(rho))
         worst = max(
             worst,
@@ -123,8 +122,14 @@ def test_pure_pt_spectrum_vs_oracle():
 
 
 def test_pure_pt_rejects_unnormalized():
+    """Every pure-state entry point checks the norm: a scaled Bell vector
+    is not a state, whatever its |ad - bc|."""
     with pytest.raises(ValueError):
         pure_pt_spectrum(np.array([1.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        concurrence_pure(np.array([1.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        pure_separable(np.array([1e-6, 0.0, 0.0, 1e-6]))
 
 
 def test_pure_separability_split():
@@ -144,7 +149,7 @@ def test_inequality_form_matches_lambda_min():
     seen = 0
     for _ in range(500):
         rho = ginibre_density(rng)
-        cp = pt_coeffs(coeffs_from_traces(rho), to_bloch(rho))
+        cp = pt_coeffs(to_bloch(rho))
         rhs = inequality_rhs(cp)
         if rhs is None:
             continue
@@ -211,21 +216,17 @@ def test_record_shares_one_bloch_pass(family):
     for _ in range(200):
         rho = FAMILIES[family](rng)
         t = to_bloch(rho)
-        c, _, bilin, rest, cross_sq, _, det_corr = _bloch_pass(t)
-        cf, _, bilin_f, rest_f, cross_sq_f, _, det_f = _bloch_pass(partial_transpose_bloch(t))
-        assert (cf.s, bilin_f, rest_f, cross_sq_f) == (c.s, bilin, rest, cross_sq)
-        assert det_f == -det_corr
+        c = coeffs_from_bloch(t)
+        assert coeffs_from_bloch(partial_transpose_bloch(t)).s == c.s
+        u = t.copy()
+        u[0, 0] = 0.0
+        u /= c.s
+        flipped = partial_transpose_bloch(u)
+        assert _even_terms(flipped) == _even_terms(u)
+        assert _pt_odd_terms(flipped)[1] == -_pt_odd_terms(u)[1]
         record = _State(rho)
-        assert record.c == coeffs_from_bloch(t)
-        assert record.cp == pt_coeffs(record.c, t)
-
-
-def test_pt_cross_check_rejects_moved_coefficients():
-    t = to_bloch(ginibre_density(np.random.default_rng(97)))
-    c = coeffs_from_bloch(t)
-    pt_coeffs(c, t)
-    with pytest.raises(InternalInconsistencyError, match="drifted"):
-        pt_coeffs(dataclasses.replace(c, k4=c.k4 + 1e-6), t)
+        assert record.c == c
+        assert record.cp == pt_coeffs(t)
 
 
 def test_pt_cross_check_rejects_wrong_odd_terms(monkeypatch):
@@ -237,13 +238,6 @@ def test_pt_cross_check_rejects_wrong_odd_terms(monkeypatch):
         odd, det_corr = _pt_odd_terms(t)
         return odd + 1e-6, det_corr
 
-    holders = [
-        mod
-        for name, mod in sorted(sys.modules.items())
-        if name.startswith("twoqubit") and getattr(mod, "_pt_odd_terms", None) is _pt_odd_terms
-    ]
-    assert len(holders) >= 2  # spectrum, which defines it, and separability
-    for mod in holders:
-        monkeypatch.setattr(mod, "_pt_odd_terms", off_by_delta)
+    monkeypatch.setattr(spectrum, "_pt_odd_terms", off_by_delta)
     with pytest.raises(InternalInconsistencyError, match=r"drifted 3\.12\de-08"):
         peres_test(ginibre_density(np.random.default_rng(98)), check=False)
