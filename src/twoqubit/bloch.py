@@ -36,11 +36,11 @@ def validate_density_matrix(m):
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     if not is_hermitian(m, tol=HERMITIAN_TOL):
         raise ValueError("matrix is not Hermitian")
-    tr = complex(np.trace(m))
+    tr = complex(m.trace())
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be one, got {tr}")
     # Not the closed-form spectrum: its b0 ~ 0 gate flushes a lambda_min of
@@ -60,7 +60,7 @@ def to_bloch(rho):
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     a = np.einsum("mnij,ji->mn", _BASIS, rho)
-    if not np.max(np.abs(a.imag)) <= 1e-10:
+    if not np.abs(a.imag).max() <= 1e-10:
         raise ValueError("Bloch coefficients are not real")
     a = a.real.copy()
     if abs(a[0, 0] - 1.0) > TRACE_TOL:

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, NotApplicableError
-from .linalg import SIGMA_Y, kron
 from .separability import _State, _checked_state, _pure_q
 from .spectrum import TAU_BRANCH, coeffs_from_traces, quartic_eigs
 
-_YY = kron(SIGMA_Y, SIGMA_Y)
+# sigma_y x sigma_y is the anti-diagonal (-1, 1, 1, -1), so conjugating by
+# it reverses rows and columns and multiplies entry (i, j) by s_i s_j.
+_YY_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 # Below this trace the flipped product is numerically zero and the
 # concurrence with it.
@@ -36,7 +37,7 @@ _FLIP_NOISE_CEILING = 1e-4
 def spin_flip(rho) -> np.ndarray:
     """The spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
     rho = np.asarray(rho, dtype=complex)
-    return _YY @ rho.conj() @ _YY
+    return _YY_SIGNS * rho.conj()[::-1, ::-1]
 
 
 def _flip_product_eigs(rho) -> tuple[float, float, float, float]:

@@ -37,7 +37,7 @@ def kron(a, b):
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.abs(m - m.conj().T).max() <= tol)
 
 
 def trace_power(m, k: int) -> float:

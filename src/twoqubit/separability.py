@@ -25,6 +25,7 @@ from .spectrum import (
     _bloch_pass,
     _clamped_sqrt,
     _resolvent_terms,
+    _single_triple,
     quartic_eigs,
     trig_params,
 )
@@ -67,9 +68,12 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     exceed 1 for a separable state. Algebraically this is 1 - 4 lambda_min
     of the quartic with coefficients c: s times (sqrt(x)/sqrt(3) + 2
     inner/sqrt(6)) on the unit shape. It is only defined away from the
-    doubly degenerate branches, so those return None."""
+    doubly degenerate branches, so c that quartic_eigs solves as s = 0 or
+    as a single+triple shape returns None."""
+    if c.s == 0.0:
+        return None
     tp = trig_params(c)
-    if tp.phi is None or c.s == 0.0:
+    if _single_triple(c, tp, _DEGEN_COEFF_TOL) is not None:
         return None
     sx, u, w = _resolvent_terms(c, tp.c1, math.cos(tp.phi))
     inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL / c.s)

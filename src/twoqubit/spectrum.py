@@ -16,6 +16,11 @@ c1^3)) / 3 lies in [0, pi/3] and selects the largest root of the resolvent
 cubic, which keeps the downstream square roots well conditioned. None of
 this depends on s, so a small spread near I/4 costs no digits.
 
+For a Bloch tensor, s, k3 and k4 are closed-form polynomials in its 15
+parameters (coeffs_from_bloch), evaluated term by term on plain Python
+floats: at this size a numpy call costs more in dispatch than the
+arithmetic it does.
+
 One four-root formula serves every resolvent root: where c2 = 0 it is
 also evaluated on the middle root (cos theta = 0), and the candidate with
 the smaller residual wins. Single+triple spectra (and with them
@@ -31,7 +36,6 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import partial_transpose_bloch
 from .errors import InternalInconsistencyError
 from .linalg import charpoly_flv
 
@@ -144,81 +148,110 @@ def coeffs_from_traces(m, imag_tol: float = 1e-12) -> CharCoeffs:
     return CharCoeffs(s=s, k3=-q.c1 / (s2 * s), k4=q.c0 / (s2 * s2))
 
 
-def _det3(a) -> float:
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
-def _pt_odd_terms(t) -> tuple[float, float]:
-    """(odd, det A) for a (4, 4) float Bloch tensor t with correlation block
+def _pt_odd_terms(xa, xb, a) -> tuple[float, float]:
+    """(odd, det A) for the parts of a Bloch tensor as plain floats: the
+    3-tuples xa = xi_a and xb = xi_b and the rows of the correlation block
     A, where
 
         odd = ((tr A)^2 - tr(A^2)) xi_a.xi_b + 2 xi_b.A^2.xi_a
               - 2 tr A xi_b.A.xi_a.
 
     The partial transpose flips the sign of odd in 64 k4 and of det A in
-    8 k3, and leaves every other term of either alone. t[0, 0] is not read.
+    8 k3, and leaves every other term of either alone.
     """
-    xi_a = t[1:, 0]
-    xi_b = t[0, 1:]
-    corr = t[1:, 1:]
-    tr_corr = float(corr[0, 0] + corr[1, 1] + corr[2, 2])
-    tr_corr_sq = float((corr * corr.T).sum())
-    quad = float(xi_b @ corr @ (corr @ xi_a))
-    bilin_rev = float(xi_b @ corr @ xi_a)
+    x1, x2, x3 = xa
+    y1, y2, y3 = xb
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    tr_corr = a11 + a22 + a33
+    tr_corr_sq = a11 * a11 + a22 * a22 + a33 * a33 + 2.0 * (a12 * a21 + a13 * a31 + a23 * a32)
+    # v = A xi_a; xi_b.A.xi_a = xi_b.v and xi_b.A^2.xi_a = (A^T xi_b).v.
+    v1 = a11 * x1 + a12 * x2 + a13 * x3
+    v2 = a21 * x1 + a22 * x2 + a23 * x3
+    v3 = a31 * x1 + a32 * x2 + a33 * x3
+    bilin_rev = y1 * v1 + y2 * v2 + y3 * v3
+    quad = (
+        (y1 * a11 + y2 * a21 + y3 * a31) * v1
+        + (y1 * a12 + y2 * a22 + y3 * a32) * v2
+        + (y1 * a13 + y2 * a23 + y3 * a33) * v3
+    )
     odd = (
-        (tr_corr * tr_corr - tr_corr_sq) * float(xi_a @ xi_b)
+        (tr_corr * tr_corr - tr_corr_sq) * (x1 * y1 + x2 * y2 + x3 * y3)
         + 2.0 * quad
         - 2.0 * tr_corr * bilin_rev
     )
-    return odd, _det3(corr)
+    det_corr = (
+        a11 * (a22 * a33 - a23 * a32)
+        - a12 * (a21 * a33 - a23 * a31)
+        + a13 * (a21 * a32 - a22 * a31)
+    )
+    return odd, det_corr
 
 
-def _even_terms(u) -> tuple[float, float, float]:
-    """(bilin, rest, cross_sq) on a unit tensor u: the flip-even terms of 8 k3 and 64 k4."""
-    xi_a = u[1:, 0]
-    xi_b = u[0, 1:]
-    corr = u[1:, 1:]
-    bilin = float(xi_a @ corr @ xi_b)
+def _even_terms(xa, xb, a) -> tuple[float, float, float]:
+    """(bilin, rest, cross_sq), the flip-even terms of 8 k3 and 64 k4, on the
+    parts of a unit tensor in _pt_odd_terms' form."""
+    x1, x2, x3 = xa
+    y1, y2, y3 = xb
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    # A^T xi_a and A xi_b.
+    r1 = x1 * a11 + x2 * a21 + x3 * a31
+    r2 = x1 * a12 + x2 * a22 + x3 * a32
+    r3 = x1 * a13 + x2 * a23 + x3 * a33
+    c1 = a11 * y1 + a12 * y2 + a13 * y3
+    c2 = a21 * y1 + a22 * y2 + a23 * y3
+    c3 = a31 * y1 + a32 * y2 + a33 * y3
+    bilin = r1 * y1 + r2 * y2 + r3 * y3
 
-    row_action = corr.T @ xi_a
-    col_action = corr @ xi_b
-
-    gram = corr @ corr.T
-    tr_gram = float(gram[0, 0] + gram[1, 1] + gram[2, 2])
-    cross_sq = 0.5 * (tr_gram * tr_gram - float((gram * gram).sum()))
+    # Gram matrix G = A A^T of A's rows.
+    g11 = a11 * a11 + a12 * a12 + a13 * a13
+    g22 = a21 * a21 + a22 * a22 + a23 * a23
+    g33 = a31 * a31 + a32 * a32 + a33 * a33
+    g12 = a11 * a21 + a12 * a22 + a13 * a23
+    g13 = a11 * a31 + a12 * a32 + a13 * a33
+    g23 = a21 * a31 + a22 * a32 + a23 * a33
+    tr_gram = g11 + g22 + g33
+    gram_sq = g11 * g11 + g22 * g22 + g33 * g33 + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23)
+    cross_sq = 0.5 * (tr_gram * tr_gram - gram_sq)
 
     rest = (
         4.0
-        - float(xi_a @ xi_a) * float(xi_b @ xi_b)
-        - float(row_action @ row_action)
-        - float(col_action @ col_action)
+        - (x1 * x1 + x2 * x2 + x3 * x3) * (y1 * y1 + y2 * y2 + y3 * y3)
+        - (r1 * r1 + r2 * r2 + r3 * r3)
+        - (c1 * c1 + c2 * c2 + c3 * c3)
     )
     return bilin, rest, cross_sq
 
 
 def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
     """(coeffs_from_bloch(t), separability.pt_coeffs(t)) from one evaluation
-    of the Bloch polynomials on t's unit tensor u. The column flip keeps s,
-    bilin, rest and cross_sq bit for bit, so the check evaluates only odd
-    and det A on the flipped u; InternalInconsistencyError if either moves
-    k4 or k3 more than 1e-9 away from plain negation."""
+    of the Bloch polynomials on t's unit tensor u, written out on the 15
+    parameters as plain floats. The column flip (xi_b's and A's y entries
+    negated) keeps s, bilin, rest and cross_sq bit for bit, so the check
+    evaluates only odd and det A on the flipped u; InternalInconsistencyError
+    if either moves k4 or k3 more than 1e-9 away from plain negation."""
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
         raise ValueError("expected a (4, 4) Bloch tensor")
-    x = t.copy()
-    x[0, 0] = 0.0
-    s = 0.5 * math.sqrt(float((x * x).sum()))
+    (_, b1, b2, b3), (a1, p11, p12, p13), (a2, p21, p22, p23), (a3, p31, p32, p33) = t.tolist()
+    # The squares are summed in the order of numpy's pairwise sum over the
+    # flattened tensor (eight strided partial sums, then a tree), so s is
+    # the same bit for bit as 0.5 sqrt((x * x).sum()) with x[0, 0] = 0.
+    s = 0.5 * math.sqrt(
+        ((a2 * a2 + (b1 * b1 + p21 * p21)) + ((b2 * b2 + p22 * p22) + (b3 * b3 + p23 * p23)))
+        + (
+            ((a1 * a1 + a3 * a3) + (p11 * p11 + p31 * p31))
+            + ((p12 * p12 + p32 * p32) + (p13 * p13 + p33 * p33))
+        )
+    )
     if s == 0.0:
         return (CharCoeffs(s=0.0, k3=0.0, k4=0.0),) * 2
-    u = x / s
-    bilin, rest, cross_sq = _even_terms(u)
-    odd, det_corr = _pt_odd_terms(u)
+    xa = (a1 / s, a2 / s, a3 / s)
+    xb = (b1 / s, b2 / s, b3 / s)
+    corr = ((p11 / s, p12 / s, p13 / s), (p21 / s, p22 / s, p23 / s), (p31 / s, p32 / s, p33 / s))
+    bilin, rest, cross_sq = _even_terms(xa, xb, corr)
+    odd, det_corr = _pt_odd_terms(xa, xb, corr)
     c = CharCoeffs(s=s, k3=(bilin - det_corr) / 8.0, k4=(rest + odd - cross_sq) / 64.0)
-    odd_f, det_f = _pt_odd_terms(partial_transpose_bloch(u))
+    odd_f, det_f = _pt_odd_terms(xa, (xb[0], -xb[1], xb[2]), [(p, -q, r) for p, q, r in corr])
     drift = max(abs(det_corr + det_f) / 8.0, abs(odd + odd_f) / 64.0)
     if drift > 1e-9:
         raise InternalInconsistencyError(
@@ -246,7 +279,8 @@ def coeffs_from_bloch(t) -> CharCoeffs:
 
     The adjugate term, the sum of the squared 2x2 minors of A, is evaluated
     by Cauchy-Binet as ((tr G)^2 - tr(G^2)) / 2 with G = A A^T the Gram
-    matrix of A's rows. It is _bloch_pass's c, PT cross-check included.
+    matrix of A's rows. Every product is written out on the 15 parameters
+    as plain floats. It is _bloch_pass's c, PT cross-check included.
     """
     return _bloch_pass(t)[0]
 
@@ -336,18 +370,23 @@ def _generic_eigs(c: CharCoeffs, c1: float, cos_theta: float, band: float, flush
     )
 
 
-def _single_triple(c: CharCoeffs):
-    """The single+triple spectrum at c's scale whose shape is nearest c's,
-    as (mismatch, (eigenvalues, branch)), with mismatch the sum of the k3
-    and k4 distances. The two shapes are (k3, k4) = (+/-1/(3 sqrt 3),
-    -1/48), so the sign of k3 picks the case: case 1 is a single eigenvalue
-    above a low triple, case 2 the mirror image."""
+def _single_triple(c: CharCoeffs, tp: TrigParams, coeff_tol: float):
+    """The single+triple spectrum quartic_eigs gives c (s > 0, tp =
+    trig_params(c, coeff_tol)), as (eigenvalues, branch), or None where it
+    takes another branch. It does so where phi is None, or where c's shape
+    is within coeff_tol / s of one of the two single+triple shapes, the
+    distance being the sum of the k3 and k4 distances. The shapes are
+    (k3, k4) = (+/-1/(3 sqrt 3), -1/48), so the sign of k3 picks the case:
+    case 1 is a single eigenvalue above a low triple, case 2 the mirror
+    image."""
     sgn = 1.0 if c.k3 >= 0.0 else -1.0
     mismatch = abs(c.k3 - sgn / (3.0 * SQRT3)) + abs(c.k4 + 1.0 / 48.0)
+    if tp.phi is not None and not mismatch <= coeff_tol / c.s:
+        return None
     single = 0.25 + sgn * SQRT3 * c.s / 2.0
     triple = 0.25 - sgn * c.s / (2.0 * SQRT3)
     branch = Branch.DOUBLE_ZERO_CASE1 if sgn > 0.0 else Branch.DOUBLE_ZERO_CASE2
-    return mismatch, ((single, triple, triple, triple), branch)
+    return (single, triple, triple, triple), branch
 
 
 def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticSpectrum:
@@ -381,8 +420,8 @@ def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticS
     flush = 30.0 * tol
     b0 = c.b0
 
-    mismatch, near = _single_triple(c)
-    if mismatch <= tol or tp.phi is None:
+    near = _single_triple(c, tp, coeff_tol)
+    if near is not None:
         candidates = [near]
     elif abs(b0) <= coeff_tol and abs(c.b1) <= coeff_tol:
         # Vanishing b0 and b1 factor the quartic as lambda^2 times

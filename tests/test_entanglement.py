@@ -15,6 +15,7 @@ from twoqubit.entanglement import (
     negativity,
     spin_flip,
 )
+from twoqubit.bloch import partial_transpose
 from twoqubit.errors import NotApplicableError
 from twoqubit.sampling import (
     bell_state,
@@ -150,6 +151,22 @@ def test_eof_upper_bound_dominates_eof():
         assert 0.0 <= bound <= 1.0
         assert eof(rho, check=False) <= bound + 1e-9
     assert checked > 450
+
+
+def test_eof_upper_bound_on_werner_states():
+    """Every Werner state's partial transpose is exactly single+triple, so
+    the bound is 1 - 4 lambda_min from that branch, never the inequality
+    right side: on such a shape the trigonometric route splits the triple
+    root by the cube root of coefficient rounding (about 1e-8), and whether
+    it ran would depend on that rounding."""
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(2000):
+        rho = werner_state(rng.uniform(-1.0 / 3.0, 1.0))
+        lam_min = np.linalg.eigvalsh(partial_transpose(rho))[0]
+        want = min(max(1.0 - 4.0 * lam_min, 0.0), 1.0)
+        worst = max(worst, abs(eof_upper_bound(rho, check=False) - want))
+    assert worst <= 1e-14
 
 
 def test_eof_upper_bound_near_pure():

@@ -1,5 +1,7 @@
 """Peres criterion: closed-form partial-transpose spectra and verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,76 @@ FAMILIES = {
 
 def pt_oracle_min(rho):
     return eig_hermitian_oracle(partial_transpose(rho))[-1]
+
+
+def parts(u):
+    """(xi_a, xi_b, rows of A) of a (4, 4) tensor as plain floats, the
+    argument form of spectrum._even_terms and spectrum._pt_odd_terms."""
+    rows = u.tolist()
+    return (
+        tuple(r[0] for r in rows[1:]),
+        tuple(rows[0][1:]),
+        tuple(tuple(r[1:]) for r in rows[1:]),
+    )
+
+
+# The numpy formulation of the Bloch polynomials, the reference for the
+# plain-float pass: the same formulas on 3-vectors and 3x3 blocks.
+
+
+def _ref_det3(a):
+    return float(
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
+
+
+def _ref_pt_odd_terms(u):
+    xi_a = u[1:, 0]
+    xi_b = u[0, 1:]
+    corr = u[1:, 1:]
+    tr_corr = float(corr[0, 0] + corr[1, 1] + corr[2, 2])
+    tr_corr_sq = float((corr * corr.T).sum())
+    quad = float(xi_b @ corr @ (corr @ xi_a))
+    bilin_rev = float(xi_b @ corr @ xi_a)
+    odd = (
+        (tr_corr * tr_corr - tr_corr_sq) * float(xi_a @ xi_b)
+        + 2.0 * quad
+        - 2.0 * tr_corr * bilin_rev
+    )
+    return odd, _ref_det3(corr)
+
+
+def _ref_even_terms(u):
+    xi_a = u[1:, 0]
+    xi_b = u[0, 1:]
+    corr = u[1:, 1:]
+    bilin = float(xi_a @ corr @ xi_b)
+    row_action = corr.T @ xi_a
+    col_action = corr @ xi_b
+    gram = corr @ corr.T
+    tr_gram = float(gram[0, 0] + gram[1, 1] + gram[2, 2])
+    cross_sq = 0.5 * (tr_gram * tr_gram - float((gram * gram).sum()))
+    rest = (
+        4.0
+        - float(xi_a @ xi_a) * float(xi_b @ xi_b)
+        - float(row_action @ row_action)
+        - float(col_action @ col_action)
+    )
+    return bilin, rest, cross_sq
+
+
+def ref_bloch_pass(t):
+    """(s, (k3, k4), (k3', k4')) of t and of its partial transpose."""
+    x = np.array(t, dtype=float)
+    x[0, 0] = 0.0
+    s = 0.5 * math.sqrt(float((x * x).sum()))
+    u = x / s
+    bilin, rest, cross_sq = _ref_even_terms(u)
+    odd, det_corr = _ref_pt_odd_terms(u)
+    k3, k4 = (bilin - det_corr) / 8.0, (rest + odd - cross_sq) / 64.0
+    return s, (k3, k4), (k3 + det_corr / 4.0, k4 - odd / 32.0)
 
 
 def test_pt_coeffs_match_direct_evaluation():
@@ -221,9 +293,9 @@ def test_record_shares_one_bloch_pass(family):
         u = t.copy()
         u[0, 0] = 0.0
         u /= c.s
-        flipped = partial_transpose_bloch(u)
-        assert _even_terms(flipped) == _even_terms(u)
-        assert _pt_odd_terms(flipped)[1] == -_pt_odd_terms(u)[1]
+        flipped = parts(partial_transpose_bloch(u))
+        assert _even_terms(*flipped) == _even_terms(*parts(u))
+        assert _pt_odd_terms(*flipped)[1] == -_pt_odd_terms(*parts(u))[1]
         record = _State(rho)
         assert record.c == c
         assert record.cp == pt_coeffs(t)
@@ -234,10 +306,35 @@ def test_pt_cross_check_rejects_wrong_odd_terms(monkeypatch):
     k4 by -1e-6/64, while the flipped tensor's k4 moves by +1e-6/64: the
     check sees a drift of 1e-6/32 = 3.1e-8 and peres_test raises."""
 
-    def off_by_delta(t):
-        odd, det_corr = _pt_odd_terms(t)
+    def off_by_delta(xa, xb, a):
+        odd, det_corr = _pt_odd_terms(xa, xb, a)
         return odd + 1e-6, det_corr
 
     monkeypatch.setattr(spectrum, "_pt_odd_terms", off_by_delta)
     with pytest.raises(InternalInconsistencyError, match=r"drifted 3\.12\de-08"):
         peres_test(ginibre_density(np.random.default_rng(98)), check=False)
+
+
+REFERENCE_FAMILIES = ("ginibre", "near_quarter", "rank2", "rank3", "pure", "werner")
+
+
+@pytest.mark.parametrize("family", REFERENCE_FAMILIES)
+def test_bloch_pass_matches_numpy_reference(family):
+    """The plain-float pass sums its products in another order than the
+    numpy formulation, so the two agree to rounding, not bit for bit. On
+    the unit tensor every term is O(1), so k3 and k4 agree within a few
+    ulps of 1; s (at most sqrt(3) / 2) within two ulps of 1."""
+    make = {**FAMILIES, "pure": lambda rng: pure_density(haar_pure(rng))}[family]
+    rng = np.random.default_rng(REFERENCE_FAMILIES.index(family) + 130)
+    worst_k = worst_s = 0.0
+    for _ in range(5000):
+        t = to_bloch(make(rng))
+        c, cp = spectrum._bloch_pass(t)
+        s, (k3, k4), (k3p, k4p) = ref_bloch_pass(t)
+        worst_s = max(worst_s, abs(c.s - s))
+        worst_k = max(
+            worst_k, abs(c.k3 - k3), abs(c.k4 - k4), abs(cp.k3 - k3p), abs(cp.k4 - k4p)
+        )
+        assert cp.s == c.s
+    assert worst_k <= 1e-15
+    assert worst_s <= 4.4e-16
