@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .linalg import charpoly_flv
+from .linalg import MonicQuartic, charpoly_flv
 
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
@@ -136,9 +136,15 @@ class CubicCoeffs:
 def coeffs_from_traces(m, imag_tol: float = 1e-12) -> CharCoeffs:
     """Characteristic data of a trace-one 4x4 matrix by one Faddeev-LeVerrier
     pass on X = m - I/4: s^2 = -2 e2, k3 = e3 / s^3, k4 = e4 / s^4. The
-    reference route, which the Bloch formulas below are validated against;
-    it also serves the non-Hermitian spin-flip product."""
-    q = charpoly_flv(np.asarray(m) - _QUARTER_I, imag_tol=imag_tol)
+    reference route, which the Bloch formulas below are validated against.
+    The spin-flip product's pass runs the same recurrence on its own rows
+    and reads its shape through _coeffs_from_charpoly."""
+    return _coeffs_from_charpoly(charpoly_flv(np.asarray(m) - _QUARTER_I, imag_tol=imag_tol))
+
+
+def _coeffs_from_charpoly(q: MonicQuartic) -> CharCoeffs:
+    """CharCoeffs from the monic quartic q of X = m - I/4; |c3| = |1 - tr m|
+    above 1e-12 raises ValueError."""
     if abs(q.c3) > 1e-12:
         raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
     s2 = -2.0 * q.c2

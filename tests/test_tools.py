@@ -36,3 +36,32 @@ def test_answer_diff_counts_each_kind_of_change():
         "raise disappears: 1  units 2",
         "raise differs: 0",
     ]
+
+
+def test_layer_us_prints_one_row_per_call():
+    """Two tiny repeats on this checkout: every row has a number, and a row
+    the tree cannot run would print as "-"."""
+    import layer_us
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    best = layer_us.measure([root], calls=2, repeats=2, n_states=2, seed=0)
+    lines = layer_us.table(["here"], best)
+    assert lines[0] == "| call | µs, here |"
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
+    rows = dict(cells)
+    assert list(rows) == [
+        "`peres_test`",
+        "`peres_test`, check=False",
+        "`entanglement_report`",
+        "`validate_density_matrix`",
+        "`to_bloch`",
+        "`_bloch_pass`",
+        "`quartic_eigs`",
+        "`inequality_rhs`",
+        "`_flip_product_eigs`",
+        "`spin_flip`",
+        "`eigvalsh`",
+        "`eigvalsh`, stacked",
+    ]
+    assert all(float(v) > 0.0 for v in rows.values())
+    assert layer_us.table(["x"], [{}])[2].endswith("| - |")
