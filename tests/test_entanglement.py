@@ -316,9 +316,6 @@ def test_flip_negative_eigenvalue_raises(monkeypatch):
         _flip_product_eigs(rho)
 
 
-_I4 = np.eye(4, dtype=complex)
-
-
 def ref_flip_product_eigs(rho):
     """The flip-product pass in its numpy formulation: the product by
     matmul and the coefficients by the numpy recurrence of
@@ -333,7 +330,7 @@ def ref_flip_product_eigs(rho):
     noise = max(5e-13, 1e-13 * k / t)
     if noise > 1e-4:
         return (t, 0.0, 0.0, 0.0)
-    q = MonicQuartic(*(c.real for c in ref_charpoly_flv(m_hat - _I4 / 4.0)))
+    q = MonicQuartic(*(c.real for c in ref_charpoly_flv(m_hat - np.eye(4) / 4.0)))
     spec = quartic_eigs(_coeffs_from_charpoly(q), coeff_tol=noise)
     return tuple(max(0.0 if abs(lam) <= noise else t * lam, 0.0) for lam in spec.eigenvalues)
 
