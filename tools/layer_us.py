@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Print the per-layer timing table of ROADMAP item 6 for one or more checkouts:
 
-    python3 tools/layer_us.py [ROOT ...] [--calls 300] [--repeats 9] [--states 30] [--seed 0]
+    python3 tools/layer_us.py [ROOT ...]
 
 Each row is one call: an entry point, a layer, or LAPACK's ``eigvalsh`` as
-the yardstick. Its inputs come from ``--states`` fixed-seed Ginibre states
-(drawn here with numpy, so every tree sees the same ones); one repeat makes
-``--calls`` calls, cycling over the states, and the row shows the fastest
-repeat's microseconds per call ("eigvalsh, stacked" is one call on all
-states, shown per state). Cyclic GC is off while a repeat runs.
+the yardstick. Its inputs come from 30 Ginibre states of seed 0 (drawn here
+with numpy, so every tree sees the same ones); one repeat makes 300 calls,
+cycling over the states, and the row shows the fastest of 9 repeats'
+microseconds per call ("eigvalsh, stacked" is one call on all states, shown
+per state). Cyclic GC is off while a repeat runs.
 
 Every tree (default: the checkout holding this script) runs in a fresh
-interpreter of its own that imports ``twoqubit`` from ``ROOT/src``, and the
-trees take turns repeat by repeat, so a change in host load hits them
-alike. A row a tree cannot run, such as a layer it does not have, prints
+interpreter of its own that imports ``twoqubit`` from ``ROOT/src`` with
+``answer_digest.load``, and the trees take turns repeat by repeat, so a
+change in host load hits them alike. A row a tree cannot run, such as a layer it does not have, prints
 as "-".
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import importlib
 import itertools
 import multiprocessing
 import os
@@ -30,6 +29,10 @@ import sys
 import time
 
 import numpy as np
+
+from answer_digest import load
+
+CALLS, REPEATS, STATES, SEED = 300, 9, 30, 0
 
 
 def _bloch(tq, rho):
@@ -77,11 +80,7 @@ def ginibre_states(n: int, seed: int) -> list[np.ndarray]:
 
 def _load(root: str, n_states: int, seed: int) -> None:
     """Import ``twoqubit`` from ROOT/src and prepare every row's calls."""
-    src = os.path.join(root, "src")
-    sys.path.insert(0, src)
-    tq = importlib.import_module("twoqubit")
-    if not os.path.abspath(tq.__file__).startswith(src + os.sep):
-        raise ImportError(f"twoqubit was imported from {tq.__file__}, not from {src}")
+    tq, _ = load(root)
     rhos = ginibre_states(n_states, seed)
     for name, fn_of, args_of in ROWS:
         try:
@@ -149,15 +148,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser.add_argument("roots", nargs="*", default=[here], help="checkouts to time (default: this one)")
-    parser.add_argument("--calls", type=int, default=300, help="calls per repeat (default 300)")
-    parser.add_argument("--repeats", type=int, default=9, help="repeats per tree (default 9)")
-    parser.add_argument("--states", type=int, default=30, help="Ginibre states (default 30)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the states (default 0)")
     args = parser.parse_args(argv)
-    if min(args.calls, args.repeats, args.states) < 1:
-        parser.error("--calls, --repeats and --states must be at least 1")
     roots = [os.path.abspath(r) for r in args.roots]
-    best = measure(roots, args.calls, args.repeats, args.states, args.seed)
+    best = measure(roots, CALLS, REPEATS, STATES, SEED)
     print("\n".join(table(args.roots, best)), flush=True)
     return 0
 
