@@ -4,10 +4,10 @@ Concurrence needs the spectrum of rho (sigma_y x sigma_y) rho*
 (sigma_y x sigma_y). That product is not Hermitian, but its eigenvalues
 are real and nonnegative, and after dividing by its trace the
 characteristic coefficients feed the same trigonometric quartic formulas
-used everywhere else. The product is one numpy matmul; its
-Faddeev-LeVerrier coefficients are evaluated term by term on plain Python
-complex numbers, the style of the Bloch pass: at 4x4 a numpy call costs
-more in dispatch than the arithmetic it does. Negativity reuses the partial-transpose spectrum.
+used everywhere else. The product and its Faddeev-LeVerrier coefficients
+are evaluated term by term on plain Python complex numbers, the style of
+the Bloch pass: at 4x4 a numpy call costs more in dispatch than the
+arithmetic it does. Negativity reuses the partial-transpose spectrum.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
 
     The product m is similar to a PSD matrix, so its spectrum is real and
     nonnegative. tr m is scaled out, the unit-trace quartic is solved in
-    closed form, and the scale is restored. m is one numpy matmul, read
-    once as plain Python complex numbers; X = m / t - I/4 goes straight to
-    the Faddeev-LeVerrier recurrence of linalg._flv.
+    closed form, and the scale is restored. The pass runs on plain Python
+    complex numbers: rho and its flip are read once as rows, the 16
+    entries of m are written out, and X = m / t - I/4 goes straight to the
+    Faddeev-LeVerrier recurrence of linalg._flv.
 
     Dividing by a small trace inflates the coefficient rounding noise, so
     the solver's degeneracy gate is widened to the estimated noise floor
@@ -62,7 +63,7 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
     inputs. Anything below -1e-8 after rescaling means the closed form and
     the input disagree badly enough to abort. A rho that is not 4x4 or has
     a non-finite entry raises ValueError before any arithmetic, and so
-    does a finite rho whose product overflows, after numpy's warning.
+    does a finite rho whose product overflows.
     """
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
@@ -70,12 +71,30 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
     # Checked before spin_flip, whose numpy product warns on an inf.
     if not all(map(cmath.isfinite, r[0] + r[1] + r[2] + r[3])):
         raise ValueError("matrix contains non-finite entries")
-    m = (rho @ spin_flip(rho)).tolist()
-    m = m[0] + m[1] + m[2] + m[3]
-    # A finite rho can still overflow the product (numpy warns first).
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = r
+    (f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23), (f30, f31, f32, f33) = (
+        spin_flip(rho).tolist()
+    )
+    m00 = r00 * f00 + r01 * f10 + r02 * f20 + r03 * f30
+    m01 = r00 * f01 + r01 * f11 + r02 * f21 + r03 * f31
+    m02 = r00 * f02 + r01 * f12 + r02 * f22 + r03 * f32
+    m03 = r00 * f03 + r01 * f13 + r02 * f23 + r03 * f33
+    m10 = r10 * f00 + r11 * f10 + r12 * f20 + r13 * f30
+    m11 = r10 * f01 + r11 * f11 + r12 * f21 + r13 * f31
+    m12 = r10 * f02 + r11 * f12 + r12 * f22 + r13 * f32
+    m13 = r10 * f03 + r11 * f13 + r12 * f23 + r13 * f33
+    m20 = r20 * f00 + r21 * f10 + r22 * f20 + r23 * f30
+    m21 = r20 * f01 + r21 * f11 + r22 * f21 + r23 * f31
+    m22 = r20 * f02 + r21 * f12 + r22 * f22 + r23 * f32
+    m23 = r20 * f03 + r21 * f13 + r22 * f23 + r23 * f33
+    m30 = r30 * f00 + r31 * f10 + r32 * f20 + r33 * f30
+    m31 = r30 * f01 + r31 * f11 + r32 * f21 + r33 * f31
+    m32 = r30 * f02 + r31 * f12 + r32 * f22 + r33 * f32
+    m33 = r30 * f03 + r31 * f13 + r32 * f23 + r33 * f33
+    m = (m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33)
+    # A finite rho can still overflow the product, off the diagonal too.
     if not all(map(cmath.isfinite, m)):
         raise ValueError("matrix contains non-finite entries")
-    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
     t = (m00 + m11 + m22 + m33).real
     if t <= _FLIP_TRACE_FLOOR:
         return (0.0, 0.0, 0.0, 0.0)

@@ -278,11 +278,10 @@ def _overflowing_off_diagonal():
     ids=["scaled_identity", "off_diagonal"],
 )
 def test_unchecked_overflowing_product_is_a_typed_error(measure, rho):
-    """A product that overflows is not solved: numpy warns and the pass
-    raises, even where the trace is finite."""
+    """A product that overflows is not solved: the pass raises, with no
+    RuntimeWarning first, even where the trace is finite."""
     with pytest.raises(ValueError, match="matrix contains non-finite entries"):
-        with pytest.warns(RuntimeWarning, match="encountered in matmul"):
-            measure(rho, check=False)
+        measure(rho, check=False)
 
 
 def _weak_pure(eps):
@@ -381,8 +380,8 @@ def _chain_state(rng):
     return evolve_chain(pure_density(haar_pure(rng)), float(rng.uniform(0.05, 0.3)), int(rng.integers(1, 9)))
 
 
-# stratum: (draw, seed, the tail floor: about 4x the largest error seen)
-ACCURACY_STRATA = {"ginibre": (ginibre_density, 90, 1e-10), "chain": (_chain_state, 91, 1e-8)}
+# stratum: (draw, seed, the tail floor)
+ACCURACY_STRATA = {"ginibre": (ginibre_density, 90, 1e-10), "chain": (_chain_state, 91, 2e-9)}
 
 
 @pytest.mark.parametrize("stratum", sorted(ACCURACY_STRATA))
@@ -395,11 +394,11 @@ def test_concurrence_accuracy_against_mpmath(stratum):
     In the bulk the two routes are equally accurate, so the medians are
     compared. The tail is set by near-degenerate flip spectra (a double
     mu3 = mu4 beside mu2 on the chain), where both routes sit on the same
-    floor and trade places unit by unit: over 8 seeded samples of 200
-    chain units, the ratio of their maxima ran from 0.3 to 3.9 either way.
-    So the maximum is held to a fixed floor about four times the largest
-    error seen on these seeds (2.4e-11 Ginibre, 1.9e-9 chain), not to the
-    other route's draw.
+    floor and trade places unit by unit: over 16 seeded samples of 300
+    units, the ratio of their maxima ran from 0.1 to 4.1 either way. So
+    the maximum is held to a fixed floor three to four times the largest
+    error seen on these seeds (3.4e-11 Ginibre, 4.7e-10 chain), not to
+    the other route's draw.
     """
     mpmath = pytest.importorskip("mpmath")
     draw, seed, floor = ACCURACY_STRATA[stratum]
