@@ -9,13 +9,22 @@ with mu indexing qubit A and nu qubit B. The tensor is stored as a real
 (4, 4) array with a[0, 0] = 1. Useful views: a[1:, 0] is qubit A's
 polarization vector, a[0, 1:] qubit B's, and a[1:, 1:] the 3x3 correlation
 block.
+
+A public call reads its matrix once (_read): one conversion to a complex
+array, the shape and finiteness checks, and its 16 entries as plain Python
+complex numbers. Validation and the Bloch tensor are written out on those
+numbers, the style of the coefficient passes: at 4x4 a numpy call costs
+more in dispatch than the arithmetic it does. LAPACK's eigvalsh still
+decides every positivity rejection.
 """
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .linalg import PAULIS, is_hermitian, kron
+from .linalg import PAULIS, kron
 
 # Stacked sigma_mu (x) sigma_nu basis, indexed [mu, nu, i, j].
 _BASIS = np.array([[kron(PAULIS[m], PAULIS[n]) for n in range(4)] for m in range(4)])
@@ -25,48 +34,166 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
-def validate_density_matrix(m):
-    """Check that m is a physical two-qubit state and return it as complex.
-
-    Verifies finiteness, hermiticity, unit trace and positive
-    semidefiniteness, the last from the smallest eigenvalue of LAPACK's
-    Hermitian solver (``np.linalg.eigvalsh``), which shares no code with
-    the closed forms it guards.
-    """
+def _read(m) -> tuple[np.ndarray, list]:
+    """m as a complex array and as rows of Python complex numbers;
+    ValueError unless it is 4x4 with finite entries."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not np.isfinite(m).all():
+    rows = m.tolist()
+    if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise ValueError("matrix contains non-finite entries")
-    if not is_hermitian(m, tol=HERMITIAN_TOL):
+    return m, rows
+
+
+def _psd_certified(rows) -> bool:
+    """Whether an LDL^H factorization of the lower triangle of
+    m + (PSD_TOL / 2) I, written out on the rows of a trace-one m, has
+    every pivot > 0.
+
+    If so, the computed factors are exact for the shifted matrix plus a
+    perturbation of norm about 2e-15 (the backward error of Cholesky,
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 10.1), so lambda_min(m) > -PSD_TOL / 2 - 2e-15 and eigvalsh,
+    which reads the same triangle, accepts m too. False says nothing.
+    """
+    (r00, _, _, _), (r10, r11, _, _), (r20, r21, r22, _), (r30, r31, r32, r33) = rows
+    h = 0.5 * PSD_TOL
+    d0 = r00.real + h
+    if not d0 > 0.0:
+        return False
+    c10, c20, c30 = r10.conjugate(), r20.conjugate(), r30.conjugate()
+    l1, l2, l3 = r10 / d0, r20 / d0, r30 / d0
+    d1 = r11.real + h - (l1 * c10).real
+    if not d1 > 0.0:
+        return False
+    # The Schur complement of the first pivot, lower triangle.
+    s21 = r21 - l2 * c10
+    s31 = r31 - l3 * c10
+    s32 = r32 - l3 * c20
+    s22 = r22.real + h - (l2 * c20).real
+    s33 = r33.real + h - (l3 * c30).real
+    c21 = s21.conjugate()
+    k2, k3 = s21 / d1, s31 / d1
+    d2 = s22 - (k2 * c21).real
+    if not d2 > 0.0:
+        return False
+    t32 = s32 - k3 * c21
+    return s33 - (k3 * s31.conjugate()).real - (t32 * t32.conjugate()).real / d2 > 0.0
+
+
+def _check_rows(m: np.ndarray, rows) -> None:
+    """Hermiticity, unit trace and positive semidefiniteness of a matrix
+    read by _read, in validate_density_matrix's order and words."""
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
+    # max |m_ij - conj(m_ji)| as linalg.is_hermitian takes it: the (i, j)
+    # and (j, i) differences have one modulus, |2 Im m_ii| on the diagonal.
+    try:
+        asym = max(
+            2.0 * abs(r00.imag),
+            2.0 * abs(r11.imag),
+            2.0 * abs(r22.imag),
+            2.0 * abs(r33.imag),
+            abs(r01 - r10.conjugate()),
+            abs(r02 - r20.conjugate()),
+            abs(r03 - r30.conjugate()),
+            abs(r12 - r21.conjugate()),
+            abs(r13 - r31.conjugate()),
+            abs(r23 - r32.conjugate()),
+        )
+    except OverflowError:  # a finite difference can have an infinite modulus
+        asym = float("inf")
+    if not asym <= HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian")
-    tr = complex(m.trace())
+    # Summed as numpy's trace sums the diagonal, in pairs onto a zero, so
+    # the value and the signs of zeros in the message are the same.
+    tr = 0.0 + ((r00 + r11) + (r22 + r33))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be one, got {tr}")
+    if _psd_certified(rows):
+        return
     # Not the closed-form spectrum: its b0 ~ 0 gate flushes a lambda_min of
     # -1e-9 to 0.0 on some rotated spectra, which would pass a bad matrix.
     lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -PSD_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eig {lo:.3e})")
+
+
+def validate_density_matrix(m):
+    """Check that m is a physical two-qubit state and return it as complex.
+
+    Verifies finiteness, hermiticity, unit trace and positive
+    semidefiniteness, in that order, on the entries as plain Python
+    numbers. Positivity is first certified by a written-out LDL^H
+    factorization of m + (PSD_TOL / 2) I; whatever it does not certify
+    goes to the smallest eigenvalue of LAPACK's Hermitian solver
+    (``np.linalg.eigvalsh``), which shares no code with the closed forms
+    it guards and decides, and words, every rejection.
+    """
+    m, rows = _read(m)
+    _check_rows(m, rows)
     return m
+
+
+def _tensor_rows(rows) -> tuple:
+    """The Bloch tensor of a matrix read by _read, as four tuples of floats.
+
+    Each a[mu, nu] is a signed sum of four entries, the nonzero terms of
+    np.einsum("mnij,ji->mn", _BASIS, rho) added in its order (row-major
+    over (i, j)), so the tensor is that einsum's real part bit for bit;
+    "+ 0.0" turns a sum of negative zeros into einsum's +0.0. For the
+    coefficients with one sigma_y the einsum terms are +-i times the
+    entries, so their real parts are the imaginary parts of the signed sum
+    (one sum, a22's, is kept negated to share its first pair).
+    """
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
+    p0, n0 = r00 + r11, r00 - r11
+    p1, n1 = r10 + r01, r10 - r01
+    p2, n2 = r20 + r31, r20 - r31
+    p3, n3 = r30 + r21, r30 - r21
+    a00 = p0 + r22 + r33
+    a01 = p1 + r32 + r23
+    a02 = n1 + r32 - r23
+    a03 = n0 + r22 - r33
+    a10 = p2 + r02 + r13
+    a11 = p3 + r12 + r03
+    a12 = n3 + r12 - r03
+    a13 = n2 + r02 - r13
+    a20 = p2 - r02 - r13
+    a21 = p3 - r12 - r03
+    a22 = n3 - r12 + r03
+    a23 = n2 - r02 + r13
+    a30 = p0 - r22 - r33
+    a31 = p1 - r32 - r23
+    a32 = n1 - r32 + r23
+    a33 = n0 - r22 + r33
+    # The imaginary parts of the traces must vanish, which checks
+    # hermiticity (for rho = H + iK, each |K_ij| <= max |Im a| with
+    # Im a = Tr(K sigma_mu (x) sigma_nu)).
+    imag = (
+        a00.imag, a01.imag, a02.real, a03.imag, a10.imag, a11.imag, a12.real, a13.imag,
+        a20.real, a21.real, a22.imag, a23.real, a30.imag, a31.imag, a32.real, a33.imag,
+    )
+    if not max(map(abs, imag)) <= 1e-10:
+        raise ValueError("Bloch coefficients are not real")
+    tr = a00.real + 0.0
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace must be one, got {tr}")
+    return (
+        (1.0, a01.real + 0.0, a02.imag + 0.0, a03.real + 0.0),
+        (a10.real + 0.0, a11.real + 0.0, a12.imag + 0.0, a13.real + 0.0),
+        (a20.imag + 0.0, a21.imag + 0.0, 0.0 - a22.real, a23.imag + 0.0),
+        (a30.real + 0.0, a31.real + 0.0, a32.imag + 0.0, a33.real + 0.0),
+    )
 
 
 def to_bloch(rho):
     """Bloch tensor a[mu, nu] = Tr(rho sigma_mu (x) sigma_nu) of a Hermitian
-    trace-one matrix. The imaginary parts of the traces must vanish, which
-    checks hermiticity (for rho = H + iK, each |K_ij| <= max |Im a| with
-    Im a = Tr(K sigma_mu (x) sigma_nu)) and finiteness."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    a = np.einsum("mnij,ji->mn", _BASIS, rho)
-    if not np.abs(a.imag).max() <= 1e-10:
-        raise ValueError("Bloch coefficients are not real")
-    a = a.real.copy()
-    if abs(a[0, 0] - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace must be one, got {a[0, 0]}")
-    a[0, 0] = 1.0
-    return a
+    trace-one matrix, written out on its entries in np.einsum's order (see
+    _tensor_rows). A matrix that is not 4x4 or has a non-finite entry
+    raises ValueError from the read; so do imaginary Bloch coefficients
+    (a non-Hermitian rho) and a trace off one."""
+    return np.array(_tensor_rows(_read(rho)[1]))
 
 
 def from_bloch(t):

@@ -4,9 +4,10 @@ Concurrence needs the spectrum of rho (sigma_y x sigma_y) rho*
 (sigma_y x sigma_y). That product is not Hermitian, but its eigenvalues
 are real and nonnegative, and after dividing by its trace the
 characteristic coefficients feed the same trigonometric quartic formulas
-used everywhere else. The product and its Faddeev-LeVerrier coefficients
-are evaluated term by term on plain Python complex numbers, the style of
-the Bloch pass: at 4x4 a numpy call costs more in dispatch than the
+used everywhere else. The spin flip, the product and its
+Faddeev-LeVerrier coefficients are evaluated term by term on the rows of
+Python complex numbers that the call's record read once, the style of the
+Bloch pass: at 4x4 a numpy call costs more in dispatch than the
 arithmetic it does. Negativity reuses the partial-transpose spectrum.
 """
 
@@ -45,14 +46,29 @@ def spin_flip(rho) -> np.ndarray:
     return _YY_SIGNS * rho.conj()[::-1, ::-1]
 
 
-def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
-    """Eigenvalues of rho times its spin flip, descending.
+def _flip_rows(r) -> tuple:
+    """spin_flip on rows of Python complex numbers: entry (i, j) is
+    s_i s_j conj(r[3 - i][3 - j]) with s = (-1, 1, 1, -1) (Wootters, PRL 80,
+    2245, 1998). Equal to spin_flip's entries; where an entry's real or
+    imaginary part is zero, the sign of that zero may differ."""
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = r
+    return (
+        (r33.conjugate(), -r32.conjugate(), -r31.conjugate(), r30.conjugate()),
+        (-r23.conjugate(), r22.conjugate(), r21.conjugate(), -r20.conjugate()),
+        (-r13.conjugate(), r12.conjugate(), r11.conjugate(), -r10.conjugate()),
+        (r03.conjugate(), -r02.conjugate(), -r01.conjugate(), r00.conjugate()),
+    )
+
+
+def _flip_product_eigs(r) -> tuple[float, float, float, float]:
+    """Eigenvalues of rho times its spin flip, descending, from the rows r
+    of rho as its record read them (4x4, finite).
 
     The product m is similar to a PSD matrix, so its spectrum is real and
     nonnegative. tr m is scaled out, the unit-trace quartic is solved in
     closed form, and the scale is restored. The pass runs on plain Python
-    complex numbers: rho and its flip are read once as rows, the 16
-    entries of m are written out, and X = m / t - I/4 goes straight to the
+    complex numbers: the flip's entries are written out from r, so are
+    the 16 entries of m, and X = m / t - I/4 goes straight to the
     Faddeev-LeVerrier recurrence of linalg._flv.
 
     Dividing by a small trace inflates the coefficient rounding noise, so
@@ -61,19 +77,12 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
     Without the flush, square roots of noise-level eigenvalues would
     contaminate the concurrence at the 1e-8 scale even for perfectly pure
     inputs. Anything below -1e-8 after rescaling means the closed form and
-    the input disagree badly enough to abort. A rho that is not 4x4 or has
-    a non-finite entry raises ValueError before any arithmetic, and so
-    does a finite rho whose product overflows.
+    the input disagree badly enough to abort. A finite rho whose product
+    overflows raises ValueError.
     """
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    r = rho.tolist()
-    # Checked before spin_flip, whose numpy product warns on an inf.
-    if not all(map(cmath.isfinite, r[0] + r[1] + r[2] + r[3])):
-        raise ValueError("matrix contains non-finite entries")
     (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = r
     (f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23), (f30, f31, f32, f33) = (
-        spin_flip(rho).tolist()
+        _flip_rows(r)
     )
     m00 = r00 * f00 + r01 * f10 + r02 * f20 + r03 * f30
     m01 = r00 * f01 + r01 * f11 + r02 * f21 + r03 * f31
@@ -126,7 +135,7 @@ def _flip_product_eigs(rho) -> tuple[float, float, float, float]:
 
 
 def _concurrence(s: _State) -> float:
-    r = [math.sqrt(x) for x in _flip_product_eigs(s.rho)]
+    r = [math.sqrt(x) for x in _flip_product_eigs(s.rows)]
     return max(0.0, r[0] - r[1] - r[2] - r[3])
 
 

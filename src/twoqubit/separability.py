@@ -3,8 +3,9 @@
 A two-qubit state is separable exactly when its partial transpose is
 positive semidefinite. The partial transpose changes the characteristic
 coefficients in a simple closed way (the purity is untouched), so the PT
-spectrum, and with it the verdict, comes out of the same quartic solver;
-only the input validation (on by default) diagonalizes, with eigvalsh.
+spectrum, and with it the verdict, comes out of the same quartic solver.
+Only the input validation (on by default) may diagonalize, with eigvalsh,
+and only for a matrix its factorization certificate does not settle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import to_bloch, validate_density_matrix
+from .bloch import _check_rows, _read, _tensor_rows
 from .spectrum import (
     SQRT3,
     SQRT6,
@@ -26,6 +27,7 @@ from .spectrum import (
     _clamped_sqrt,
     _resolvent_terms,
     _single_triple,
+    _tensor_list,
     quartic_eigs,
     trig_params,
 )
@@ -60,7 +62,7 @@ def pt_coeffs(t) -> CharCoeffs:
     the part the partial transpose flips. spectrum._bloch_pass computes it
     beside t's own k3 and k4 and checks it on the column-flipped tensor.
     """
-    return _bloch_pass(t)[1]
+    return _bloch_pass(_tensor_list(t))[1]
 
 
 def inequality_rhs(c: CharCoeffs) -> float | None:
@@ -82,25 +84,33 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
 
 class _State:
     """One state's data, shared by everything a single public call reads:
-    Bloch tensor t, coefficients c (from t) and own spectrum, PT
-    coefficients cp and PT spectrum, and the inequality right side on cp.
+    the matrix rho and its rows of Python complex numbers, the Bloch
+    tensor (rows of floats, and t as an array), coefficients c and own
+    spectrum, PT coefficients cp and PT spectrum, and the inequality right
+    side on cp.
 
-    Each piece is computed on first use and kept, so a call runs the solver
+    The record reads rho once, with bloch._read, so a matrix that is not
+    4x4 or has a non-finite entry raises ValueError here. Every other
+    piece is computed on first use and kept, so a call runs the solver
     stages in the order it reads them and never runs one twice (c and cp
     come from one spectrum._bloch_pass). A record belongs to one call;
     nothing is kept.
     """
 
-    def __init__(self, rho: np.ndarray):
-        self.rho = rho
+    def __init__(self, rho):
+        self.rho, self.rows = _read(rho)
+
+    @cached_property
+    def bloch(self) -> tuple:
+        return _tensor_rows(self.rows)
 
     @cached_property
     def t(self) -> np.ndarray:
-        return to_bloch(self.rho)
+        return np.array(self.bloch)
 
     @cached_property
     def coeffs(self) -> tuple[CharCoeffs, CharCoeffs]:
-        return _bloch_pass(self.t)
+        return _bloch_pass(self.bloch)
 
     @property
     def c(self) -> CharCoeffs:
@@ -124,12 +134,12 @@ class _State:
 
 
 def _checked_state(rho, check: bool) -> _State:
-    """The record for one public call's input, validated first unless
-    ``check`` is false."""
-    rho = np.asarray(rho, dtype=complex)
+    """The record for one public call's input, its rows validated as
+    bloch.validate_density_matrix does unless ``check`` is false."""
+    s = _State(rho)
     if check:
-        validate_density_matrix(rho)
-    return _State(rho)
+        _check_rows(s.rho, s.rows)
+    return s
 
 
 def _verdict(s: _State) -> SeparabilityReport:
@@ -161,8 +171,13 @@ def peres_test(rho, check: bool = True) -> SeparabilityReport:
 
 
 def _pure_q(state) -> float:
-    """|ad - bc| of a pure state (a, b, c, d); ValueError unless |norm^2 - 1| <= 1e-10."""
-    a, b, c, d = (complex(x) for x in np.asarray(state).ravel())
+    """|ad - bc| of a pure state (a, b, c, d), the determinant of its (2, 2)
+    coefficient array, which may be passed as is; ValueError unless there
+    are 4 amplitudes and |norm^2 - 1| <= 1e-10."""
+    amps = np.asarray(state).ravel()
+    if amps.size != 4:
+        raise ValueError(f"expected 4 amplitudes, got {amps.size}")
+    a, b, c, d = (complex(x) for x in amps)
     norm = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized (norm^2 = {norm})")

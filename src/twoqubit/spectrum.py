@@ -228,17 +228,23 @@ def _even_terms(xa, xb, a) -> tuple[float, float, float]:
     return bilin, rest, cross_sq
 
 
-def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
-    """(coeffs_from_bloch(t), separability.pt_coeffs(t)) from one evaluation
-    of the Bloch polynomials on t's unit tensor u, written out on the 15
-    parameters as plain floats. The column flip (xi_b's and A's y entries
-    negated) keeps s, bilin, rest and cross_sq bit for bit, so the check
-    evaluates only odd and det A on the flipped u; InternalInconsistencyError
-    if either moves k4 or k3 more than 1e-9 away from plain negation."""
+def _tensor_list(t) -> list:
+    """A Bloch tensor's rows as lists of floats; ValueError unless it is (4, 4)."""
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
         raise ValueError("expected a (4, 4) Bloch tensor")
-    (_, b1, b2, b3), (a1, p11, p12, p13), (a2, p21, p22, p23), (a3, p31, p32, p33) = t.tolist()
+    return t.tolist()
+
+
+def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
+    """(coeffs_from_bloch(t), separability.pt_coeffs(t)) from one evaluation
+    of the Bloch polynomials on the unit tensor u of t, given as four rows
+    of plain floats, with every product written out on the 15 parameters.
+    The column flip (xi_b's and A's y entries negated) keeps s, bilin, rest
+    and cross_sq bit for bit, so the check evaluates only odd and det A on
+    the flipped u; InternalInconsistencyError if either moves k4 or k3 more
+    than 1e-9 away from plain negation."""
+    (_, b1, b2, b3), (a1, p11, p12, p13), (a2, p21, p22, p23), (a3, p31, p32, p33) = t
     # The squares are summed in the order of numpy's pairwise sum over the
     # flattened tensor (eight strided partial sums, then a tree), so s is
     # the same bit for bit as 0.5 sqrt((x * x).sum()) with x[0, 0] = 0.
@@ -288,7 +294,7 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     matrix of A's rows. Every product is written out on the 15 parameters
     as plain floats. It is _bloch_pass's c, PT cross-check included.
     """
-    return _bloch_pass(t)[0]
+    return _bloch_pass(_tensor_list(t))[0]
 
 
 def trig_params(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> TrigParams:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from twoqubit.bloch import (
+    HERMITIAN_TOL,
     PSD_TOL,
+    TRACE_TOL,
+    _BASIS,
+    _psd_certified,
+    _read,
     from_bloch,
     partial_transpose,
     partial_transpose_bloch,
@@ -12,14 +17,26 @@ from twoqubit.bloch import (
     to_bloch,
     validate_density_matrix,
 )
-from twoqubit.linalg import eig_hermitian_oracle
+from twoqubit.linalg import eig_hermitian_oracle, is_hermitian
 from twoqubit.sampling import (
     bell_state,
     ginibre_density,
     haar_pure,
+    near_quarter_density,
     pure_density,
+    random_hermitian_trace_one,
     rank_deficient_density,
 )
+
+# Families the written-out maps are held bit-equal to numpy on.
+DRAWS = {
+    "ginibre": ginibre_density,
+    "rank2": lambda rng: rank_deficient_density(rng, 2),
+    "rank3": lambda rng: rank_deficient_density(rng, 3),
+    "pure": lambda rng: pure_density(haar_pure(rng)),
+    "hermitian": random_hermitian_trace_one,
+    "near_quarter": near_quarter_density,
+}
 
 
 def haar_rotated(spectrum, rng):
@@ -183,9 +200,9 @@ def test_to_bloch_requires_unit_trace():
     "entry, bad", [((0, 1), 1e-6j), ((0, 1), np.nan), ((2, 2), np.nan), ((1, 3), np.inf)]
 )
 def test_to_bloch_rejects_non_hermitian_and_non_finite(entry, bad):
-    """The imaginary-part check is also to_bloch's hermiticity and
-    finiteness check: an asymmetric 1e-6j entry leaves imaginary Bloch
-    coefficients of that size, and a NaN or inf entry leaves NaN ones."""
+    """The imaginary-part check is to_bloch's hermiticity check: an
+    asymmetric 1e-6j entry leaves imaginary Bloch coefficients of that
+    size. A NaN or inf entry is rejected by the read before any sum."""
     m = np.eye(4, dtype=complex) / 4.0
     m[entry] += bad
     with pytest.raises(ValueError):
@@ -204,3 +221,150 @@ def test_from_bloch_guards():
     t[1, 1] = np.inf
     with pytest.raises(ValueError):
         from_bloch(t)
+
+
+def ref_to_bloch(rho):
+    """The numpy formulation of the Bloch map: the real part of
+    np.einsum("mnij,ji->mn", _BASIS, rho), with a[0, 0] set to 1."""
+    a = np.einsum("mnij,ji->mn", _BASIS, np.asarray(rho, dtype=complex)).real.copy()
+    a[0, 0] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("family", sorted(DRAWS))
+def test_to_bloch_matches_einsum_bit_for_bit(family):
+    """The written-out sums add the einsum's nonzero terms in its order, so
+    every coefficient has the same bits, the signs of zeros included."""
+    rng = np.random.default_rng(sorted(DRAWS).index(family) + 140)
+    for _ in range(5000):
+        rho = DRAWS[family](rng)
+        assert to_bloch(rho).tobytes() == ref_to_bloch(rho).tobytes()
+    for rho in (np.eye(4, dtype=complex) / 4.0, pure_density(bell_state()), np.diag([1.0, 0, 0, 0])):
+        assert to_bloch(rho).tobytes() == ref_to_bloch(rho).tobytes()
+
+
+def ref_validate(m):
+    """The numpy formulation of validate_density_matrix: isfinite,
+    is_hermitian, trace and eigvalsh, in that order and with its words."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError("expected a 4x4 matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    if not is_hermitian(m, tol=HERMITIAN_TOL):
+        raise ValueError("matrix is not Hermitian")
+    tr = complex(m.trace())
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace must be one, got {tr}")
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if lo < -PSD_TOL:
+        raise ValueError(f"matrix is not positive semidefinite (min eig {lo:.3e})")
+    return m
+
+
+def _outcome(validate, m):
+    """None if ``validate`` accepts m, else its message."""
+    try:
+        validate(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _hermitian_states(rng, n):
+    """Ginibre states made exactly Hermitian, so a perturbation is the
+    whole asymmetry."""
+    out = []
+    for _ in range(n):
+        m = ginibre_density(rng)
+        out.append((m + m.conj().T) / 2.0)
+    return out
+
+
+def _perturbed(rng, n):
+    """(kind, matrix) pairs on both sides of each tolerance, at a relative
+    distance of 1e-6 from it."""
+    out = []
+    for m in _hermitian_states(rng, n):
+        for side in (-1.0, 1.0):
+            size = 1e-10 * (1.0 + side * 1e-6)
+            i, j = rng.choice(4, size=2, replace=False)
+            a = m.copy()
+            a[i, j] += size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            out.append(("asymmetry", a))
+            k = rng.integers(4)
+            a = m.copy()
+            a[k, k] += 1j * rng.choice((-1.0, 1.0)) * size / 2.0
+            out.append(("diagonal imag", a))
+            a = m.copy()
+            a[k, k] += rng.choice((-1.0, 1.0)) * size
+            out.append(("trace", a))
+    return out
+
+
+def test_validate_matches_numpy_reference_at_each_tolerance():
+    """Same decision and same message as the numpy formulation, within a
+    relative 1e-6 of the hermiticity and trace tolerances; both sides of
+    each tolerance are reached."""
+    rng = np.random.default_rng(44)
+    seen = {}
+    for kind, m in _perturbed(rng, 200):
+        got = _outcome(validate_density_matrix, m)
+        assert got == _outcome(ref_validate, m)
+        seen.setdefault(kind, set()).add(got is None)
+    assert seen == {k: {True, False} for k in ("asymmetry", "diagonal imag", "trace")}
+
+
+def _shifted(states, rng):
+    """The states shifted and rescaled so the smallest eigenvalue lands
+    uniformly within 3e-10 of zero."""
+    out = []
+    for m in states:
+        target = rng.uniform(-3e-10, 3e-10)
+        d = (eig_hermitian_oracle(m)[-1] - target) / (1.0 - 4.0 * target)
+        out.append((m - d * np.eye(4)) / (1.0 - 4.0 * d))
+    return out
+
+
+def _psd_draws(rng, n):
+    """n each of Ginibre, rank-1/2/3 and Haar pure states."""
+    states = [ginibre_density(rng) for _ in range(n)]
+    states += [rank_deficient_density(rng, 1 + k % 3) for k in range(3 * n)]
+    return states + [pure_density(haar_pure(rng)) for _ in range(n)]
+
+
+def test_validate_matches_numpy_reference_near_psd_threshold():
+    """On the shifted recipe of test_validate_psd_agrees_with_oracle the
+    decision and the message (eigvalsh's min eig) are the numpy
+    formulation's."""
+    rng = np.random.default_rng(45)
+    outcomes = []
+    for m in _shifted(_psd_draws(rng, 100), rng):
+        outcomes.append(_outcome(validate_density_matrix, m))
+        assert outcomes[-1] == _outcome(ref_validate, m)
+    assert 0 < outcomes.count(None) < len(outcomes)
+
+
+def test_psd_certificate_is_sound_and_covers_states():
+    """A certificate that accepts implies eigvalsh accepts: on states with
+    lambda_min drawn within 3e-10 of zero, and on (0.5, 0.3, 0.2 + e, -e)
+    Haar-rotated for e in [5e-11, 1e-10], the band just past the shift of
+    PSD_TOL / 2. It accepts whenever lambda_min >= -4e-11, which covers
+    every unshifted Ginibre, rank-1/2/3 and pure draw, so on those
+    validation never calls eigvalsh."""
+    rng = np.random.default_rng(46)
+    states = _psd_draws(rng, 100)
+    assert all(_psd_certified(_read(m)[1]) for m in states)
+    candidates = _shifted(states, rng)
+    for _ in range(200):
+        e = rng.uniform(5e-11, 1e-10)
+        candidates.append(haar_rotated((0.5, 0.3, 0.2 + e, -e), rng))
+    accepted = 0
+    for m in candidates:
+        lo = float(np.linalg.eigvalsh(m)[0])
+        if _psd_certified(_read(m)[1]):
+            accepted += 1
+            assert lo >= -PSD_TOL
+        else:
+            assert lo < -4e-11
+    assert 0 < accepted < len(candidates)

@@ -1,6 +1,7 @@
 """Concurrence, entanglement of formation, negativity, and the full-rank
 upper bound, checked against structure and against numpy where independent."""
 
+import functools
 import math
 import statistics
 
@@ -11,6 +12,7 @@ import twoqubit.entanglement as entanglement
 from test_linalg import ref_charpoly_flv
 from twoqubit.entanglement import (
     _flip_product_eigs,
+    _flip_rows,
     concurrence,
     concurrence_pure,
     entanglement_report,
@@ -19,7 +21,7 @@ from twoqubit.entanglement import (
     negativity,
     spin_flip,
 )
-from twoqubit.bloch import partial_transpose
+from twoqubit.bloch import partial_transpose, to_bloch
 from twoqubit.chain import evolve_chain
 from twoqubit.errors import InternalInconsistencyError, NotApplicableError
 from twoqubit.linalg import MonicQuartic
@@ -28,12 +30,14 @@ from twoqubit.sampling import (
     bell_state,
     ginibre_density,
     haar_pure,
+    near_quarter_density,
     pure_density,
+    random_hermitian_trace_one,
     random_product_pure,
     rank_deficient_density,
     werner_state,
 )
-from twoqubit.separability import peres_test
+from twoqubit.separability import _State, peres_test
 
 
 def concurrence_reference(rho):
@@ -284,6 +288,54 @@ def test_unchecked_overflowing_product_is_a_typed_error(measure, rho):
         measure(rho, check=False)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        functools.partial(peres_test, check=False),
+        functools.partial(negativity, check=False),
+        functools.partial(eof_upper_bound, check=False),
+        functools.partial(concurrence, check=False),
+        functools.partial(entanglement_report, check=False),
+        to_bloch,
+    ],
+    ids=["peres_test", "negativity", "eof_upper_bound", "concurrence", "entanglement_report", "to_bloch"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_unchecked_non_finite_has_one_message(call, bad):
+    """Every entry point reads rho once, so a NaN or inf entry is named the
+    same way whichever measure is asked for."""
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = bad
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        call(rho)
+
+
+FLIP_DRAWS = {
+    "ginibre": ginibre_density,
+    "rank2": lambda rng: rank_deficient_density(rng, 2),
+    "rank3": lambda rng: rank_deficient_density(rng, 3),
+    "pure": lambda rng: pure_density(haar_pure(rng)),
+    "hermitian": random_hermitian_trace_one,
+    "near_quarter": near_quarter_density,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FLIP_DRAWS))
+def test_flip_rows_match_spin_flip(family):
+    """The written-out flip entries are spin_flip's bit for bit, except
+    that a zero real or imaginary part may carry the other sign: numpy
+    multiplies by s_i s_j + 0j, the rows only negate. The imaginary
+    diagonal of every density matrix is such a zero. No answer sees the
+    sign: a product entry with a nonzero term is blind to it, and the
+    pass flushes near-zero eigenvalues to exact zeros."""
+    rng = np.random.default_rng(sorted(FLIP_DRAWS).index(family) + 150)
+    draws = [FLIP_DRAWS[family](rng) for _ in range(1000)]
+    draws += [werner_state(0.3), pure_density(bell_state()), pure_density(random_product_pure(rng))]
+    for rho in draws:
+        got = np.array(_flip_rows(_State(rho).rows)) + 0.0
+        assert got.tobytes() == (spin_flip(rho) + 0.0).tobytes()
+
+
 def _weak_pure(eps):
     """cos eps |00> + sin eps |11>, whose flip product has trace
     t = sin^2(2 eps)."""
@@ -292,16 +344,16 @@ def _weak_pure(eps):
 
 def test_flip_trace_floor_gives_exact_zeros():
     product = pure_density(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-    assert _flip_product_eigs(product) == (0.0, 0.0, 0.0, 0.0)
+    assert _flip_product_eigs(_State(product).rows) == (0.0, 0.0, 0.0, 0.0)
     # t = 4.0e-16, under the floor of 1e-14
-    assert _flip_product_eigs(_weak_pure(1e-8)) == (0.0, 0.0, 0.0, 0.0)
+    assert _flip_product_eigs(_State(_weak_pure(1e-8)).rows) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_flip_noise_ceiling_keeps_only_the_trace():
     """At eps = 1e-5, t = 4e-10 and the entries of m / t reach about
     5e4, so the coefficient noise estimate is far above the ceiling and
     the whole trace goes to the largest eigenvalue."""
-    mu = _flip_product_eigs(_weak_pure(1e-5))
+    mu = _flip_product_eigs(_State(_weak_pure(1e-5)).rows)
     assert mu[1:] == (0.0, 0.0, 0.0)
     assert abs(mu[0] - math.sin(2e-5) ** 2) <= 1e-24
 
@@ -320,10 +372,10 @@ def test_flip_complex_coefficients_raise(monkeypatch):
         return fake
 
     monkeypatch.setattr(entanglement, "_flv", shifted(1e-10))
-    _flip_product_eigs(rho)
+    _flip_product_eigs(_State(rho).rows)
     monkeypatch.setattr(entanglement, "_flv", shifted(1e-6))
     with pytest.raises(ValueError, match="characteristic polynomial is not real"):
-        _flip_product_eigs(rho)
+        _flip_product_eigs(_State(rho).rows)
 
 
 def test_flip_negative_eigenvalue_raises(monkeypatch):
@@ -334,7 +386,7 @@ def test_flip_negative_eigenvalue_raises(monkeypatch):
 
     monkeypatch.setattr(entanglement, "quartic_eigs", fake)
     with pytest.raises(InternalInconsistencyError, match="negative beyond tolerance"):
-        _flip_product_eigs(rho)
+        _flip_product_eigs(_State(rho).rows)
 
 
 def ref_flip_product_eigs(rho):
@@ -407,7 +459,7 @@ def test_concurrence_accuracy_against_mpmath(stratum):
     for _ in range(200):
         rho = draw(rng)
         want = _mp_wootters(rho, mpmath)
-        got.append(float(abs(_wootters(_flip_product_eigs(rho)) - want)))
+        got.append(float(abs(_wootters(_flip_product_eigs(_State(rho).rows)) - want)))
         ref.append(float(abs(_wootters(ref_flip_product_eigs(rho)) - want)))
     assert statistics.median(got) <= 2.0 * statistics.median(ref)
     assert max(got) <= floor

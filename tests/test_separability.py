@@ -204,6 +204,18 @@ def test_pure_pt_rejects_unnormalized():
         pure_separable(np.array([1e-6, 0.0, 0.0, 1e-6]))
 
 
+@pytest.mark.parametrize("helper", [pure_pt_spectrum, pure_separable, concurrence_pure])
+def test_pure_helpers_take_four_amplitudes(helper):
+    """Any other count is a ValueError that says so, not an unpacking
+    error; a (2, 2) coefficient array is four amplitudes, and |ad - bc|
+    is its determinant."""
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=f"^expected 4 amplitudes, got {n}$"):
+            helper([1.0] + [0.0] * (n - 1))
+    v = haar_pure(np.random.default_rng(47))
+    assert helper(v.reshape(2, 2)) == helper(v)
+
+
 def test_pure_separability_split():
     rng = np.random.default_rng(44)
     for _ in range(100):
@@ -329,7 +341,7 @@ def test_bloch_pass_matches_numpy_reference(family):
     worst_k = worst_s = 0.0
     for _ in range(5000):
         t = to_bloch(make(rng))
-        c, cp = spectrum._bloch_pass(t)
+        c, cp = spectrum._bloch_pass(t.tolist())
         s, (k3, k4), (k3p, k4p) = ref_bloch_pass(t)
         worst_s = max(worst_s, abs(c.s - s))
         worst_k = max(

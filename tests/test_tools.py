@@ -53,6 +53,7 @@ def test_layer_us_prints_one_row_per_call():
         "`peres_test`",
         "`peres_test`, check=False",
         "`entanglement_report`",
+        "`entanglement_report`, check=False",
         "`validate_density_matrix`",
         "`to_bloch`",
         "`_bloch_pass`",

@@ -39,14 +39,26 @@ def _bloch(tq, rho):
     return tq.bloch.to_bloch(rho)
 
 
+def _flip_args(tq, rho):
+    """The pass's argument: the rows its record read, or, in a tree whose
+    record keeps none, the matrix itself."""
+    record = tq.separability._State(rho)
+    return (getattr(record, "rows", record.rho),)
+
+
 # (row, the function to time, its arguments for one state)
 ROWS = (
     ("peres_test", lambda tq: tq.peres_test, lambda tq, r: (r,)),
     ("peres_test, check=False", lambda tq: functools.partial(tq.peres_test, check=False), lambda tq, r: (r,)),
     ("entanglement_report", lambda tq: tq.entanglement_report, lambda tq, r: (r,)),
+    (
+        "entanglement_report, check=False",
+        lambda tq: functools.partial(tq.entanglement_report, check=False),
+        lambda tq, r: (r,),
+    ),
     ("validate_density_matrix", lambda tq: tq.bloch.validate_density_matrix, lambda tq, r: (r,)),
     ("to_bloch", lambda tq: tq.bloch.to_bloch, lambda tq, r: (r,)),
-    ("_bloch_pass", lambda tq: tq.spectrum._bloch_pass, lambda tq, r: (_bloch(tq, r),)),
+    ("_bloch_pass", lambda tq: tq.spectrum._bloch_pass, lambda tq, r: (_bloch(tq, r).tolist(),)),
     (
         "quartic_eigs",
         lambda tq: tq.spectrum.quartic_eigs,
@@ -57,7 +69,7 @@ ROWS = (
         lambda tq: tq.separability.inequality_rhs,
         lambda tq, r: (tq.separability.pt_coeffs(_bloch(tq, r)),),
     ),
-    ("_flip_product_eigs", lambda tq: tq.entanglement._flip_product_eigs, lambda tq, r: (r,)),
+    ("_flip_product_eigs", lambda tq: tq.entanglement._flip_product_eigs, _flip_args),
     ("spin_flip", lambda tq: tq.entanglement.spin_flip, lambda tq, r: (r,)),
     ("eigvalsh", lambda tq: np.linalg.eigvalsh, lambda tq, r: (r,)),
 )
