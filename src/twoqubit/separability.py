@@ -85,7 +85,7 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
 class _State:
     """One state's data, shared by everything a single public call reads:
     the matrix rho and its rows of Python complex numbers, the Bloch
-    tensor (rows of floats, and t as an array), coefficients c and own
+    tensor (t_rows as plain floats, t as an array), coefficients c and own
     spectrum, PT coefficients cp and PT spectrum, and the inequality right
     side on cp.
 
@@ -101,16 +101,16 @@ class _State:
         self.rho, self.rows = _read(rho)
 
     @cached_property
-    def bloch(self) -> tuple:
+    def t_rows(self) -> tuple:
         return _tensor_rows(self.rows)
 
     @cached_property
     def t(self) -> np.ndarray:
-        return np.array(self.bloch)
+        return np.array(self.t_rows)
 
     @cached_property
     def coeffs(self) -> tuple[CharCoeffs, CharCoeffs]:
-        return _bloch_pass(self.bloch)
+        return _bloch_pass(self.t_rows)
 
     @property
     def c(self) -> CharCoeffs:

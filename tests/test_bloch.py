@@ -144,6 +144,9 @@ def test_validate_rejects_bad_matrices():
     huge[0, 1] = huge[1, 0] = 1e200  # finite, and no OverflowError on the way
     with pytest.raises(ValueError, match=r"semidefinite \(min eig -1\.000e\+200\)"):
         validate_density_matrix(huge)
+    huge[0, 1] = complex(1e308, 1e308)  # |m_01 - conj(m_10)| overflows
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density_matrix(huge)
 
 
 def test_validate_rejects_flushed_negative_eigenvalue():
