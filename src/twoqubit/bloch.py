@@ -213,8 +213,13 @@ def reduced_state(t, subsystem: str):
 
     ``subsystem`` is "A" or "B". Tracing out the partner leaves
     (sigma_0 + xi . sigma) / 2 with xi the corresponding polarization view.
+    A tensor that is not (4, 4) or has a non-finite entry raises ValueError.
     """
     t = np.asarray(t, dtype=float)
+    if t.shape != (4, 4):
+        raise ValueError("expected a (4, 4) Bloch tensor")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("tensor contains non-finite entries")
     if subsystem == "A":
         xi = t[1:, 0]
     elif subsystem == "B":

@@ -97,6 +97,18 @@ def test_reduced_state_subsystem_name():
         reduced_state(t, "C")
 
 
+def test_reduced_state_guards():
+    """A tensor of the wrong shape or with a non-finite entry raises
+    ValueError, as from_bloch does."""
+    with pytest.raises(ValueError, match=r"^expected a \(4, 4\) Bloch tensor$"):
+        reduced_state(np.zeros((3, 3)), "A")
+    t = to_bloch(np.eye(4, dtype=complex) / 4.0)
+    t[2, 0] = np.nan
+    for subsystem in ("A", "B"):
+        with pytest.raises(ValueError, match="^tensor contains non-finite entries$"):
+            reduced_state(t, subsystem)
+
+
 def test_partial_transpose_explicit():
     # Index bookkeeping on a matrix of distinct entries: transposing qubit B
     # swaps the column index within each 2x2 block.

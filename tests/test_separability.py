@@ -1,13 +1,19 @@
 """Peres criterion: closed-form partial-transpose spectra and verdicts."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from twoqubit import spectrum
+from twoqubit import separability, spectrum
 from twoqubit.bloch import partial_transpose, partial_transpose_bloch, to_bloch
-from twoqubit.entanglement import concurrence_pure
+from twoqubit.entanglement import (
+    _report,
+    concurrence,
+    concurrence_pure,
+    entanglement_report,
+)
 from twoqubit.errors import InternalInconsistencyError
 from twoqubit.linalg import eig_hermitian_oracle
 from twoqubit.sampling import (
@@ -24,6 +30,7 @@ from twoqubit.sampling import (
 from twoqubit.separability import (
     TAU_SEP,
     _State,
+    _verdict,
     inequality_rhs,
     peres_test,
     pt_coeffs,
@@ -205,6 +212,25 @@ def test_pure_pt_rejects_unnormalized():
 
 
 @pytest.mark.parametrize("helper", [pure_pt_spectrum, pure_separable, concurrence_pure])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), complex(0.0, float("nan"))], ids=["nan", "inf", "imag_nan"]
+)
+def test_pure_helpers_reject_non_finite_amplitudes(helper, bad):
+    """A NaN norm compares false against any tolerance, so [1, 0, 0, nan]
+    used to pass the norm check and read as entangled."""
+    with pytest.raises(ValueError, match="^state contains non-finite amplitudes$"):
+        helper([1.0, 0.0, 0.0, bad])
+
+
+@pytest.mark.parametrize("helper", [pure_pt_spectrum, pure_separable, concurrence_pure])
+def test_pure_helpers_reject_overflowing_norm(helper):
+    """A finite amplitude whose square overflows is unnormalized, not an
+    OverflowError."""
+    with pytest.raises(ValueError, match=r"^state is not normalized \(norm\^2 = inf\)$"):
+        helper([1e200, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("helper", [pure_pt_spectrum, pure_separable, concurrence_pure])
 def test_pure_helpers_take_four_amplitudes(helper):
     """Any other count is a ValueError that says so, not an unpacking
     error; a (2, 2) coefficient array is four amplitudes, and |ad - bc|
@@ -350,3 +376,148 @@ def test_bloch_pass_matches_numpy_reference(family):
         assert cp.s == c.s
     assert worst_k <= 1e-15
     assert worst_s <= 4.4e-16
+
+
+def answers(s):
+    """Both reports of a record, as text, so that the signs of zeros count."""
+    return repr(_verdict(s)), repr(_report(s))
+
+
+def public_answers(rho, check=True):
+    return repr(peres_test(rho, check=check)), repr(entanglement_report(rho, check=check))
+
+
+def test_consecutive_calls_share_one_record(monkeypatch):
+    """peres_test then entanglement_report on one matrix reads, validates
+    and runs the Bloch pass once; the answers are a fresh record's."""
+    calls = {"_bloch_pass": 0, "_check_rows": 0}
+
+    def counted(name):
+        real = getattr(separability, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(separability, name, counted(name))
+    rng = np.random.default_rng(150)
+    for _ in range(20):
+        rho = ginibre_density(rng)
+        before = dict(calls)
+        got = public_answers(rho)
+        assert {k: calls[k] - before[k] for k in calls} == {"_bloch_pass": 1, "_check_rows": 1}
+        assert got == answers(_State(rho))
+
+
+def test_record_is_not_shared_with_a_mutated_array():
+    """The memo reads a copy: an array changed in place after a call gets
+    a fresh record's answers, and a change that makes it unphysical is
+    caught by the next checked call."""
+    rng = np.random.default_rng(151)
+    rho = ginibre_density(rng)
+    public_answers(rho)
+    other = ginibre_density(rng)
+    rho[...] = other
+    assert public_answers(rho) == answers(_State(other))
+    rho[0, 0] += 0.5
+    rho[1, 1] -= 0.5
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        peres_test(rho)
+    # lambda_min = -7e-11: the certificate declines and eigvalsh accepts.
+    # A matching matrix read after the first one changed must still be
+    # judged on its own entries, not on the changed array's.
+    edge = np.diag([0.5, 0.3, 0.2 + 7e-11, -7e-11]).astype(complex)
+    same = edge.copy()
+    peres_test(edge, check=False)
+    edge[...] = np.diag([1.2, -0.2, 0.0, 0.0])
+    assert public_answers(same) == answers(_State(same))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.diag([1.2, -0.2, 0.0, 0.0]), "not positive semidefinite"),
+        (np.diag([0.25, 0.25, 0.25, 0.25]) + np.triu(np.full((4, 4), 1e-3), 1), "not Hermitian"),
+    ],
+    ids=["non_psd", "non_hermitian"],
+)
+def test_unchecked_call_does_not_validate_the_record(bad, message):
+    """check=False leaves the record unvalidated, so a checked call on the
+    same matrix still raises, every time; a failed check leaves the slot
+    usable by the next state. (The unchecked call is the concurrence: the
+    Bloch tensor of peres_test rejects a non-Hermitian matrix itself.)"""
+    bad = bad.astype(complex)
+    concurrence(bad, check=False)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            peres_test(bad)
+        with pytest.raises(ValueError, match=message):
+            entanglement_report(bad)
+    rho = ginibre_density(np.random.default_rng(152))
+    assert public_answers(rho) == answers(_State(rho))
+
+
+def test_failed_stage_is_raised_again(monkeypatch):
+    """A stage that raises keeps nothing: with the fault gone, the same
+    matrix gets a fresh record's answers."""
+    rho = ginibre_density(np.random.default_rng(153))
+    real = separability._bloch_pass
+
+    def broken(t_rows):
+        raise InternalInconsistencyError("injected")
+
+    monkeypatch.setattr(separability, "_bloch_pass", broken)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistencyError, match="injected"):
+            peres_test(rho)
+    monkeypatch.setattr(separability, "_bloch_pass", real)
+    assert public_answers(rho) == answers(_State(rho))
+
+
+def test_record_key_includes_the_shape():
+    """A (16,) array with the same bytes as the last matrix is not a 4x4
+    matrix."""
+    rho = ginibre_density(np.random.default_rng(154))
+    peres_test(rho)
+    with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+        peres_test(rho.ravel())
+
+
+def test_signed_zeros_get_their_own_record():
+    """-0.0 and 0.0 compare equal but are different bits; the memo keys on
+    the bits, so each matrix gets a record of its own bits and that
+    record's answers."""
+    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    neg = rho.copy()
+    neg[rho == 0] = complex(-0.0, -0.0)
+    for first, second in ((rho, neg), (neg, rho)):
+        public_answers(first)
+        assert public_answers(second) == answers(_State(second))
+        assert separability._checked_state(second, True).rho.tobytes() == second.tobytes()
+
+
+def test_threads_alternating_states_get_serial_answers():
+    """Two threads, each calling on two states in turn, race for the one
+    slot; every answer is the one a fresh record gives."""
+    rng = np.random.default_rng(155)
+    states = [ginibre_density(rng), werner_state(0.8)]
+    want = [answers(_State(rho)) for rho in states]
+    wrong = []
+    start = threading.Barrier(2)
+
+    def worker(offset):
+        start.wait()
+        for i in range(200):
+            k = (i + offset) % 2
+            if public_answers(states[k]) != want[k]:
+                wrong.append((offset, i))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []
