@@ -143,7 +143,9 @@ class _State:
 
 
 # The last record _checked_state built, as (key, record). The list is only
-# ever written in place, so the module's attributes keep their identity.
+# ever written in place, so the module's attributes keep their identity;
+# the pair is stored in one assignment, so a race between threads costs at
+# most a miss.
 _last = [None]
 
 

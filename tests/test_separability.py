@@ -1,6 +1,7 @@
 """Peres criterion: closed-form partial-transpose spectra and verdicts."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -500,13 +501,14 @@ def test_signed_zeros_get_their_own_record():
 
 
 def test_threads_alternating_states_get_serial_answers():
-    """Two threads, each calling on two states in turn, race for the one
-    slot; every answer is the one a fresh record gives."""
+    """Four threads (more than the cores here), each calling on two states
+    in turn with a short switch interval, race for the one slot; every
+    answer is the one a fresh record gives."""
     rng = np.random.default_rng(155)
     states = [ginibre_density(rng), werner_state(0.8)]
     want = [answers(_State(rho)) for rho in states]
     wrong = []
-    start = threading.Barrier(2)
+    start = threading.Barrier(4)
 
     def worker(offset):
         start.wait()
@@ -515,9 +517,15 @@ def test_threads_alternating_states_get_serial_answers():
             if public_answers(states[k]) != want[k]:
                 wrong.append((offset, i))
 
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=worker, args=(k % 2,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert wrong == []
