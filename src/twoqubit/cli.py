@@ -292,26 +292,26 @@ class _FuzzTally:
                 )
 
 
-def _fuzz_spectrum_checks(s: _State, idx, tally: _FuzzTally) -> None:
+def _fuzz_spectrum_checks(rho, s: _State, idx, tally: _FuzzTally) -> None:
     """Eigenvalue fidelity and coefficient route agreement for one
-    Hermitian trace-one matrix."""
+    Hermitian trace-one matrix rho and its record s."""
     closed = s.own.eigenvalues
-    oracle = eig_hermitian_oracle(s.rho)
+    oracle = eig_hermitian_oracle(rho)
     err = max(abs(a - b) for a, b in zip(closed, oracle))
-    tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, lambda: _matrix_json(s.rho))
-    ca = coeffs_from_traces(s.rho)
+    tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, lambda: _matrix_json(rho))
+    ca = coeffs_from_traces(rho)
     cb = s.c
     err = max(
         abs(ca.b0 - cb.b0), abs(ca.b1 - cb.b1), abs(ca.b2 - cb.b2), abs(ca.tr2 - cb.tr2)
     )
-    tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, lambda: _matrix_json(s.rho))
+    tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, lambda: _matrix_json(rho))
 
 
 def _fuzz_density_checks(rho, idx, tally: _FuzzTally) -> _State:
     """The spectrum checks plus verdict equivalence for one density
     matrix; returns its record."""
     s = _State(rho)
-    _fuzz_spectrum_checks(s, idx, tally)
+    _fuzz_spectrum_checks(rho, s, idx, tally)
     sep = _verdict(s)
     pt_oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
     lam_err = abs(sep.lambda_min_pt - pt_oracle_min)
@@ -337,13 +337,14 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
         _fuzz_density_checks(ginibre_density(rng), idx, tally)
     elif family == "hermitian":
         h = random_hermitian_trace_one(rng)
-        _fuzz_spectrum_checks(_State(h), idx, tally)
+        _fuzz_spectrum_checks(h, _State(h), idx, tally)
     elif family == "pure":
         v = haar_pure(rng)
-        s = _State(pure_density(v))
+        rho = pure_density(v)
+        s = _State(rho)
         state_json = [[float(x.real), float(x.imag)] for x in v]
         closed = pure_pt_spectrum(v)
-        oracle = eig_hermitian_oracle(partial_transpose(s.rho))
+        oracle = eig_hermitian_oracle(partial_transpose(rho))
         err = max(abs(a - b) for a, b in zip(closed, oracle))
         tally.record("pure_pt_vs_oracle", err, 1e-12, idx, lambda: state_json)
         err = abs(_concurrence(s) - concurrence_pure(v))

@@ -90,23 +90,24 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
 
 class _State:
     """One state's data, shared by everything the calls on it read: the
-    matrix rho and its rows of Python complex numbers, the Bloch tensor
-    (t_rows as plain floats, t as an array), coefficients c and own
-    spectrum, PT coefficients cp and PT spectrum, and the inequality right
-    side on cp.
+    rows of Python complex numbers read from rho, the Bloch tensor (t_rows
+    as plain floats, t as an array), coefficients c and own spectrum, PT
+    coefficients cp and PT spectrum, and the inequality right side on cp.
 
     The record reads rho once, with bloch._read, so a matrix that is not
-    4x4 or has a non-finite entry raises ValueError here. Every other
-    piece is computed on first use and kept, so the stages run in the
-    order the calls read them and none runs twice (c and cp come from one
-    spectrum._bloch_pass); a stage that raises keeps nothing and raises
-    again. ``validated`` says whether rho has passed the density-matrix
-    checks. The CLI and fuzz build records directly; the public calls get
-    theirs from _checked_state, which keeps the last one.
+    4x4 or has a non-finite entry raises ValueError here. It keeps the
+    rows, not rho: a caller changing its array in place cannot reach the
+    record. Every other piece is computed on first use and kept, so the
+    stages run in the order the calls read them and none runs twice (c
+    and cp come from one spectrum._bloch_pass); a stage that raises keeps
+    nothing and raises again. ``validated`` says whether the rows have
+    passed the density-matrix checks. The CLI and fuzz build records
+    directly; the public calls get theirs from _checked_state, which keeps
+    the last one.
     """
 
     def __init__(self, rho):
-        self.rho, self.rows = _read(rho)
+        self.rows = _read(rho)[1]
         self.validated = False
 
     @cached_property
@@ -156,11 +157,11 @@ def _checked_state(rho, check: bool) -> _State:
     The last record is reused when the input has the same shape and the
     same bits (so -0.0 and 0.0 differ and no float comparison is made):
     every stage is a deterministic function of those bits, so the answers
-    are the ones a fresh record gives. The record reads a private copy,
-    which a caller mutating its own array cannot reach. Validation runs
-    unless the record has passed it; a failed one marks nothing.
+    are the ones a fresh record gives. Validation runs unless the record
+    has passed it, on this call's matrix, whose bits are the record's; a
+    failed one marks nothing.
     """
-    m = np.array(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     key = (m.shape, m.tobytes())
     last = _last[0]
     if last is not None and last[0] == key:
@@ -169,7 +170,7 @@ def _checked_state(rho, check: bool) -> _State:
         s = _State(m)
         _last[0] = (key, s)
     if check and not s.validated:
-        _check_rows(s.rho, s.rows)
+        _check_rows(m, s.rows)
         s.validated = True
     return s
 
@@ -214,10 +215,7 @@ def _pure_q(state) -> float:
     # A NaN norm would pass the tolerance test below.
     if not all(map(cmath.isfinite, amps)):
         raise ValueError("state contains non-finite amplitudes")
-    try:
-        norm = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    except OverflowError:  # float ** raises where * would give inf
-        norm = math.inf
+    norm = abs(a) * abs(a) + abs(b) * abs(b) + abs(c) * abs(c) + abs(d) * abs(d)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized (norm^2 = {norm})")
     return abs(a * d - b * c)

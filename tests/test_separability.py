@@ -414,9 +414,9 @@ def test_consecutive_calls_share_one_record(monkeypatch):
 
 
 def test_record_is_not_shared_with_a_mutated_array():
-    """The memo reads a copy: an array changed in place after a call gets
-    a fresh record's answers, and a change that makes it unphysical is
-    caught by the next checked call."""
+    """A record keeps rows of its own: an array changed in place after a
+    call gets a fresh record's answers, and a change that makes it
+    unphysical is caught by the next checked call."""
     rng = np.random.default_rng(151)
     rho = ginibre_density(rng)
     public_answers(rho)
@@ -497,7 +497,7 @@ def test_signed_zeros_get_their_own_record():
     for first, second in ((rho, neg), (neg, rho)):
         public_answers(first)
         assert public_answers(second) == answers(_State(second))
-        assert separability._checked_state(second, True).rho.tobytes() == second.tobytes()
+        assert repr(separability._checked_state(second, True).rows) == repr(second.tolist())
 
 
 def test_threads_alternating_states_get_serial_answers():

@@ -49,7 +49,7 @@ def _flip_args(tq, rho):
     """The pass's argument: the rows its record read, or, in a tree whose
     record keeps none, the matrix itself."""
     record = tq.separability._State(rho)
-    return (getattr(record, "rows", record.rho),)
+    return (record.rows if hasattr(record, "rows") else record.rho,)
 
 
 def _unit(tq, rho):
