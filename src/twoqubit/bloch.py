@@ -112,8 +112,7 @@ def _check_rows(m: np.ndarray, rows) -> None:
         raise ValueError(f"trace must be one, got {tr}")
     if _psd_certified(rows):
         return
-    # Not the closed-form spectrum: its b0 ~ 0 gate flushes a lambda_min of
-    # -1e-9 to 0.0 on some rotated spectra, which would pass a bad matrix.
+    # Not the closed-form spectrum, whose rank gates may zero a lambda_min.
     lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -PSD_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eig {lo:.3e})")

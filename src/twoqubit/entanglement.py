@@ -1,14 +1,10 @@
 """Entanglement measures driven by the closed-form quartic solver.
 
-Concurrence needs the spectrum of rho (sigma_y x sigma_y) rho*
-(sigma_y x sigma_y). That product is not Hermitian, but its eigenvalues
-are real and nonnegative, and after dividing by its trace the
-characteristic coefficients feed the same trigonometric quartic formulas
-used everywhere else. The spin flip, the product and its
-Faddeev-LeVerrier coefficients are evaluated term by term on the rows of
-Python complex numbers that the call's record read once, the style of the
-Bloch pass: at 4x4 a numpy call costs more in dispatch than the
-arithmetic it does. Negativity reuses the partial-transpose spectrum.
+Concurrence follows Wootters (PRL 80, 2245, 1998): for a factor rho =
+W W^dagger the singular values sigma of tau = W^T (sigma_y x sigma_y) W
+are the square roots of the eigenvalues of rho times its spin flip, and
+C = max(0, sigma1 - sigma2 - sigma3 - sigma4). Negativity reuses the
+partial-transpose spectrum.
 """
 
 from __future__ import annotations
@@ -19,129 +15,144 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import _tensor_rows
 from .errors import InternalInconsistencyError, NotApplicableError
 from .separability import _State, _checked_state, _pure_q
-from .linalg import _flv, _real_quartic
-from .spectrum import TAU_BRANCH, _coeffs_from_charpoly, quartic_eigs
+from .spectrum import TAU_BRANCH, _own_pass, quartic_eigs
 
-# sigma_y x sigma_y is the anti-diagonal (-1, 1, 1, -1), so conjugating by
-# it reverses rows and columns and multiplies entry (i, j) by s_i s_j.
-_YY_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+# The factor stops at a pivot at or below this. Past rho's rank a pivot is
+# rounding: at most 5.4e-16 over 10^5 exact rank-1, -2 and -3 states each.
+_PIVOT_TOL = 2e-15
 
-# Below this trace the flipped product is numerically zero and the
-# concurrence with it.
-_FLIP_TRACE_FLOOR = 1e-14
-
-# When the estimated coefficient noise of the normalized product exceeds
-# this, the characteristic polynomial carries no usable information and
-# the spectrum is reported as (t, 0, 0, 0). Every eigenvalue is at most
-# t in that regime, so the concurrence stays within sqrt(t) of the truth,
-# which is all the data supports.
-_FLIP_NOISE_CEILING = 1e-4
+# A concurrence at or below this is 0.0: the rounding of tau, which on
+# product pure states (tau = 0) reads at most 3.6e-16 over 10^5 draws.
+_TAU_FLOOR = 1e-15
 
 
 def spin_flip(rho) -> np.ndarray:
-    """The spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    return _YY_SIGNS * rho.conj()[::-1, ::-1]
+    """The spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y):
+    sigma_y x sigma_y is the anti-diagonal s = (-1, 1, 1, -1), so rows and
+    columns are reversed and entry (i, j) multiplied by s_i s_j."""
+    s = np.array([-1.0, 1.0, 1.0, -1.0])
+    return np.outer(s, s) * np.asarray(rho, dtype=complex).conj()[::-1, ::-1]
 
 
-def _flip_rows(r) -> tuple:
-    """spin_flip on rows of Python complex numbers: entry (i, j) is
-    s_i s_j conj(r[3 - i][3 - j]) with s = (-1, 1, 1, -1) (Wootters, PRL 80,
-    2245, 1998). Equal to spin_flip's entries; where an entry's real or
-    imaginary part is zero, the sign of that zero may differ."""
-    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = r
-    return (
-        (r33.conjugate(), -r32.conjugate(), -r31.conjugate(), r30.conjugate()),
-        (-r23.conjugate(), r22.conjugate(), r21.conjugate(), -r20.conjugate()),
-        (-r13.conjugate(), r12.conjugate(), r11.conjugate(), -r10.conjugate()),
-        (r03.conjugate(), -r02.conjugate(), -r01.conjugate(), r00.conjugate()),
-    )
+def _factor(r) -> tuple[int, tuple]:
+    """(rank, rows of W) with W W^dagger = rho, rows r, by Cholesky with
+    diagonal pivoting (Higham, Accuracy and Stability, 2nd ed., 10.3) on
+    positions 0-3 (rows i0-i3), stopping at a pivot <= _PIVOT_TOL."""
+    d = (r[0][0].real, r[1][1].real, r[2][2].real, r[3][3].real)
+    i0 = d.index(max(d))
+    if not d[i0] > _PIVOT_TOL:
+        return 0, ((0.0, 0.0, 0.0, 0.0),) * 4
+    i1, i2, i3 = (i0 + 1) % 4, (i0 + 2) % 4, (i0 + 3) % 4
+    p, rt0 = r[i0], math.sqrt(d[i0])
+    l1, l2, l3 = p[i1].conjugate() / rt0, p[i2].conjugate() / rt0, p[i3].conjugate() / rt0
+    # The Schur complement on positions 1-3: diagonal e, lower triangle f.
+    e1 = d[i1] - (l1.real * l1.real + l1.imag * l1.imag)
+    e2 = d[i2] - (l2.real * l2.real + l2.imag * l2.imag)
+    e3 = d[i3] - (l3.real * l3.real + l3.imag * l3.imag)
+    f21 = r[i2][i1] - l2 * l1.conjugate()
+    f31 = r[i3][i1] - l3 * l1.conjugate()
+    f32 = r[i3][i2] - l3 * l2.conjugate()
+    if e2 > e1 and e2 >= e3:
+        i1, i2, l1, l2, e1, e2 = i2, i1, l2, l1, e2, e1
+        f21, f31, f32 = f21.conjugate(), f32, f31
+    elif e3 > e1:
+        i1, i3, l1, l3, e1, e3 = i3, i1, l3, l1, e3, e1
+        f21, f31, f32 = f32.conjugate(), f31.conjugate(), f21.conjugate()
+    rank, rt1, m2, m3, rt2, n3, rt3 = 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    if e1 > _PIVOT_TOL:
+        rank, rt1 = 2, math.sqrt(e1)
+        m2, m3 = f21 / rt1, f31 / rt1
+        g2 = e2 - (m2.real * m2.real + m2.imag * m2.imag)
+        g3 = e3 - (m3.real * m3.real + m3.imag * m3.imag)
+        h32 = f32 - m3 * m2.conjugate()
+        if g3 > g2:
+            i2, i3, l2, l3, m2, m3, g2, g3, h32 = i3, i2, l3, l2, m3, m2, g3, g2, h32.conjugate()
+        if g2 > _PIVOT_TOL:
+            rank, rt2 = 3, math.sqrt(g2)
+            n3 = h32 / rt2
+            k3 = g3 - (n3.real * n3.real + n3.imag * n3.imag)
+            if k3 > _PIVOT_TOL:
+                rank, rt3 = 4, math.sqrt(k3)
+    w = {i0: (rt0, 0.0, 0.0, 0.0), i1: (l1, rt1, 0.0, 0.0), i2: (l2, m2, rt2, 0.0)}
+    w[i3] = (l3, m3, n3, rt3)
+    return rank, (w[0], w[1], w[2], w[3])
 
 
 def _flip_product_eigs(r) -> tuple[float, float, float, float]:
     """Eigenvalues of rho times its spin flip, descending, from the rows r
-    of rho as its record read them (4x4, finite).
-
-    The product m is similar to a PSD matrix, so its spectrum is real and
-    nonnegative. tr m is scaled out, the unit-trace quartic is solved in
-    closed form, and the scale is restored. The pass runs on plain Python
-    complex numbers: the flip's entries are written out from r, so are
-    the 16 entries of m, and X = m / t - I/4 goes straight to the
-    Faddeev-LeVerrier recurrence of linalg._flv.
-
-    Dividing by a small trace inflates the coefficient rounding noise, so
-    the solver's degeneracy gate is widened to the estimated noise floor
-    and any normalized eigenvalue at or below it is flushed to exact zero.
-    Without the flush, square roots of noise-level eigenvalues would
-    contaminate the concurrence at the 1e-8 scale even for perfectly pure
-    inputs. Anything below -1e-8 after rescaling means the closed form and
-    the input disagree badly enough to abort. A finite rho whose product
-    overflows raises ValueError.
-    """
-    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = r
-    (f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23), (f30, f31, f32, f33) = (
-        _flip_rows(r)
-    )
-    m00 = r00 * f00 + r01 * f10 + r02 * f20 + r03 * f30
-    m01 = r00 * f01 + r01 * f11 + r02 * f21 + r03 * f31
-    m02 = r00 * f02 + r01 * f12 + r02 * f22 + r03 * f32
-    m03 = r00 * f03 + r01 * f13 + r02 * f23 + r03 * f33
-    m10 = r10 * f00 + r11 * f10 + r12 * f20 + r13 * f30
-    m11 = r10 * f01 + r11 * f11 + r12 * f21 + r13 * f31
-    m12 = r10 * f02 + r11 * f12 + r12 * f22 + r13 * f32
-    m13 = r10 * f03 + r11 * f13 + r12 * f23 + r13 * f33
-    m20 = r20 * f00 + r21 * f10 + r22 * f20 + r23 * f30
-    m21 = r20 * f01 + r21 * f11 + r22 * f21 + r23 * f31
-    m22 = r20 * f02 + r21 * f12 + r22 * f22 + r23 * f32
-    m23 = r20 * f03 + r21 * f13 + r22 * f23 + r23 * f33
-    m30 = r30 * f00 + r31 * f10 + r32 * f20 + r33 * f30
-    m31 = r30 * f01 + r31 * f11 + r32 * f21 + r33 * f31
-    m32 = r30 * f02 + r31 * f12 + r32 * f22 + r33 * f32
-    m33 = r30 * f03 + r31 * f13 + r32 * f23 + r33 * f33
-    m = (m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33)
-    # A finite rho can still overflow the product, off the diagonal too.
-    if not all(map(cmath.isfinite, m)):
+    of rho: the sigma^2 of tau (symmetric), W from _factor, f = ||tau||_F^2.
+    Rank 1: sigma1^2 = f. Rank 2: tau / sqrt(f) = (a, b; b, d), turned by
+    the phase that makes its determinant positive, has sigma1 -/+ sigma2 =
+    sqrt(|a -/+ conj d|^2 + |b +/- conj b|^2), exact at sigma1 = sigma2.
+    Rank 3 and 4: f times the spectrum of tau^dagger tau / f by the Bloch
+    route. A finite rho whose tau overflows raises ValueError."""
+    rank, w = _factor(r)
+    (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = w
+    t00 = 2.0 * (x10 * x20 - x00 * x30)
+    t01 = (x10 * x21 + x20 * x11) - (x00 * x31 + x30 * x01)
+    t11 = 2.0 * (x11 * x21 - x01 * x31)
+    if rank <= 2:
+        f = t00.real * t00.real + t00.imag * t00.imag + t11.real * t11.real
+        f += t11.imag * t11.imag + 2.0 * (t01.real * t01.real + t01.imag * t01.imag)
+        if not math.isfinite(f):
+            raise ValueError("matrix contains non-finite entries")
+        if rank < 2 or f == 0.0:
+            return (f, 0.0, 0.0, 0.0)
+        det = t00 * t11 - t01 * t01
+        ph = (cmath.sqrt(det.conjugate() / abs(det)) if det else 1.0) / math.sqrt(f)
+        a, b, d = t00 * ph, t01 * ph, (t11 * ph).conjugate()
+        diff = math.sqrt(abs(a - d) ** 2 + 4.0 * b.real * b.real)
+        tot = math.sqrt(abs(a + d) ** 2 + 4.0 * b.imag * b.imag)
+        return (f * (0.5 * (tot + diff)) ** 2, f * (0.5 * (tot - diff)) ** 2, 0.0, 0.0)
+    t22 = 2.0 * (x12 * x22 - x02 * x32)
+    t33 = 2.0 * (x13 * x23 - x03 * x33)
+    t02 = (x10 * x22 + x20 * x12) - (x00 * x32 + x30 * x02)
+    t03 = (x10 * x23 + x20 * x13) - (x00 * x33 + x30 * x03)
+    t12 = (x11 * x22 + x21 * x12) - (x01 * x32 + x31 * x02)
+    t13 = (x11 * x23 + x21 * x13) - (x01 * x33 + x31 * x03)
+    t23 = (x12 * x23 + x22 * x13) - (x02 * x33 + x32 * x03)
+    c00, c01, c02, c03 = t00.conjugate(), t01.conjugate(), t02.conjugate(), t03.conjugate()
+    c11, c12, c13 = t11.conjugate(), t12.conjugate(), t13.conjugate()
+    c22, c23, c33 = t22.conjugate(), t23.conjugate(), t33.conjugate()
+    g00 = (c00 * t00 + c01 * t01 + c02 * t02 + c03 * t03).real
+    g11 = (c01 * t01 + c11 * t11 + c12 * t12 + c13 * t13).real
+    g22 = (c02 * t02 + c12 * t12 + c22 * t22 + c23 * t23).real
+    g33 = (c03 * t03 + c13 * t13 + c23 * t23 + c33 * t33).real
+    # |g_ab| <= (g_aa + g_bb) / 2 term by term: a finite f bounds them all.
+    f = g00 + g11 + g22 + g33
+    if not math.isfinite(f):
         raise ValueError("matrix contains non-finite entries")
-    t = (m00 + m11 + m22 + m33).real
-    if t <= _FLIP_TRACE_FLOOR:
-        return (0.0, 0.0, 0.0, 0.0)
-    # Entrywise rounding in m is a few 1e-16; dividing by t rescales it,
-    # the coefficient recursion amplifies it by about two orders, and a
-    # non-normal product (entries of m/t grow like 1/sqrt(t) for nearly
-    # pure input) scales it by the largest entry on top of that.
-    k = max(1.0, max(map(abs, m)) / t)
-    noise = max(5e-13, 1e-13 * k / t)
-    if noise > _FLIP_NOISE_CEILING:
-        return (t, 0.0, 0.0, 0.0)
-    x = (
-        (m00 / t - 0.25, m01 / t, m02 / t, m03 / t),
-        (m10 / t, m11 / t - 0.25, m12 / t, m13 / t),
-        (m20 / t, m21 / t, m22 / t - 0.25, m23 / t),
-        (m30 / t, m31 / t, m32 / t, m33 / t - 0.25),
-    )
-    coeffs = _coeffs_from_charpoly(_real_quartic(_flv(x), imag_tol=max(1e-9, 10.0 * noise)))
-    spec = quartic_eigs(coeffs, coeff_tol=noise)
-    out = []
-    for lam in spec.eigenvalues:
-        mu = 0.0 if abs(lam) <= noise else t * lam
-        if mu < -1e-8:
-            raise InternalInconsistencyError(
-                f"flip-product eigenvalue {mu:.3e} is negative beyond tolerance"
-            )
-        out.append(max(mu, 0.0))
-    return tuple(out)
+    h = 1.0 / f
+    g01 = (c00 * t01 + c01 * t11 + c02 * t12 + c03 * t13) * h
+    g02 = (c00 * t02 + c01 * t12 + c02 * t22 + c03 * t23) * h
+    g03 = (c00 * t03 + c01 * t13 + c02 * t23 + c03 * t33) * h
+    g12 = (c01 * t02 + c11 * t12 + c12 * t22 + c13 * t23) * h
+    g13 = (c01 * t03 + c11 * t13 + c12 * t23 + c13 * t33) * h
+    g23 = (c02 * t03 + c12 * t13 + c22 * t23 + c23 * t33) * h
+    x = ((g00 * h, g01, g02, g03), (g01.conjugate(), g11 * h, g12, g13),
+         (g02.conjugate(), g12.conjugate(), g22 * h, g23),
+         (g03.conjugate(), g13.conjugate(), g23.conjugate(), g33 * h))
+    l0, l1, l2, l3 = quartic_eigs(_own_pass(_tensor_rows(x))[0]).eigenvalues
+    if l3 < -1e-8:
+        raise InternalInconsistencyError(
+            f"flip-product eigenvalue {f * l3:.3e} is negative beyond tolerance"
+        )
+    return (f * l0, f * max(l1, 0.0), f * max(l2, 0.0), f * max(l3, 0.0))
 
 
 def _concurrence(s: _State) -> float:
     r = [math.sqrt(x) for x in _flip_product_eigs(s.rows)]
-    return max(0.0, r[0] - r[1] - r[2] - r[3])
+    c = r[0] - r[1] - r[2] - r[3]
+    return c if c > _TAU_FLOOR else 0.0
 
 
 def concurrence(rho, check: bool = True) -> float:
     """Concurrence C(rho) = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4))
-    with mu_i the descending eigenvalues of rho times its spin flip."""
+    with mu_i the descending eigenvalues of rho times its spin flip, 0.0 up
+    to _TAU_FLOOR."""
     return _concurrence(_checked_state(rho, check))
 
 

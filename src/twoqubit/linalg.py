@@ -2,7 +2,8 @@
 
 Pauli constants, characteristic polynomial coefficients via the
 Faddeev-LeVerrier recurrence (written out once, on plain Python complex
-numbers), and a self-contained cyclic Jacobi eigensolver. The Jacobi
+numbers; the reference route for the Bloch formulas, off every runtime
+path), and a self-contained cyclic Jacobi eigensolver. The Jacobi
 routine is the numerical oracle every closed-form solver in this package
 is cross-checked against, so it deliberately shares no code with the
 trigonometric root formulas: no characteristic polynomials, no resolvent
@@ -131,32 +132,24 @@ def _flv(x) -> tuple[complex, complex, complex, complex]:
     return c0, c1, c2, c3
 
 
-def _real_quartic(coeffs, imag_tol: float) -> MonicQuartic:
-    """The real parts of (c0, c1, c2, c3); an imaginary part above
-    ``imag_tol`` raises ValueError."""
-    worst = max(abs(c.imag) for c in coeffs)
-    if worst > imag_tol:
-        raise ValueError(f"characteristic polynomial is not real (imag {worst:.3e})")
-    c0, c1, c2, c3 = coeffs
-    return MonicQuartic(c0.real, c1.real, c2.real, c3.real)
-
-
-def charpoly_flv(m, imag_tol: float = 1e-12) -> MonicQuartic:
+def charpoly_flv(m) -> MonicQuartic:
     """Characteristic polynomial of a 4x4 matrix by Faddeev-LeVerrier.
 
     Exact in rational arithmetic; in floats the error is a modest multiple of
-    machine epsilon for the well-scaled matrices this package deals with.
-    The coefficients of a Hermitian (or Hermitian-product) input are real;
-    residual imaginary parts above ``imag_tol`` raise ValueError. The
-    recurrence itself is ``_flv``, which the concurrence's flip-product
-    pass calls on its own rows.
+    machine epsilon for well-scaled matrices. The coefficients of a Hermitian
+    input are real; an imaginary part above 1e-12 raises ValueError. A
+    reference route: the closed forms read theirs off the Bloch tensor.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix contains non-finite entries")
-    return _real_quartic(_flv(m.tolist()), imag_tol)
+    coeffs = _flv(m.tolist())
+    worst = max(abs(c.imag) for c in coeffs)
+    if worst > 1e-12:
+        raise ValueError(f"characteristic polynomial is not real (imag {worst:.3e})")
+    return MonicQuartic(*(c.real for c in coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     if c.s == 0.0:
         return None
     tp = trig_params(c)
-    if _single_triple(c, tp, _DEGEN_COEFF_TOL) is not None:
+    if _single_triple(c, tp) is not None:
         return None
     sx, u, w = _resolvent_terms(c, tp.c1, math.cos(tp.phi))
     inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL / c.s)

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .linalg import MonicQuartic, charpoly_flv
+from .linalg import charpoly_flv
 
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
@@ -61,6 +61,10 @@ _RESIDUAL_TOL = 1e-6
 # trigonometric route. Far above coefficient rounding (~1e-15), far below
 # anything a genuinely four-point spectrum produces.
 _DEGEN_COEFF_TOL = 5e-13
+
+# |b0| (and |b1|) at or below this is one zero eigenvalue (two): over six
+# times their rounding on exact rank-3 and rank-2 input, at most 1.7e-16.
+_RANK_TOL = 1e-15
 
 _QUARTER_I = np.eye(4) / 4.0
 
@@ -133,18 +137,11 @@ class CubicCoeffs:
     d: float
 
 
-def coeffs_from_traces(m, imag_tol: float = 1e-12) -> CharCoeffs:
+def coeffs_from_traces(m) -> CharCoeffs:
     """Characteristic data of a trace-one 4x4 matrix by one Faddeev-LeVerrier
-    pass on X = m - I/4: s^2 = -2 e2, k3 = e3 / s^3, k4 = e4 / s^4. The
-    reference route, which the Bloch formulas below are validated against.
-    The spin-flip product's pass runs the same recurrence on its own rows
-    and reads its shape through _coeffs_from_charpoly."""
-    return _coeffs_from_charpoly(charpoly_flv(np.asarray(m) - _QUARTER_I, imag_tol=imag_tol))
-
-
-def _coeffs_from_charpoly(q: MonicQuartic) -> CharCoeffs:
-    """CharCoeffs from the monic quartic q of X = m - I/4; |c3| = |1 - tr m|
-    above 1e-12 raises ValueError."""
+    pass on X = m - I/4: s^2 = -2 e2, k3 = e3 / s^3, k4 = e4 / s^4, the
+    reference for the Bloch formulas below; |1 - tr m| > 1e-12 raises."""
+    q = charpoly_flv(np.asarray(m) - _QUARTER_I)
     if abs(q.c3) > 1e-12:
         raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
     s2 = -2.0 * q.c2
@@ -236,14 +233,9 @@ def _tensor_list(t) -> list:
     return t.tolist()
 
 
-def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
-    """(coeffs_from_bloch(t), separability.pt_coeffs(t)) from one evaluation
-    of the Bloch polynomials on the unit tensor u of t, given as four rows
-    of plain floats, with every product written out on the 15 parameters.
-    The column flip (xi_b's and A's y entries negated) keeps s, bilin, rest
-    and cross_sq bit for bit, so the check evaluates only odd and det A on
-    the flipped u; InternalInconsistencyError if either moves k4 or k3 more
-    than 1e-9 away from plain negation."""
+def _own_pass(t):
+    """(c, parts): c of the Bloch tensor rows t, written out on its unit
+    tensor u; parts (xa, xb, corr, odd, det A) for the PT, None at s = 0."""
     (_, b1, b2, b3), (a1, p11, p12, p13), (a2, p21, p22, p23), (a3, p31, p32, p33) = t
     # The squares are summed in the order of numpy's pairwise sum over the
     # flattened tensor (eight strided partial sums, then a tree), so s is
@@ -256,13 +248,24 @@ def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
         )
     )
     if s == 0.0:
-        return (CharCoeffs(s=0.0, k3=0.0, k4=0.0),) * 2
+        return CharCoeffs(s=0.0, k3=0.0, k4=0.0), None
     xa = (a1 / s, a2 / s, a3 / s)
     xb = (b1 / s, b2 / s, b3 / s)
     corr = ((p11 / s, p12 / s, p13 / s), (p21 / s, p22 / s, p23 / s), (p31 / s, p32 / s, p33 / s))
     bilin, rest, cross_sq = _even_terms(xa, xb, corr)
     odd, det_corr = _pt_odd_terms(xa, xb, corr)
     c = CharCoeffs(s=s, k3=(bilin - det_corr) / 8.0, k4=(rest + odd - cross_sq) / 64.0)
+    return c, (xa, xb, corr, odd, det_corr)
+
+
+def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
+    """(coeffs_from_bloch(t), separability.pt_coeffs(t)) from one _own_pass,
+    checked on the column-flipped u, where only odd and det A move: either
+    off plain negation by more than 1e-9 raises InternalInconsistencyError."""
+    c, parts = _own_pass(t)
+    if parts is None:
+        return c, c
+    xa, xb, corr, odd, det_corr = parts
     odd_f, det_f = _pt_odd_terms(xa, (xb[0], -xb[1], xb[2]), [(p, -q, r) for p, q, r in corr])
     drift = max(abs(det_corr + det_f) / 8.0, abs(odd + odd_f) / 64.0)
     if drift > 1e-9:
@@ -270,7 +273,7 @@ def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
             f"PT coefficient map drifted {drift:.3e} from the Bloch route "
             f"(input coefficients {c})"
         )
-    return c, CharCoeffs(s=s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
+    return c, CharCoeffs(s=c.s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
 
 
 def coeffs_from_bloch(t) -> CharCoeffs:
@@ -297,7 +300,7 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     return _bloch_pass(_tensor_list(t))[0]
 
 
-def trig_params(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> TrigParams:
+def trig_params(c: CharCoeffs) -> TrigParams:
     """Resolvent parameters (c1, c2, phi) of a real-spectrum unit shape:
     the monic quartic's c1 and c2 over s^2 and s^6, with the same phi.
 
@@ -307,13 +310,8 @@ def trig_params(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> TrigParam
     (the discriminant identity leaves no room for anything else), so
     c1 <= TAU_BRANCH with |c2| materially nonzero raises
     InternalInconsistencyError instead of guessing.
-
-    coeff_tol is the absolute uncertainty the caller attributes to the
-    coefficients; the realness guards scale with coeff_tol / s, its size on
-    the shape, so coefficients that are merely noisy are not mistaken for a
-    complex spectrum.
     """
-    band = 30.0 * coeff_tol / c.s if c.s else 0.0
+    band = 30.0 * _DEGEN_COEFF_TOL / c.s if c.s else 0.0
     disc = 0.25 + 12.0 * c.k4
     if disc < -max(1e-12, band):
         raise ValueError(f"1/4 + 12 k4 = {disc:.3e} < 0: spectrum is not real")
@@ -382,18 +380,18 @@ def _generic_eigs(c: CharCoeffs, c1: float, cos_theta: float, band: float, flush
     )
 
 
-def _single_triple(c: CharCoeffs, tp: TrigParams, coeff_tol: float):
+def _single_triple(c: CharCoeffs, tp: TrigParams):
     """The single+triple spectrum quartic_eigs gives c (s > 0, tp =
-    trig_params(c, coeff_tol)), as (eigenvalues, branch), or None where it
-    takes another branch. It does so where phi is None, or where c's shape
-    is within coeff_tol / s of one of the two single+triple shapes, the
+    trig_params(c)), as (eigenvalues, branch), or None where it takes
+    another branch. It does so where phi is None, or where c's shape is
+    within _DEGEN_COEFF_TOL / s of one of the two single+triple shapes, the
     distance being the sum of the k3 and k4 distances. The shapes are
     (k3, k4) = (+/-1/(3 sqrt 3), -1/48), so the sign of k3 picks the case:
     case 1 is a single eigenvalue above a low triple, case 2 the mirror
     image."""
     sgn = 1.0 if c.k3 >= 0.0 else -1.0
     mismatch = abs(c.k3 - sgn / (3.0 * SQRT3)) + abs(c.k4 + 1.0 / 48.0)
-    if tp.phi is not None and not mismatch <= coeff_tol / c.s:
+    if tp.phi is not None and not mismatch <= _DEGEN_COEFF_TOL / c.s:
         return None
     single = 0.25 + sgn * SQRT3 * c.s / 2.0
     triple = 0.25 - sgn * c.s / (2.0 * SQRT3)
@@ -401,7 +399,7 @@ def _single_triple(c: CharCoeffs, tp: TrigParams, coeff_tol: float):
     return (single, triple, triple, triple), branch
 
 
-def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticSpectrum:
+def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     """All four eigenvalues of the trace-one quartic, sorted descending.
 
     Dispatch, first match wins: the all-quarter point s = 0, single+triple
@@ -419,23 +417,22 @@ def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticS
     near a multiple root and cannot arbitrate, so membership is tested
     where it is sharp: (k3, k4) against the two single+triple shapes.
 
-    The rank gates on b0 and b1 take coeff_tol as it is, the gates on the
-    shape coeff_tol / s. Callers whose coefficients carry more rounding
-    noise than direct trace evaluation (for example after rescaling by a
-    small trace) widen every band at once through coeff_tol.
+    The shape gates sit at _DEGEN_COEFF_TOL / s, the rank gates on b0 and
+    b1 at _RANK_TOL: b0 is the product of the eigenvalues, and 5e-13 read
+    lambda4 = 4.0e-5 of diag(0.9997, 2.02e-4, 6.06e-5, 4.04e-5) as 0.0.
     """
     if c.s == 0.0:
         return QuarticSpectrum(eigenvalues=(0.25, 0.25, 0.25, 0.25), branch=Branch.ALL_QUARTER)
-    tp = trig_params(c, coeff_tol)
-    tol = coeff_tol / c.s
+    tp = trig_params(c)
+    tol = _DEGEN_COEFF_TOL / c.s
     band = max(_CLAMP_BAND, 300.0 * tol)
     flush = 30.0 * tol
     b0 = c.b0
 
-    near = _single_triple(c, tp, coeff_tol)
+    near = _single_triple(c, tp)
     if near is not None:
         candidates = [near]
-    elif abs(b0) <= coeff_tol and abs(c.b1) <= coeff_tol:
+    elif abs(b0) <= _RANK_TOL and abs(c.b1) <= _RANK_TOL:
         # Vanishing b0 and b1 factor the quartic as lambda^2 times
         # (lambda^2 - lambda + b2): a double root at the origin beside a
         # well-conditioned quadratic pair. The resolvent route places the
@@ -444,11 +441,11 @@ def quartic_eigs(c: CharCoeffs, coeff_tol: float = _DEGEN_COEFF_TOL) -> QuarticS
         # It is still the generic stratum, just evaluated differently.
         r = _clamped_sqrt(1.0 - 4.0 * c.b2, "origin-pair factor", band, flush)
         candidates = [(((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC)]
-    elif abs(b0) <= coeff_tol:
+    elif abs(b0) <= _RANK_TOL:
         # A vanishing constant term factors one root out at the origin
         # exactly. The residual cubic keeps a neighbor of that root well
         # conditioned, where the resolvent route would smear both.
-        three, _ = cubic_eigs(cubic_coeffs(c, b0_tol=coeff_tol))
+        three, _ = cubic_eigs(cubic_coeffs(c))
         candidates = [((three[0], three[1], three[2], 0.0), Branch.GENERIC)]
     elif abs(tp.c2) <= TAU_BRANCH:
         # Middle resolvent root first, then the largest; a residual tie

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from twoqubit.bloch import partial_transpose, to_bloch
-from twoqubit.entanglement import entanglement_report
+from twoqubit.entanglement import entanglement_report, eof_upper_bound
 from twoqubit.sampling import werner_state
 from twoqubit.separability import peres_test
 from twoqubit.spectrum import coeffs_from_bloch, coeffs_from_traces, quartic_eigs
@@ -34,17 +34,56 @@ def haar_rotated(spectrum, rng):
     return (m + m.conj().T) / 2.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP 2(a): the b0 ~ 0 gate of quartic_eigs flushes lambda4 = -1e-9 to 0.0",
-)
 def test_small_negative_eigenvalue_keeps_its_sign():
+    """ROADMAP 2(a): the b0 ~ 0 gate of quartic_eigs flushed lambda4 = -1e-9
+    to 0.0 while it sat at 5e-13; b0 = -2.5e-15 here."""
     rng = np.random.default_rng(71)
     spectrum = (0.5, 0.5 - 1e-5 + 1e-9, 1e-5, -1e-9)
     for _ in range(DRAWS):
         lam4 = quartic_eigs(coeffs_from_traces(haar_rotated(spectrum, rng))).eigenvalues[-1]
         assert abs(lam4 + 1e-9) <= 1e-11
+
+
+def _normalized(spectrum):
+    return tuple(x / sum(spectrum) for x in spectrum)
+
+
+# ROADMAP 2: spectra whose product of eigenvalues lies between the rank band
+# and the old 5e-13 gate, with the error each had there.
+RANK_GATE_SPECTRA = {
+    # 8.1e-5 off: lambda4 = 4.0e-5 read as 0.0, its weight on lambda3.
+    "diagonal": (_normalized((0.99970, 2.02e-4, 6.06e-5, 4.04e-5)), False, 2e-8),
+    # 4.0e-6 off in 50 of 50 draws.
+    "near_pure": ((1.0 - 4e-3 - 8e-6, 4e-3, 4e-6, 4e-6), True, 1e-11),
+    # 1.0e-6 off in 50 of 50 draws.
+    "pair": ((0.5, 0.5 - 2e-6, 1e-6, 1e-6), True, 1e-10),
+}
+
+
+@pytest.mark.parametrize("route", ["bloch", "traces"])
+@pytest.mark.parametrize("name", sorted(RANK_GATE_SPECTRA))
+def test_rank_gate_keeps_small_eigenvalues(name, route):
+    """With the rank gates at b0's rounding, each spectrum comes back within
+    about four times its largest error over 50 draws on either coefficient
+    route (4.6e-9, 1.0e-12 and 1.9e-11; the diagonal's remainder is the
+    cluster floor of ROADMAP item 4)."""
+    spectrum, rotate, gate = RANK_GATE_SPECTRA[name]
+    coeffs = (lambda m: coeffs_from_bloch(to_bloch(m))) if route == "bloch" else coeffs_from_traces
+    rng = np.random.default_rng(75)
+    for _ in range(DRAWS):
+        m = haar_rotated(spectrum, rng) if rotate else np.diag(spectrum).astype(complex)
+        got = np.array(quartic_eigs(coeffs(m)).eigenvalues)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(m)[::-1])) <= gate
+
+
+def test_eof_upper_bound_answers_on_full_rank_diagonal():
+    """ROADMAP 2: the old gate read this full-rank state's lambda4 as 0.0,
+    and eof_upper_bound raised NotApplicableError on it. The bound is
+    1 - 4 lambda_min of the partial transpose (here the same diagonal), so
+    it carries four times lambda_min's cluster floor: 5.3e-9 off."""
+    rho = np.diag(RANK_GATE_SPECTRA["diagonal"][0]).astype(complex)
+    lam_min = np.linalg.eigvalsh(partial_transpose(rho))[0]
+    assert abs(eof_upper_bound(rho) - min(max(1.0 - 4.0 * lam_min, 0.0), 1.0)) <= 2e-8
 
 
 @pytest.mark.xfail(

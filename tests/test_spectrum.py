@@ -11,6 +11,8 @@ from twoqubit.errors import InternalInconsistencyError
 from twoqubit.linalg import eig_hermitian_oracle
 from twoqubit.sampling import (
     ginibre_density,
+    haar_pure,
+    pure_density,
     random_hermitian_trace_one,
     rank_deficient_density,
     werner_state,
@@ -20,6 +22,7 @@ from twoqubit.spectrum import (
     CharCoeffs,
     CubicCoeffs,
     TAU_BRANCH,
+    _RANK_TOL,
     coeffs_from_bloch,
     coeffs_from_traces,
     cubic_coeffs,
@@ -374,3 +377,30 @@ def test_purity_bounds():
     assert not purity_bound_check((0.5, 0.2, 0.0, 0.0))  # tr2 below 1/m
     assert not purity_bound_check((1.2, 0.1, 0.0, 0.0))  # nonnegative, tr2 above 1
     assert not purity_bound_check((0.0, 0.0, 0.0, 0.0))
+
+
+def _rank2_mixture(rng):
+    """(1-p)|v><v| + p|u><u| with v, u Haar and p from 1e-1 to 1e-8."""
+    p = 10.0 ** -int(rng.integers(1, 9))
+    m = (1.0 - p) * pure_density(haar_pure(rng)) + p * pure_density(haar_pure(rng))
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("route", ["bloch", "traces"])
+def test_rank_band_sits_above_b0_rounding(route):
+    """The rank gates of quartic_eigs read |b0| <= _RANK_TOL as a zero
+    eigenvalue and |b0|, |b1| <= _RANK_TOL as two. On exact rank-3 states b0
+    is rounding, and so are b0 and b1 on exact rank-2 states: at most
+    3.9e-17 and 1.7e-16 over 2 x 10^4 draws of each family on either route
+    (b0 of the concurrence's padded rank-3 tau^dagger tau: 2.4e-17). The
+    band is 1e-15, at least four times that here."""
+    coeffs = (lambda m: coeffs_from_bloch(to_bloch(m))) if route == "bloch" else coeffs_from_traces
+    rng = np.random.default_rng(95)
+    worst = 0.0
+    for _ in range(1000):
+        c = coeffs(rank_deficient_density(rng, 3))
+        worst = max(worst, abs(c.b0))
+        for rho in (rank_deficient_density(rng, 2), _rank2_mixture(rng)):
+            c = coeffs(rho)
+            worst = max(worst, abs(c.b0), abs(c.b1))
+    assert worst <= _RANK_TOL / 4.0

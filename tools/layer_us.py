@@ -46,10 +46,8 @@ def _bloch(tq, rho):
 
 
 def _flip_args(tq, rho):
-    """The pass's argument: the rows its record read, or, in a tree whose
-    record keeps none, the matrix itself."""
-    record = tq.separability._State(rho)
-    return (record.rows if hasattr(record, "rows") else record.rho,)
+    """The pass's argument: the rows its record read."""
+    return (tq.separability._State(rho).rows,)
 
 
 def _unit(tq, rho):
