@@ -20,6 +20,8 @@ from .errors import InternalInconsistencyError, NotApplicableError
 from .separability import _State, _checked_state, _pure_q
 from .spectrum import TAU_BRANCH, _own_pass, quartic_eigs
 
+_YY_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+
 # The factor stops at a pivot at or below this. Past rho's rank a pivot is
 # rounding: at most 5.4e-16 over 10^5 exact rank-1, -2 and -3 states each.
 _PIVOT_TOL = 2e-15
@@ -30,11 +32,9 @@ _TAU_FLOOR = 1e-15
 
 
 def spin_flip(rho) -> np.ndarray:
-    """The spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y):
-    sigma_y x sigma_y is the anti-diagonal s = (-1, 1, 1, -1), so rows and
-    columns are reversed and entry (i, j) multiplied by s_i s_j."""
-    s = np.array([-1.0, 1.0, 1.0, -1.0])
-    return np.outer(s, s) * np.asarray(rho, dtype=complex).conj()[::-1, ::-1]
+    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y): rows and columns reversed,
+    entry (i, j) times s_i s_j, s = (-1, 1, 1, -1) the anti-diagonal of YY."""
+    return _YY_SIGNS * np.asarray(rho, dtype=complex).conj()[::-1, ::-1]
 
 
 def _factor(r) -> tuple[int, tuple]:
@@ -83,12 +83,12 @@ def _factor(r) -> tuple[int, tuple]:
 
 def _flip_product_eigs(r) -> tuple[float, float, float, float]:
     """Eigenvalues of rho times its spin flip, descending, from the rows r
-    of rho: the sigma^2 of tau (symmetric), W from _factor, f = ||tau||_F^2.
-    Rank 1: sigma1^2 = f. Rank 2: tau / sqrt(f) = (a, b; b, d), turned by
-    the phase that makes its determinant positive, has sigma1 -/+ sigma2 =
-    sqrt(|a -/+ conj d|^2 + |b +/- conj b|^2), exact at sigma1 = sigma2.
-    Rank 3 and 4: f times the spectrum of tau^dagger tau / f by the Bloch
-    route. A finite rho whose tau overflows raises ValueError."""
+    of rho: sigma^2 of the symmetric tau, W from _factor, f = ||tau||_F^2.
+    Rank 1: f. Rank 2: tau / sqrt(f) = (a, b; b, d) turned by the phase
+    that makes its determinant positive has sigma1 -/+ sigma2 = sqrt(|a -/+
+    conj d|^2 + |b +/- conj b|^2), exact at sigma1 = sigma2. Rank 3 and 4:
+    f times the spectrum of tau^dagger tau / f by the Bloch route. A finite
+    rho whose tau overflows raises ValueError."""
     rank, w = _factor(r)
     (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = w
     t00 = 2.0 * (x10 * x20 - x00 * x30)
@@ -144,8 +144,8 @@ def _flip_product_eigs(r) -> tuple[float, float, float, float]:
 
 
 def _concurrence(s: _State) -> float:
-    r = [math.sqrt(x) for x in _flip_product_eigs(s.rows)]
-    c = r[0] - r[1] - r[2] - r[3]
+    m0, m1, m2, m3 = _flip_product_eigs(s.rows)
+    c = math.sqrt(m0) - math.sqrt(m1) - math.sqrt(m2) - math.sqrt(m3)
     return c if c > _TAU_FLOOR else 0.0
 
 

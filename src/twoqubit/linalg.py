@@ -2,8 +2,8 @@
 
 Pauli constants, characteristic polynomial coefficients via the
 Faddeev-LeVerrier recurrence (written out once, on plain Python complex
-numbers; the reference route for the Bloch formulas, off every runtime
-path), and a self-contained cyclic Jacobi eigensolver. The Jacobi
+numbers; the reference route for the Bloch formulas, which no closed form
+takes), and a self-contained cyclic Jacobi eigensolver. The Jacobi
 routine is the numerical oracle every closed-form solver in this package
 is cross-checked against, so it deliberately shares no code with the
 trigonometric root formulas: no characteristic polynomials, no resolvent

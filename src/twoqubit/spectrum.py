@@ -16,10 +16,10 @@ c1^3)) / 3 lies in [0, pi/3] and selects the largest root of the resolvent
 cubic, which keeps the downstream square roots well conditioned. None of
 this depends on s, so a small spread near I/4 costs no digits.
 
-For a Bloch tensor, s, k3 and k4 are closed-form polynomials in its 15
-parameters (coeffs_from_bloch), evaluated term by term on plain Python
-floats: at this size a numpy call costs more in dispatch than the
-arithmetic it does.
+For every spectrum the package solves (a state's, its partial transpose's,
+the concurrence's tau^dagger tau), s, k3 and k4 are polynomials in the
+Bloch tensor's 15 parameters (coeffs_from_bloch), written out on plain
+floats: at this size a numpy call costs more in dispatch than it computes.
 
 One four-root formula serves every resolvent root: where c2 = 0 it is
 also evaluated on the middle root (cos theta = 0), and the candidate with

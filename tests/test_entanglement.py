@@ -31,7 +31,6 @@ from twoqubit.sampling import (
     haar_pure,
     near_quarter_density,
     pure_density,
-    random_hermitian_trace_one,
     random_product_pure,
     rank_deficient_density,
     werner_state,
