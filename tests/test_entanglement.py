@@ -423,7 +423,7 @@ def test_flip_spectrum_near_quarter_matches_tau_reference():
 @pytest.mark.parametrize("q", [10.0**-k for k in range(7, 15)], ids=lambda q: f"{q:g}")
 def test_weakly_entangled_pure_concurrence(q):
     """cos t|00> + sin t|11> with cos t sin t = q, locally rotated, is rank
-    1, so C = |tau11| = 2q to the rounding of tau (at most 2.9e-16 off). The
+    1, so C = |tau11| = 2q to the rounding of tau (at most 3.5e-16 off). The
     trace floor of the old flip product returned 0 below q = 5e-8."""
     rng = np.random.default_rng(180)
     theta = 0.5 * math.asin(2.0 * q)
@@ -450,7 +450,7 @@ def test_product_states_sit_below_the_tau_floor():
 
 def test_rank2_form_has_no_square_root_floor():
     """On locally rotated (|00><00| + |11><11|)/2, sigma1 = sigma2 = 1/2 and
-    C = 0. sqrt(||tau||^2 - 2 |det tau|) would read up to 1.1e-8 there; the
+    C = 0. sqrt(||tau||^2 - 2 |det tau|) reads up to 1.8e-8 on these draws; the
     phase-rotated form reads sigma1 - sigma2 at the rounding of tau."""
     rng = np.random.default_rng(182)
     base = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -466,7 +466,7 @@ def test_rank2_form_has_no_square_root_floor():
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_factor_finds_the_rank(rank):
     """On exact rank-r states the first pivot past r is rounding (at most
-    3.6e-16 over 6 x 10^4 draws of ranks 1 to 3), so the factor stops at r,
+    5.4e-16 over 10^5 draws of each rank 1 to 3), so the factor stops at r,
     and W W^dagger gives back rho to rounding."""
     rng = np.random.default_rng(183 + rank)
     for _ in range(2000):
