@@ -14,13 +14,16 @@ A public call reads its matrix once (_read): one conversion to a complex
 array, the shape and finiteness checks, and its 16 entries as plain Python
 complex numbers. Validation and the Bloch tensor are written out on those
 numbers, the style of the coefficient passes: at 4x4 a numpy call costs
-more in dispatch than the arithmetic it does. LAPACK's eigvalsh still
-decides every positivity rejection.
+more in dispatch than the arithmetic it does. _factor, a pivoted Cholesky
+factor, is the package's one factorization: a state record computes it
+once for validation's certificate and the concurrence. LAPACK's eigvalsh
+still decides every positivity rejection.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -46,45 +49,66 @@ def _read(m) -> tuple[np.ndarray, list]:
     return m, rows
 
 
-def _psd_certified(rows) -> bool:
-    """Whether an LDL^H factorization of the lower triangle of
-    m + (PSD_TOL / 2) I, written out on the rows of a trace-one m, has
-    every pivot > 0.
-
-    If so, the computed factors are exact for the shifted matrix plus a
-    perturbation of norm about 2e-15 (the backward error of Cholesky,
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 10.1), so lambda_min(m) > -PSD_TOL / 2 - 2e-15 and eigvalsh,
-    which reads the same triangle, accepts m too. False says nothing.
-    """
-    (r00, _, _, _), (r10, r11, _, _), (r20, r21, r22, _), (r30, r31, r32, r33) = rows
-    h = 0.5 * PSD_TOL
-    d0 = r00.real + h
-    if not d0 > 0.0:
-        return False
-    c10, c20, c30 = r10.conjugate(), r20.conjugate(), r30.conjugate()
-    l1, l2, l3 = r10 / d0, r20 / d0, r30 / d0
-    d1 = r11.real + h - (l1 * c10).real
-    if not d1 > 0.0:
-        return False
-    # The Schur complement of the first pivot, lower triangle.
-    s21 = r21 - l2 * c10
-    s31 = r31 - l3 * c10
-    s32 = r32 - l3 * c20
-    s22 = r22.real + h - (l2 * c20).real
-    s33 = r33.real + h - (l3 * c30).real
-    c21 = s21.conjugate()
-    k2, k3 = s21 / d1, s31 / d1
-    d2 = s22 - (k2 * c21).real
-    if not d2 > 0.0:
-        return False
-    t32 = s32 - k3 * c21
-    return s33 - (k3 * s31.conjugate()).real - (t32 * t32.conjugate()).real / d2 > 0.0
+# The factor stops at a pivot at or below this. Past rho's rank a pivot is
+# rounding: at most 5.4e-16 over 10^5 exact rank-1, -2 and -3 states each.
+_PIVOT_TOL = 2e-15
 
 
-def _check_rows(m: np.ndarray, rows) -> None:
+def _factor(r, shift: float = 0.0) -> tuple[int, tuple]:
+    """(rank, rows of W) with W W^dagger = m + shift I, m read by _read as
+    rows r, by Cholesky with diagonal pivoting (Higham, Accuracy and
+    Stability, 2nd ed., 10.3) on positions 0-3 (rows i0-i3), stopping at a
+    pivot <= _PIVOT_TOL. It reads m's lower triangle, as eigvalsh does, and
+    never raises on finite rows. Rank 4 certifies lambda_min(m) > -shift -
+    about 2e-15 (the backward error of Cholesky, same book, 10.1)."""
+    (r00, _, _, _), (r10, r11, _, _), (r20, r21, r22, _), (r30, r31, r32, r33) = r
+    c10, c20, c30, c21 = r10.conjugate(), r20.conjugate(), r30.conjugate(), r21.conjugate()
+    c31, c32 = r31.conjugate(), r32.conjugate()
+    a = ((r00, c10, c20, c30), (r10, r11, c21, c31), (r20, r21, r22, c32), (r30, r31, r32, r33))
+    d = (r00.real + shift, r11.real + shift, r22.real + shift, r33.real + shift)
+    i0 = d.index(max(d))
+    if not d[i0] > _PIVOT_TOL:
+        return 0, ((0.0, 0.0, 0.0, 0.0),) * 4
+    i1, i2, i3 = (i0 + 1) % 4, (i0 + 2) % 4, (i0 + 3) % 4
+    rt0 = math.sqrt(d[i0])
+    l1, l2, l3 = a[i1][i0] / rt0, a[i2][i0] / rt0, a[i3][i0] / rt0
+    # The Schur complement on positions 1-3: diagonal e, lower triangle f.
+    e1 = d[i1] - (l1.real * l1.real + l1.imag * l1.imag)
+    e2 = d[i2] - (l2.real * l2.real + l2.imag * l2.imag)
+    e3 = d[i3] - (l3.real * l3.real + l3.imag * l3.imag)
+    f21 = a[i2][i1] - l2 * l1.conjugate()
+    f31 = a[i3][i1] - l3 * l1.conjugate()
+    f32 = a[i3][i2] - l3 * l2.conjugate()
+    if e2 > e1 and e2 >= e3:
+        i1, i2, l1, l2, e1, e2 = i2, i1, l2, l1, e2, e1
+        f21, f31, f32 = f21.conjugate(), f32, f31
+    elif e3 > e1:
+        i1, i3, l1, l3, e1, e3 = i3, i1, l3, l1, e3, e1
+        f21, f31, f32 = f32.conjugate(), f31.conjugate(), f21.conjugate()
+    rank, rt1, m2, m3, rt2, n3, rt3 = 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    if e1 > _PIVOT_TOL:
+        rank, rt1 = 2, math.sqrt(e1)
+        m2, m3 = f21 / rt1, f31 / rt1
+        g2 = e2 - (m2.real * m2.real + m2.imag * m2.imag)
+        g3 = e3 - (m3.real * m3.real + m3.imag * m3.imag)
+        h32 = f32 - m3 * m2.conjugate()
+        if g3 > g2:
+            i2, i3, l2, l3, m2, m3, g2, g3, h32 = i3, i2, l3, l2, m3, m2, g3, g2, h32.conjugate()
+        if g2 > _PIVOT_TOL:
+            rank, rt2 = 3, math.sqrt(g2)
+            n3 = h32 / rt2
+            k3 = g3 - (n3.real * n3.real + n3.imag * n3.imag)
+            if k3 > _PIVOT_TOL:
+                rank, rt3 = 4, math.sqrt(k3)
+    w = {i0: (rt0, 0.0, 0.0, 0.0), i1: (l1, rt1, 0.0, 0.0), i2: (l2, m2, rt2, 0.0)}
+    w[i3] = (l3, m3, n3, rt3)
+    return rank, (w[0], w[1], w[2], w[3])
+
+
+def _check_rows(m: np.ndarray, rows, rank: int) -> None:
     """Hermiticity, unit trace and positive semidefiniteness of a matrix
-    read by _read, in validate_density_matrix's order and words."""
+    read by _read, in validate_density_matrix's order and words; ``rank``
+    is what _factor(rows) found, which a state record keeps."""
     (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
     # max |m_ij - conj(m_ji)| as linalg.is_hermitian takes it: the (i, j)
     # and (j, i) differences have one modulus, |2 Im m_ii| on the diagonal.
@@ -110,7 +134,8 @@ def _check_rows(m: np.ndarray, rows) -> None:
     tr = 0.0 + ((r00 + r11) + (r22 + r33))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be one, got {tr}")
-    if _psd_certified(rows):
+    # Certified by the factor of m, or of m + (PSD_TOL / 2) I past its zeros.
+    if rank == 4 or _factor(rows, 0.5 * PSD_TOL)[0] == 4:
         return
     # Not the closed-form spectrum, whose rank gates may zero a lambda_min.
     lo = float(np.linalg.eigvalsh(m)[0])
@@ -123,14 +148,14 @@ def validate_density_matrix(m):
 
     Verifies finiteness, hermiticity, unit trace and positive
     semidefiniteness, in that order, on the entries as plain Python
-    numbers. Positivity is first certified by a written-out LDL^H
-    factorization of m + (PSD_TOL / 2) I; whatever it does not certify
-    goes to the smallest eigenvalue of LAPACK's Hermitian solver
-    (``np.linalg.eigvalsh``), which shares no code with the closed forms
-    it guards and decides, and words, every rejection.
+    numbers. Positivity is first certified by the pivoted Cholesky factor
+    of m (_factor) reaching rank 4, then by that of m + (PSD_TOL / 2) I;
+    whatever neither certifies goes to the smallest eigenvalue of LAPACK's
+    Hermitian solver (``np.linalg.eigvalsh``), which shares no code with
+    the closed forms it guards and decides, and words, every rejection.
     """
     m, rows = _read(m)
-    _check_rows(m, rows)
+    _check_rows(m, rows, _factor(rows)[0])
     return m
 
 

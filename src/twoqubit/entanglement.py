@@ -22,10 +22,6 @@ from .spectrum import TAU_BRANCH, _own_pass, quartic_eigs
 
 _YY_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
-# The factor stops at a pivot at or below this. Past rho's rank a pivot is
-# rounding: at most 5.4e-16 over 10^5 exact rank-1, -2 and -3 states each.
-_PIVOT_TOL = 2e-15
-
 # A concurrence at or below this is 0.0: the rounding of tau, which on
 # product pure states (tau = 0) reads at most 3.6e-16 over 10^5 draws.
 _TAU_FLOOR = 1e-15
@@ -37,59 +33,16 @@ def spin_flip(rho) -> np.ndarray:
     return _YY_SIGNS * np.asarray(rho, dtype=complex).conj()[::-1, ::-1]
 
 
-def _factor(r) -> tuple[int, tuple]:
-    """(rank, rows of W) with W W^dagger = rho, rows r, by Cholesky with
-    diagonal pivoting (Higham, Accuracy and Stability, 2nd ed., 10.3) on
-    positions 0-3 (rows i0-i3), stopping at a pivot <= _PIVOT_TOL."""
-    d = (r[0][0].real, r[1][1].real, r[2][2].real, r[3][3].real)
-    i0 = d.index(max(d))
-    if not d[i0] > _PIVOT_TOL:
-        return 0, ((0.0, 0.0, 0.0, 0.0),) * 4
-    i1, i2, i3 = (i0 + 1) % 4, (i0 + 2) % 4, (i0 + 3) % 4
-    p, rt0 = r[i0], math.sqrt(d[i0])
-    l1, l2, l3 = p[i1].conjugate() / rt0, p[i2].conjugate() / rt0, p[i3].conjugate() / rt0
-    # The Schur complement on positions 1-3: diagonal e, lower triangle f.
-    e1 = d[i1] - (l1.real * l1.real + l1.imag * l1.imag)
-    e2 = d[i2] - (l2.real * l2.real + l2.imag * l2.imag)
-    e3 = d[i3] - (l3.real * l3.real + l3.imag * l3.imag)
-    f21 = r[i2][i1] - l2 * l1.conjugate()
-    f31 = r[i3][i1] - l3 * l1.conjugate()
-    f32 = r[i3][i2] - l3 * l2.conjugate()
-    if e2 > e1 and e2 >= e3:
-        i1, i2, l1, l2, e1, e2 = i2, i1, l2, l1, e2, e1
-        f21, f31, f32 = f21.conjugate(), f32, f31
-    elif e3 > e1:
-        i1, i3, l1, l3, e1, e3 = i3, i1, l3, l1, e3, e1
-        f21, f31, f32 = f32.conjugate(), f31.conjugate(), f21.conjugate()
-    rank, rt1, m2, m3, rt2, n3, rt3 = 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    if e1 > _PIVOT_TOL:
-        rank, rt1 = 2, math.sqrt(e1)
-        m2, m3 = f21 / rt1, f31 / rt1
-        g2 = e2 - (m2.real * m2.real + m2.imag * m2.imag)
-        g3 = e3 - (m3.real * m3.real + m3.imag * m3.imag)
-        h32 = f32 - m3 * m2.conjugate()
-        if g3 > g2:
-            i2, i3, l2, l3, m2, m3, g2, g3, h32 = i3, i2, l3, l2, m3, m2, g3, g2, h32.conjugate()
-        if g2 > _PIVOT_TOL:
-            rank, rt2 = 3, math.sqrt(g2)
-            n3 = h32 / rt2
-            k3 = g3 - (n3.real * n3.real + n3.imag * n3.imag)
-            if k3 > _PIVOT_TOL:
-                rank, rt3 = 4, math.sqrt(k3)
-    w = {i0: (rt0, 0.0, 0.0, 0.0), i1: (l1, rt1, 0.0, 0.0), i2: (l2, m2, rt2, 0.0)}
-    w[i3] = (l3, m3, n3, rt3)
-    return rank, (w[0], w[1], w[2], w[3])
-
-
-def _flip_product_eigs(r) -> tuple[float, float, float, float]:
-    """Eigenvalues of rho times its spin flip, descending, from the rows r
-    of rho: sigma^2 of the symmetric tau, W from _factor, f = ||tau||_F^2.
+def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
+    """Eigenvalues of rho times its spin flip, descending, from rho's
+    factor (rank, rows of W) as bloch._factor gives it and the state
+    record keeps it: sigma^2 of the symmetric tau, f = ||tau||_F^2.
     Rank 1: f. Rank 2: tau / sqrt(f) = (a, b; b, d) turned by the phase
     that makes its determinant positive has sigma1 -/+ sigma2 = sqrt(|a -/+
     conj d|^2 + |b +/- conj b|^2), exact at sigma1 = sigma2. Rank 3 and 4:
     f times the spectrum of tau^dagger tau / f by the Bloch route. A finite
     rho whose tau overflows raises ValueError."""
-    rank, w = _factor(r)
+    rank, w = factor
     (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = w
     t00 = 2.0 * (x10 * x20 - x00 * x30)
     t01 = (x10 * x21 + x20 * x11) - (x00 * x31 + x30 * x01)
@@ -144,7 +97,7 @@ def _flip_product_eigs(r) -> tuple[float, float, float, float]:
 
 
 def _concurrence(s: _State) -> float:
-    m0, m1, m2, m3 = _flip_product_eigs(s.rows)
+    m0, m1, m2, m3 = _flip_product_eigs(s.factor)
     c = math.sqrt(m0) - math.sqrt(m1) - math.sqrt(m2) - math.sqrt(m3)
     return c if c > _TAU_FLOOR else 0.0
 
@@ -191,10 +144,10 @@ def negativity(rho, check: bool = True) -> float:
 
 
 def _eof_bound(s: _State) -> float:
-    if s.own.eigenvalues[-1] <= TAU_BRANCH:
+    if s.own.eigenvalues[-1] <= TAU_BRANCH or s.factor[0] < 4:
         raise NotApplicableError(
             "bound requires a full-rank state "
-            f"(lambda_min = {s.own.eigenvalues[-1]:.3e})"
+            f"(lambda_min = {s.own.eigenvalues[-1]:.3e}, factor rank {s.factor[0]})"
         )
     rhs = s.rhs
     if rhs is None:
@@ -208,7 +161,8 @@ def eof_upper_bound(rho, check: bool = True) -> float:
     The bound is the explicit separability-inequality right side evaluated
     on the partial-transpose coefficients (algebraically 1 - 4 lambda_min
     of that quartic), clamped to [0, 1]. It only holds for strictly
-    positive states; rank-deficient input raises NotApplicableError. On PT
+    positive states; rank-deficient input (lambda_min <= TAU_BRANCH, or a
+    factor of rank below 4) raises NotApplicableError. On PT
     branches where the trigonometric form is undefined the lambda_min
     identity supplies the value directly.
     """

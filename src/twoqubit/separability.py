@@ -5,7 +5,7 @@ positive semidefinite. The partial transpose changes the characteristic
 coefficients in a simple closed way (the purity is untouched), so the PT
 spectrum, and with it the verdict, comes out of the same quartic solver.
 Only the input validation (on by default) may diagonalize, with eigvalsh,
-and only for a matrix its factorization certificate does not settle.
+and only for a matrix the rank of its factor does not settle.
 
 Every public call, here and in entanglement, builds its state's record
 through _checked_state, which keeps the last record: consecutive calls on
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import _check_rows, _read, _tensor_rows
+from .bloch import _check_rows, _factor, _read, _tensor_rows
 from .spectrum import (
     SQRT3,
     SQRT6,
@@ -90,9 +90,11 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
 
 class _State:
     """One state's data, shared by everything the calls on it read: the
-    rows of Python complex numbers read from rho, the Bloch tensor (t_rows
-    as plain floats, t as an array), coefficients c and own spectrum, PT
-    coefficients cp and PT spectrum, and the inequality right side on cp.
+    rows of Python complex numbers read from rho, their pivoted Cholesky
+    factor (bloch._factor, as (rank, rows of W), read by validation and the
+    concurrence), the Bloch tensor (t_rows as plain floats, t as an
+    array), coefficients c and own spectrum, PT coefficients cp and PT
+    spectrum, and the inequality right side on cp.
 
     The record reads rho once, with bloch._read, so a matrix that is not
     4x4 or has a non-finite entry raises ValueError here. It keeps the
@@ -109,6 +111,10 @@ class _State:
     def __init__(self, rho):
         self.rows = _read(rho)[1]
         self.validated = False
+
+    @cached_property
+    def factor(self) -> tuple[int, tuple]:
+        return _factor(self.rows)
 
     @cached_property
     def t_rows(self) -> tuple:
@@ -152,7 +158,8 @@ _last = [None]
 
 def _checked_state(rho, check: bool) -> _State:
     """The record for a public call's input, its rows validated as
-    bloch.validate_density_matrix does unless ``check`` is false.
+    bloch.validate_density_matrix does, from the record's factor, unless
+    ``check`` is false.
 
     The last record is reused when the input has the same shape and the
     same bits (so -0.0 and 0.0 differ and no float comparison is made):
@@ -170,7 +177,7 @@ def _checked_state(rho, check: bool) -> _State:
         s = _State(m)
         _last[0] = (key, s)
     if check and not s.validated:
-        _check_rows(m, s.rows)
+        _check_rows(m, s.rows, s.factor[0])
         s.validated = True
     return s
 

@@ -66,6 +66,9 @@ _DEGEN_COEFF_TOL = 5e-13
 # times their rounding on exact rank-3 and rank-2 input, at most 1.7e-16.
 _RANK_TOL = 1e-15
 
+# cubic_coeffs refuses a constant term above this as a live eigenvalue.
+_CUBIC_B0_TOL = 1e-10
+
 _QUARTER_I = np.eye(4) / 4.0
 
 
@@ -464,10 +467,11 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     return QuarticSpectrum(eigenvalues=tuple(sorted(eigs, reverse=True)), branch=branch)
 
 
-def cubic_coeffs(c: CharCoeffs, b0_tol: float = 1e-10) -> CubicCoeffs:
+def cubic_coeffs(c: CharCoeffs) -> CubicCoeffs:
     """Reduce a quartic with vanishing constant term to its residual cubic
-    lambda^3 - lambda^2 + b2 lambda + b1, adding d = 2 - 27 b1 - 9 b2."""
-    if abs(c.b0) > b0_tol:
+    lambda^3 - lambda^2 + b2 lambda + b1, adding d = 2 - 27 b1 - 9 b2; a
+    |b0| above _CUBIC_B0_TOL raises ValueError."""
+    if abs(c.b0) > _CUBIC_B0_TOL:
         raise ValueError(f"constant coefficient {c.b0:.3e} does not vanish")
     d = 2.0 - 27.0 * c.b1 - 9.0 * c.b2
     return CubicCoeffs(b1=c.b1, b2=c.b2, tr2=c.tr2, d=d)

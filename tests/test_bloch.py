@@ -8,8 +8,6 @@ from twoqubit.bloch import (
     PSD_TOL,
     TRACE_TOL,
     _BASIS,
-    _psd_certified,
-    _read,
     from_bloch,
     partial_transpose,
     partial_transpose_bloch,
@@ -360,26 +358,68 @@ def test_validate_matches_numpy_reference_near_psd_threshold():
     assert 0 < outcomes.count(None) < len(outcomes)
 
 
-def test_psd_certificate_is_sound_and_covers_states():
+def test_psd_certificate_is_sound_and_covers_states(monkeypatch):
     """A certificate that accepts implies eigvalsh accepts: on states with
     lambda_min drawn within 3e-10 of zero, and on (0.5, 0.3, 0.2 + e, -e)
     Haar-rotated for e in [5e-11, 1e-10], the band just past the shift of
     PSD_TOL / 2. It accepts whenever lambda_min >= -4e-11, which covers
     every unshifted Ginibre, rank-1/2/3 and pure draw, so on those
-    validation never calls eigvalsh."""
+    validation never calls eigvalsh. The certificate is the factor of m
+    at rank 4, or that of m + (PSD_TOL / 2) I; it accepts when validation
+    accepts m without calling eigvalsh. (The unshifted factor alone
+    declined 12 band draws with lambda_min from -3.7e-11 to -2.7e-11.)"""
+    real = np.linalg.eigvalsh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+
+    def certified(m):
+        before = len(calls)
+        try:
+            validate_density_matrix(m)
+        except ValueError:
+            return False
+        return len(calls) == before
+
     rng = np.random.default_rng(46)
     states = _psd_draws(rng, 100)
-    assert all(_psd_certified(_read(m)[1]) for m in states)
+    assert all(certified(m) for m in states)
     candidates = _shifted(states, rng)
     for _ in range(200):
         e = rng.uniform(5e-11, 1e-10)
         candidates.append(haar_rotated((0.5, 0.3, 0.2 + e, -e), rng))
     accepted = 0
     for m in candidates:
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if _psd_certified(_read(m)[1]):
+        lo = float(real(m)[0])
+        if certified(m):
             accepted += 1
             assert lo >= -PSD_TOL
         else:
             assert lo < -4e-11
     assert 0 < accepted < len(candidates)
+
+
+def test_validation_reads_the_lower_triangle_as_eigvalsh_does():
+    """Near-threshold states whose strict upper triangle moves along that
+    of +-v v^dagger, v the eigenvector of lambda_min, by at most
+    HERMITIAN_TOL, so they stay Hermitian to tolerance while the upper
+    triangle's lambda_min moves by up to about 1e-10. The factor reads the
+    lower triangle, as eigvalsh does, so validation decides each as the
+    numpy reference does, and with its message; the upper triangle's
+    spectrum decides 106 of the 600 otherwise, and a factor reading it
+    disagreed with the reference on 27."""
+    rng = np.random.default_rng(47)
+    differ = 0
+    for m in _shifted(_psd_draws(rng, 100), rng):
+        m = (m + m.conj().T) / 2.0
+        v = np.linalg.eigh(m)[1][:, 0]
+        e = np.triu(np.outer(v, v.conj()), 1)
+        m = m + rng.choice((-1.0, 1.0)) * 0.99 * HERMITIAN_TOL * e / np.abs(e).max()
+        assert _outcome(validate_density_matrix, m) == _outcome(ref_validate, m)
+        lower_ok = np.linalg.eigvalsh(m, UPLO="L")[0] >= -PSD_TOL
+        differ += lower_ok != (np.linalg.eigvalsh(m, UPLO="U")[0] >= -PSD_TOL)
+    assert differ > 0

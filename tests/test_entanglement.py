@@ -11,7 +11,6 @@ import pytest
 import twoqubit.entanglement as entanglement
 from twoqubit.entanglement import (
     _TAU_FLOOR,
-    _factor,
     _flip_product_eigs,
     concurrence,
     concurrence_pure,
@@ -21,7 +20,7 @@ from twoqubit.entanglement import (
     negativity,
     spin_flip,
 )
-from twoqubit.bloch import partial_transpose, to_bloch
+from twoqubit.bloch import _factor, partial_transpose, to_bloch
 from twoqubit.chain import evolve_chain
 from twoqubit.errors import InternalInconsistencyError, NotApplicableError
 from twoqubit.spectrum import Branch, QuarticSpectrum
@@ -148,6 +147,21 @@ def test_eof_upper_bound_requires_full_rank():
         eof_upper_bound(pure_density(bell_state()), check=False)
 
 
+@pytest.mark.parametrize("p", [1e-6, 1e-8], ids=lambda p: f"p{p:g}")
+def test_eof_upper_bound_refuses_rank2_mixtures(p):
+    """(1-p)|v><v| + p|u><u| is rank 2, but the own quartic can read its
+    spectrum as (1-p, p, 0, 0) with lambda_min above TAU_BRANCH (ROADMAP
+    3(b)). The bound also needs the factor of rho to reach rank 4, which
+    it does not here, so it raises and the report's bound is None."""
+    rng = np.random.default_rng(59)
+    draw = _rank2_mix(p)
+    for _ in range(200):
+        rho = draw(rng)
+        with pytest.raises(NotApplicableError, match="factor rank 2"):
+            eof_upper_bound(rho, check=False)
+        assert entanglement_report(rho, check=False).eof_upper_bound is None
+
+
 def test_eof_upper_bound_dominates_eof():
     rng = np.random.default_rng(58)
     checked = 0
@@ -224,16 +238,37 @@ def test_report_bound_is_none_for_pure():
     assert abs(report.concurrence - 1.0) <= 1e-12
 
 
+def _rank2_mix_log_p(rng):
+    """A rank-2 mixture with p log-uniform in [1e-8, 1e-2]."""
+    return _rank2_mix(10.0 ** rng.uniform(-8.0, -2.0))(rng)
+
+
+# The families the three routes to entanglement are held to agree on.
+AGREEMENT_FAMILIES = {
+    "ginibre": ginibre_density,
+    "rank2": lambda rng: rank_deficient_density(rng, 2),
+    "rank3": lambda rng: rank_deficient_density(rng, 3),
+    "werner": lambda rng: werner_state(rng.uniform(-1.0 / 3.0, 1.0)),
+    "chain": lambda rng: _chain_state(rng),
+    "pure": lambda rng: pure_density(haar_pure(rng)),
+    "rank2_mix": _rank2_mix_log_p,
+}
+
+
 def test_measures_agree_with_verdict():
+    """The verdict, the concurrence (from the factor of rho) and the
+    negativity (from the PT spectrum) agree away from the threshold, 500
+    draws per family."""
     rng = np.random.default_rng(60)
-    for _ in range(500):
-        rho = ginibre_density(rng)
-        report = peres_test(rho, check=False)
-        if abs(report.lambda_min_pt) <= 1e-8:
-            continue
-        entangled = not report.separable
-        assert (concurrence(rho, check=False) > 1e-10) == entangled
-        assert (negativity(rho, check=False) > 1e-10) == entangled
+    for family, draw in AGREEMENT_FAMILIES.items():
+        for _ in range(500):
+            rho = draw(rng)
+            report = peres_test(rho, check=False)
+            if abs(report.lambda_min_pt) <= 1e-8:
+                continue
+            entangled = not report.separable
+            assert (concurrence(rho, check=False) > 1e-10) == entangled, family
+            assert (negativity(rho, check=False) > 1e-10) == entangled, family
 
 
 def test_validation_is_on_by_default():
@@ -397,7 +432,7 @@ def test_concurrence_matches_tau_reference(stratum):
     worst = 0.0
     for _ in range(300):
         rho = draw(rng)
-        got = _wootters(_flip_product_eigs(_State(rho).rows))
+        got = _wootters(_flip_product_eigs(_State(rho).factor))
         worst = max(worst, abs(got - _ref_wootters(rho)))
     assert worst <= gate
 
@@ -415,7 +450,7 @@ def test_flip_spectrum_near_quarter_matches_tau_reference():
     worst = 0.0
     for _ in range(2000):
         rho = near_quarter_density(rng)
-        got = np.array(_flip_product_eigs(_State(rho).rows))
+        got = np.array(_flip_product_eigs(_State(rho).factor))
         worst = max(worst, float(np.abs(got - ref_concurrence_tau(rho) ** 2).max()))
     assert worst <= 5e-10
 
@@ -441,7 +476,7 @@ def test_product_states_sit_below_the_tau_floor():
     worst = 0.0
     for _ in range(10000):
         rho = pure_density(random_product_pure(rng))
-        mu = _flip_product_eigs(_State(rho).rows)
+        mu = _flip_product_eigs(_State(rho).factor)
         assert mu[1:] == (0.0, 0.0, 0.0)
         worst = max(worst, math.sqrt(mu[0]))
         assert concurrence(rho, check=False) == 0.0
@@ -457,7 +492,7 @@ def test_rank2_form_has_no_square_root_floor():
     for _ in range(500):
         u = _local(rng)
         rho = u @ base @ u.conj().T
-        mu = _flip_product_eigs(_State(rho).rows)
+        mu = _flip_product_eigs(_State(rho).factor)
         assert abs(math.sqrt(mu[0]) - 0.5) <= 1e-15 and mu[2:] == (0.0, 0.0)
         assert abs(_wootters(mu)) <= _TAU_FLOOR / 2.0
         assert concurrence(rho, check=False) == 0.0
@@ -485,7 +520,7 @@ def test_flip_negative_eigenvalue_raises(monkeypatch):
 
     monkeypatch.setattr(entanglement, "quartic_eigs", fake)
     with pytest.raises(InternalInconsistencyError, match="negative beyond tolerance"):
-        _flip_product_eigs(_State(rho).rows)
+        _flip_product_eigs(_State(rho).factor)
 
 
 def _mp_wootters(rho, mpmath):
@@ -527,6 +562,6 @@ def test_concurrence_accuracy_against_mpmath(stratum):
     for _ in range(200):
         rho = draw(rng)
         want = _mp_wootters(rho, mpmath)
-        got.append(float(abs(_wootters(_flip_product_eigs(_State(rho).rows)) - want)))
+        got.append(float(abs(_wootters(_flip_product_eigs(_State(rho).factor)) - want)))
     assert statistics.median(got) <= bulk
     assert max(got) <= floor

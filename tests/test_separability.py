@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from twoqubit import separability, spectrum
+from twoqubit import bloch, separability, spectrum
 from twoqubit.bloch import partial_transpose, partial_transpose_bloch, to_bloch
 from twoqubit.entanglement import (
     _report,
@@ -389,12 +389,14 @@ def public_answers(rho, check=True):
 
 
 def test_consecutive_calls_share_one_record(monkeypatch):
-    """peres_test then entanglement_report on one matrix reads, validates
-    and runs the Bloch pass once; the answers are a fresh record's."""
-    calls = {"_bloch_pass": 0, "_check_rows": 0}
+    """peres_test then entanglement_report on one matrix reads, validates,
+    factors and runs the Bloch pass once (a Ginibre state's factor has rank
+    4, so validation needs no shifted one); the answers are a fresh
+    record's."""
+    calls = {"_bloch_pass": 0, "_check_rows": 0, "_factor": 0}
 
-    def counted(name):
-        real = getattr(separability, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -402,14 +404,22 @@ def test_consecutive_calls_share_one_record(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(separability, name, counted(name))
+    for name in ("_bloch_pass", "_check_rows"):
+        monkeypatch.setattr(separability, name, counted(separability, name))
+    # One counter for every name the factorization is called by.
+    factor = counted(bloch, "_factor")
+    monkeypatch.setattr(bloch, "_factor", factor)
+    monkeypatch.setattr(separability, "_factor", factor)
     rng = np.random.default_rng(150)
     for _ in range(20):
         rho = ginibre_density(rng)
         before = dict(calls)
         got = public_answers(rho)
-        assert {k: calls[k] - before[k] for k in calls} == {"_bloch_pass": 1, "_check_rows": 1}
+        assert {k: calls[k] - before[k] for k in calls} == {
+            "_bloch_pass": 1,
+            "_check_rows": 1,
+            "_factor": 1,
+        }
         assert got == answers(_State(rho))
 
 

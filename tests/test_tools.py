@@ -60,6 +60,7 @@ def test_layer_us_prints_one_row_per_call():
         "`_bloch_pass`",
         "`quartic_eigs`",
         "`inequality_rhs`",
+        "`_factor`",
         "`_flip_product_eigs`",
         "`spin_flip`",
         "`eigvalsh`",

@@ -45,9 +45,14 @@ def _bloch(tq, rho):
     return tq.bloch.to_bloch(rho)
 
 
-def _flip_args(tq, rho):
-    """The pass's argument: the rows its record read."""
+def _rows(tq, rho):
+    """The factorization's argument: the rows its record read."""
     return (tq.separability._State(rho).rows,)
+
+
+def _flip_args(tq, rho):
+    """The pass's argument: its record's factor of rho."""
+    return (tq.separability._State(rho).factor,)
 
 
 def _unit(tq, rho):
@@ -78,6 +83,7 @@ ROWS = (
         lambda tq: tq.separability.inequality_rhs,
         lambda tq, r: (tq.separability.pt_coeffs(_bloch(tq, r)),),
     ),
+    ("_factor", lambda tq: tq.bloch._factor, _rows),
     ("_flip_product_eigs", lambda tq: tq.entanglement._flip_product_eigs, _flip_args),
     ("spin_flip", lambda tq: tq.entanglement.spin_flip, lambda tq, r: (r,)),
     ("eigvalsh", lambda tq: np.linalg.eigvalsh, lambda tq, r: (r,)),
