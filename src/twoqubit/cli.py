@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bloch import from_bloch, partial_transpose, validate_density_matrix
+from .bloch import from_bloch, partial_transpose
 from .chain import chain_report, max_transfer_distance
 from .entanglement import _concurrence, _report, concurrence_pure
 from .errors import InternalInconsistencyError, OracleConvergenceError
@@ -33,11 +33,12 @@ from .sampling import (
 from .separability import (
     TAU_SEP,
     _State,
+    _checked_state,
     _verdict,
     pure_pt_spectrum,
     pure_separable,
 )
-from .spectrum import coeffs_from_traces
+from .spectrum import coeffs_from_traces, quartic_eigs
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -73,7 +74,7 @@ def _complex_entry(x):
 
 def _load_state_file(path: str) -> np.ndarray:
     """Read a {"matrix": ...} / {"bloch": ...} / {"pure": ...} JSON file
-    and return the density matrix it describes."""
+    and return the matrix it describes; _analysis_dict validates it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -124,25 +125,22 @@ def _load_state_file(path: str) -> np.ndarray:
                 f"pure state norm is {norm!r}, not 1 within 1e-10"
             )
         rho = pure_density(v)
-
-    try:
-        validate_density_matrix(rho)
-    except ValueError as exc:
-        raise _ValidationFailure(str(exc)) from exc
     return rho
 
 
 def _analysis_dict(rho: np.ndarray) -> dict:
-    s = _State(rho)
-    t = s.t
-    spec = s.own
+    try:
+        s = _checked_state(rho, True)
+    except ValueError as exc:
+        raise _ValidationFailure(str(exc)) from exc
+    spec = quartic_eigs(s.c)
     pt_spec = s.pt
     sep = _verdict(s)
     ent = _report(s)
     return {
         "eigenvalues": [float(x) for x in spec.eigenvalues],
         "branch": spec.branch.value,
-        "bloch": [[float(x) for x in row] for row in t],
+        "bloch": [list(row) for row in s.t_rows],
         "purity": float(s.c.tr2),
         "pt_eigenvalues": [float(x) for x in pt_spec.eigenvalues],
         "separable": sep.separable,
@@ -295,7 +293,7 @@ class _FuzzTally:
 def _fuzz_spectrum_checks(rho, s: _State, idx, tally: _FuzzTally) -> None:
     """Eigenvalue fidelity and coefficient route agreement for one
     Hermitian trace-one matrix rho and its record s."""
-    closed = s.own.eigenvalues
+    closed = quartic_eigs(s.c).eigenvalues
     oracle = eig_hermitian_oracle(rho)
     err = max(abs(a - b) for a, b in zip(closed, oracle))
     tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, lambda: _matrix_json(rho))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _tensor_rows
+from .bloch import _factor, _tensor_rows
 from .errors import InternalInconsistencyError, NotApplicableError
 from .separability import _State, _checked_state, _pure_q
 from .spectrum import TAU_BRANCH, _own_pass, quartic_eigs
@@ -144,27 +144,24 @@ def negativity(rho, check: bool = True) -> float:
 
 
 def _eof_bound(s: _State) -> float:
-    if s.own.eigenvalues[-1] <= TAU_BRANCH or s.factor[0] < 4:
+    if _factor(s.rows, -TAU_BRANCH)[0] < 4:
         raise NotApplicableError(
-            "bound requires a full-rank state "
-            f"(lambda_min = {s.own.eigenvalues[-1]:.3e}, factor rank {s.factor[0]})"
+            f"bound requires a full-rank state with lambda_min > {TAU_BRANCH:g} "
+            f"(factor rank {s.factor[0]})"
         )
-    rhs = s.rhs
-    if rhs is None:
-        rhs = 1.0 - 4.0 * s.pt.eigenvalues[-1]
-    return min(max(rhs, 0.0), 1.0)
+    return min(max(1.0 - 4.0 * s.pt.eigenvalues[-1], 0.0), 1.0)
 
 
 def eof_upper_bound(rho, check: bool = True) -> float:
-    """Upper bound on the entanglement of formation for full-rank states.
+    """Upper bound 1 - 4 lambda_min(rho^PT) on the entanglement of
+    formation of a full-rank state, clamped to [0, 1], with lambda_min the
+    smallest eigenvalue of the closed-form partial-transpose spectrum.
 
-    The bound is the explicit separability-inequality right side evaluated
-    on the partial-transpose coefficients (algebraically 1 - 4 lambda_min
-    of that quartic), clamped to [0, 1]. It only holds for strictly
-    positive states; rank-deficient input (lambda_min <= TAU_BRANCH, or a
-    factor of rank below 4) raises NotApplicableError. On PT
-    branches where the trigonometric form is undefined the lambda_min
-    identity supplies the value directly.
+    It only holds for strictly positive states. The gate is the pivoted
+    Cholesky factor of rho - TAU_BRANCH I (bloch._factor): it reaches rank
+    4 exactly when lambda_min(rho) > TAU_BRANCH, to within its backward
+    error of about 2e-15, and otherwise NotApplicableError is raised,
+    naming the rank of rho's own factor.
     """
     return _eof_bound(_checked_state(rho, check))
 

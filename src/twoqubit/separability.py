@@ -10,7 +10,7 @@ and only for a matrix the rank of its factor does not settle.
 Every public call, here and in entanglement, builds its state's record
 through _checked_state, which keeps the last record: consecutive calls on
 the same matrix (the same shape and bits) share its read, validation,
-Bloch tensor, coefficients and spectra.
+factor, Bloch tensor, coefficients and PT spectrum.
 """
 
 from __future__ import annotations
@@ -89,23 +89,25 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
 
 
 class _State:
-    """One state's data, shared by everything the calls on it read: the
-    rows of Python complex numbers read from rho, their pivoted Cholesky
-    factor (bloch._factor, as (rank, rows of W), read by validation and the
-    concurrence), the Bloch tensor (t_rows as plain floats, t as an
-    array), coefficients c and own spectrum, PT coefficients cp and PT
-    spectrum, and the inequality right side on cp.
+    """One state's data, kept only where several calls read it: the rows
+    of Python complex numbers read from rho, their pivoted Cholesky factor
+    (bloch._factor, as (rank, rows of W), read by validation and the
+    concurrence), the Bloch tensor as rows of plain floats (t_rows, read by
+    the coefficient pass and the CLI), coefficients c and PT coefficients
+    cp from one spectrum._bloch_pass, and the PT spectrum (read by the
+    verdict, the negativity and the EoF bound). A stage with one reader,
+    such as rho's own spectrum or the inequality right side, is computed
+    by that reader.
 
     The record reads rho once, with bloch._read, so a matrix that is not
     4x4 or has a non-finite entry raises ValueError here. It keeps the
     rows, not rho: a caller changing its array in place cannot reach the
     record. Every other piece is computed on first use and kept, so the
-    stages run in the order the calls read them and none runs twice (c
-    and cp come from one spectrum._bloch_pass); a stage that raises keeps
-    nothing and raises again. ``validated`` says whether the rows have
-    passed the density-matrix checks. The CLI and fuzz build records
-    directly; the public calls get theirs from _checked_state, which keeps
-    the last one.
+    stages run in the order the calls read them and none runs twice; a
+    stage that raises keeps nothing and raises again. ``validated`` says
+    whether the rows have passed the density-matrix checks. Fuzz builds
+    records directly; the public calls and ``twoqubit analyze`` get theirs
+    from _checked_state, which keeps the last one.
     """
 
     def __init__(self, rho):
@@ -121,20 +123,12 @@ class _State:
         return _tensor_rows(self.rows)
 
     @cached_property
-    def t(self) -> np.ndarray:
-        return np.array(self.t_rows)
-
-    @cached_property
     def coeffs(self) -> tuple[CharCoeffs, CharCoeffs]:
         return _bloch_pass(self.t_rows)
 
     @property
     def c(self) -> CharCoeffs:
         return self.coeffs[0]
-
-    @cached_property
-    def own(self) -> QuarticSpectrum:
-        return quartic_eigs(self.c)
 
     @property
     def cp(self) -> CharCoeffs:
@@ -143,10 +137,6 @@ class _State:
     @cached_property
     def pt(self) -> QuarticSpectrum:
         return quartic_eigs(self.cp)
-
-    @cached_property
-    def rhs(self) -> float | None:
-        return inequality_rhs(self.cp)
 
 
 # The last record _checked_state built, as (key, record). The list is only
@@ -187,7 +177,7 @@ def _verdict(s: _State) -> SeparabilityReport:
     separable = lam_min >= -TAU_SEP
     marginal = abs(lam_min) <= TAU_SEP
 
-    rhs = s.rhs
+    rhs = inequality_rhs(s.cp)
     agrees = None if rhs is None else (rhs <= 1.0 + 4.0 * TAU_SEP) == separable
     return SeparabilityReport(
         separable=separable,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import twoqubit.bloch
 import twoqubit.cli
 import twoqubit.separability
 from twoqubit.bloch import to_bloch
@@ -232,6 +233,33 @@ def test_analyze_validation_failures(tmp_path, capsys):
         code, out, err = run(capsys, "analyze", path)
         assert code == EXIT_VALIDATION and out == "", name
         assert err.startswith("error: ") and err.count("\n") == 1, name
+
+
+def test_analyze_reads_and_validates_the_state_once(tmp_path, capsys, monkeypatch):
+    """analyze builds one checked record: the file's matrix is read once,
+    by the record, whose factor validation and the concurrence share; a
+    matrix the record rejects gets validation's message and exit code 2."""
+    reads = []
+
+    def counted(m):
+        reads.append(1)
+        return real(m)
+
+    real = twoqubit.bloch._read
+    monkeypatch.setattr(twoqubit.bloch, "_read", counted)
+    monkeypatch.setattr(twoqubit.separability, "_read", counted)
+    rng = np.random.default_rng(63)
+    for k in range(5):
+        path = write_json(tmp_path, f"g{k}.json", matrix_doc(ginibre_density(rng)))
+        del reads[:]
+        code, _, _ = run(capsys, "analyze", path, "--json")
+        assert code == EXIT_OK
+        assert len(reads) == 1
+
+    rows = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    rows[0][1] = 1e-3
+    code, out, err = run(capsys, "analyze", write_json(tmp_path, "asym.json", {"matrix": rows}))
+    assert (code, out, err) == (EXIT_VALIDATION, "", "error: matrix is not Hermitian\n")
 
 
 def test_chain_table(capsys):

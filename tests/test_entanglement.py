@@ -23,7 +23,7 @@ from twoqubit.entanglement import (
 from twoqubit.bloch import _factor, partial_transpose, to_bloch
 from twoqubit.chain import evolve_chain
 from twoqubit.errors import InternalInconsistencyError, NotApplicableError
-from twoqubit.spectrum import Branch, QuarticSpectrum
+from twoqubit.spectrum import TAU_BRANCH, Branch, QuarticSpectrum
 from twoqubit.sampling import (
     bell_state,
     ginibre_density,
@@ -151,8 +151,9 @@ def test_eof_upper_bound_requires_full_rank():
 def test_eof_upper_bound_refuses_rank2_mixtures(p):
     """(1-p)|v><v| + p|u><u| is rank 2, but the own quartic can read its
     spectrum as (1-p, p, 0, 0) with lambda_min above TAU_BRANCH (ROADMAP
-    3(b)). The bound also needs the factor of rho to reach rank 4, which
-    it does not here, so it raises and the report's bound is None."""
+    3(b)). The bound's gate is the factor of rho - TAU_BRANCH I, which
+    stops below rank 4 here, so it raises, naming the rank of rho's own
+    factor, and the report's bound is None."""
     rng = np.random.default_rng(59)
     draw = _rank2_mix(p)
     for _ in range(200):
@@ -160,6 +161,28 @@ def test_eof_upper_bound_refuses_rank2_mixtures(p):
         with pytest.raises(NotApplicableError, match="factor rank 2"):
             eof_upper_bound(rho, check=False)
         assert entanglement_report(rho, check=False).eof_upper_bound is None
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+def test_eof_upper_bound_gate_is_lambda_min_at_tau_branch(side):
+    """Full-rank spectra with lambda_min = TAU_BRANCH +- 1e-12 under a Haar
+    rotation: the bound answers above the gate and raises below it, as
+    eigvalsh's lambda_min says, and its value is 1 - 4 lambda_min of the
+    partial transpose."""
+    rng = np.random.default_rng(64)
+    lam = TAU_BRANCH + side * 1e-12
+    for _ in range(200):
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u = np.linalg.qr(z)[0]
+        rho = u @ np.diag([0.5, 0.3, 0.2 - lam, lam]) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        assert (np.linalg.eigvalsh(rho)[0] > TAU_BRANCH) == (side > 0)
+        if side > 0:
+            lam_pt = peres_test(rho, check=False).lambda_min_pt
+            assert eof_upper_bound(rho, check=False) == min(max(1.0 - 4.0 * lam_pt, 0.0), 1.0)
+        else:
+            with pytest.raises(NotApplicableError, match="factor rank 4"):
+                eof_upper_bound(rho, check=False)
 
 
 def test_eof_upper_bound_dominates_eof():
@@ -179,10 +202,7 @@ def test_eof_upper_bound_dominates_eof():
 
 def test_eof_upper_bound_on_werner_states():
     """Every Werner state's partial transpose is exactly single+triple, so
-    the bound is 1 - 4 lambda_min from that branch, never the inequality
-    right side: on such a shape the trigonometric route splits the triple
-    root by the cube root of coefficient rounding (about 1e-8), and whether
-    it ran would depend on that rounding."""
+    the bound is 1 - 4 lambda_min from that branch, at rounding."""
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(2000):

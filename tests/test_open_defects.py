@@ -101,6 +101,39 @@ def test_weakly_entangled_pure_state_is_entangled():
         assert not peres_test(np.outer(v, v.conj())).separable
 
 
+def depolarized_weak_pure(q, t, rng):
+    """(1 - p)|psi><psi| + p I/4 with psi = cos(theta)|00> + sin(theta)|11>,
+    cos(theta) sin(theta) = q, under a local Haar rotation. The partial
+    transpose of the pure part has lambda_min = -q and I/4 is its own
+    partial transpose, so p = (t + q) / (q + 1/4) puts lambda_min(rho^PT)
+    at t."""
+    theta = 0.5 * math.asin(2.0 * q)
+    psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
+    v = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) @ psi
+    p = (t + q) / (q + 0.25)
+    m = (1.0 - p) * np.outer(v, v.conj()) + p * np.eye(4) / 4.0
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 2: a PT spectrum whose b0 sits in the rank band reads lambda_min = 0.0",
+)
+@pytest.mark.parametrize("q, t", [(1e-5, -1e-6), (1e-4, -1e-8)], ids=lambda x: f"{x:g}")
+def test_depolarized_weak_pure_state_is_entangled(q, t):
+    """The product of the PT eigenvalues is about -1.6e-16 at q = 1e-5,
+    t = -1e-6, inside the rank band |b0| <= 1e-15 of quartic_eigs, so
+    lambda_min is read as 0.0 and the entangled state as separable: every
+    draw in both cells (50 of 50 over seed 9)."""
+    rng = np.random.default_rng(76)
+    for _ in range(DRAWS):
+        rho = depolarized_weak_pure(q, t, rng)
+        sep = peres_test(rho)
+        assert abs(sep.lambda_min_pt - np.linalg.eigvalsh(partial_transpose(rho))[0]) <= 1e-12
+        assert not sep.separable
+
+
 def test_near_quarter_spectrum_accuracy():
     """ROADMAP 1: the monic quartic's resolvent invariants cancel near I/4
     (2.7e-4 off at spread 1e-3); those of the unit shape do not."""

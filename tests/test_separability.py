@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from twoqubit import bloch, separability, spectrum
+from twoqubit import bloch, entanglement, separability, spectrum
 from twoqubit.bloch import partial_transpose, partial_transpose_bloch, to_bloch
 from twoqubit.entanglement import (
     _report,
@@ -389,27 +389,32 @@ def public_answers(rho, check=True):
 
 
 def test_consecutive_calls_share_one_record(monkeypatch):
-    """peres_test then entanglement_report on one matrix reads, validates,
-    factors and runs the Bloch pass once (a Ginibre state's factor has rank
-    4, so validation needs no shifted one); the answers are a fresh
-    record's."""
-    calls = {"_bloch_pass": 0, "_check_rows": 0, "_factor": 0}
+    """peres_test then entanglement_report on one matrix reads, validates
+    and runs the Bloch pass once, and solves one quartic of rho's, the
+    partial transpose's (a Ginibre state's factor has rank 4, so validation
+    needs no shifted one). The factorization runs twice: rho's, kept by
+    the record, and the EoF bound's gate at -TAU_BRANCH. The concurrence
+    solves one more quartic, of tau^dagger tau, under entanglement's name.
+    The answers are a fresh record's."""
+    calls = dict.fromkeys(("_bloch_pass", "_check_rows", "_factor", "quartic_eigs", "tau quartic"), 0)
 
-    def counted(module, name):
+    def counted(module, name, key=None):
         real = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[key or name] += 1
             return real(*args)
 
         return wrapper
 
-    for name in ("_bloch_pass", "_check_rows"):
+    for name in ("_bloch_pass", "_check_rows", "quartic_eigs"):
         monkeypatch.setattr(separability, name, counted(separability, name))
+    tau_quartic = counted(entanglement, "quartic_eigs", "tau quartic")
+    monkeypatch.setattr(entanglement, "quartic_eigs", tau_quartic)
     # One counter for every name the factorization is called by.
     factor = counted(bloch, "_factor")
-    monkeypatch.setattr(bloch, "_factor", factor)
-    monkeypatch.setattr(separability, "_factor", factor)
+    for module in (bloch, separability, entanglement):
+        monkeypatch.setattr(module, "_factor", factor)
     rng = np.random.default_rng(150)
     for _ in range(20):
         rho = ginibre_density(rng)
@@ -418,7 +423,9 @@ def test_consecutive_calls_share_one_record(monkeypatch):
         assert {k: calls[k] - before[k] for k in calls} == {
             "_bloch_pass": 1,
             "_check_rows": 1,
-            "_factor": 1,
+            "_factor": 2,
+            "quartic_eigs": 1,
+            "tau quartic": 1,
         }
         assert got == answers(_State(rho))
 

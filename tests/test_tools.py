@@ -54,6 +54,7 @@ def test_layer_us_prints_one_row_per_call():
         "`peres_test`, check=False",
         "`entanglement_report`",
         "`entanglement_report`, check=False",
+        "`eof_upper_bound`, check=False",
         "`peres_test + entanglement_report`",
         "`validate_density_matrix`",
         "`to_bloch`",

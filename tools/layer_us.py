@@ -69,6 +69,11 @@ ROWS = (
         lambda tq: functools.partial(tq.entanglement_report, check=False),
         lambda tq, r: (r,),
     ),
+    (
+        "eof_upper_bound, check=False",
+        lambda tq: functools.partial(tq.eof_upper_bound, check=False),
+        lambda tq, r: (r,),
+    ),
     ("peres_test + entanglement_report", lambda tq: functools.partial(_unit, tq), lambda tq, r: (r,)),
     ("validate_density_matrix", lambda tq: tq.bloch.validate_density_matrix, lambda tq, r: (r,)),
     ("to_bloch", lambda tq: tq.bloch.to_bloch, lambda tq, r: (r,)),
