@@ -168,14 +168,15 @@ def _tensor_rows(rows) -> tuple:
     "+ 0.0" turns a sum of negative zeros into einsum's +0.0. For the
     coefficients with one sigma_y the einsum terms are +-i times the
     entries, so their real parts are the imaginary parts of the signed sum
-    (one sum, a22's, is kept negated to share its first pair).
+    (one sum, a22's, is kept negated to share its first pair). The trace
+    a00, which the tensor holds as 1.0, is summed as validation sums it.
     """
     (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
     p0, n0 = r00 + r11, r00 - r11
     p1, n1 = r10 + r01, r10 - r01
     p2, n2 = r20 + r31, r20 - r31
     p3, n3 = r30 + r21, r30 - r21
-    a00 = p0 + r22 + r33
+    a00 = p0 + (r22 + r33)  # so every trace validation accepts passes here
     a01 = p1 + r32 + r23
     a02 = n1 + r32 - r23
     a03 = n0 + r22 - r33
@@ -193,12 +194,14 @@ def _tensor_rows(rows) -> tuple:
     a33 = n0 - r22 + r33
     # The imaginary parts of the traces must vanish, which checks
     # hermiticity (for rho = H + iK, each |K_ij| <= max |Im a| with
-    # Im a = Tr(K sigma_mu (x) sigma_nu)).
+    # Im a = Tr(K sigma_mu (x) sigma_nu)). Each Im a is a sum of two pair
+    # differences m_ij - conj(m_ji), or of four diagonal Im m_ii, so a
+    # matrix validation accepts reaches 2 HERMITIAN_TOL here.
     imag = (
         a00.imag, a01.imag, a02.real, a03.imag, a10.imag, a11.imag, a12.real, a13.imag,
         a20.real, a21.real, a22.imag, a23.real, a30.imag, a31.imag, a32.real, a33.imag,
     )
-    if not max(map(abs, imag)) <= 1e-10:
+    if not max(map(abs, imag)) <= 2.0 * HERMITIAN_TOL:
         raise ValueError("Bloch coefficients are not real")
     tr = a00.real + 0.0
     if abs(tr - 1.0) > TRACE_TOL:

@@ -222,6 +222,21 @@ def test_to_bloch_rejects_non_hermitian_and_non_finite(entry, bad):
         to_bloch(m)
 
 
+def test_to_bloch_takes_every_trace_validation_accepts():
+    """Diagonal states whose trace sits within a few ulps of 1 +- TRACE_TOL:
+    validation and to_bloch sum the trace in one order, so they agree on
+    which traces are one."""
+    rng = np.random.default_rng(46)
+    outcomes = []
+    for _ in range(200):
+        d = rng.dirichlet(np.ones(4)) * (1.0 + rng.choice((-1.0, 1.0)) * TRACE_TOL)
+        d[3] += rng.integers(-4, 5) * np.spacing(d[3])
+        m = np.diag(d).astype(complex)
+        outcomes.append(_outcome(validate_density_matrix, m))
+        assert (_outcome(to_bloch, m) is None) == (outcomes[-1] is None)
+    assert 0 < outcomes.count(None) < len(outcomes)
+
+
 def test_from_bloch_guards():
     t = np.zeros((4, 4))
     t[0, 0] = 0.5

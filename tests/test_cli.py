@@ -235,6 +235,18 @@ def test_analyze_validation_failures(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, name
 
 
+def test_analyze_near_hermitian_matrix(tmp_path, capsys):
+    """A matrix inside the hermiticity tolerance is analyzed: each pair
+    difference m_ij - conj(m_ji) is 0.999e-10, so Bloch coefficients carry
+    imaginary parts up to twice that, which to_bloch tolerates."""
+    rho = ginibre_density(np.random.default_rng(64))
+    k = np.ones((4, 4)) - np.eye(4)
+    path = write_json(tmp_path, "near.json", matrix_doc(rho + 0.4995e-10j * k))
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, err) == (EXIT_OK, "")
+    assert "separable:" in out
+
+
 def test_analyze_reads_and_validates_the_state_once(tmp_path, capsys, monkeypatch):
     """analyze builds one checked record: the file's matrix is read once,
     by the record, whose factor validation and the concurrence share; a

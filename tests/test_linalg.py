@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from twoqubit.entanglement import spin_flip
 from twoqubit.errors import OracleConvergenceError
 from twoqubit.linalg import (
     MonicQuartic,
-    _flv,
     charpoly_flv,
     eig_hermitian_oracle,
     is_hermitian,
@@ -22,8 +20,6 @@ from twoqubit.sampling import (
     random_hermitian_trace_one,
     rank_deficient_density,
 )
-
-_I4 = np.eye(4, dtype=complex)
 
 
 def random_hermitian(rng, n=4):
@@ -70,21 +66,48 @@ def test_charpoly_known_diagonal():
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14
 
 
+# Each family with the largest coefficient error it may show against
+# np.poly of numpy's spectrum: 1.3e-15 on the trace-one states and 7.1e-14
+# on the indefinite Hermitian ones, over 8000 draws of each.
+CHARPOLY_FAMILIES = {
+    "random_hermitian": (random_hermitian, 1e-12),
+    "ginibre": (ginibre_density, 1e-14),
+    "rank2": (lambda rng: rank_deficient_density(rng, 2), 1e-14),
+    "rank3": (lambda rng: rank_deficient_density(rng, 3), 1e-14),
+    "pure": (lambda rng: pure_density(haar_pure(rng)), 1e-14),
+    "near_quarter": (near_quarter_density, 1e-14),
+    "hermitian": (random_hermitian_trace_one, 1e-12),
+}
+
+
+def _charpoly_gap(got, want) -> float:
+    """Largest |got - want| over c3, c2, c1, c0; want is np.poly's array
+    (leading 1, then c3, c2, c1, c0). The coefficients must be floats."""
+    assert all(type(c) is float for c in got)
+    return max(abs(a - b) for a, b in zip((got.c3, got.c2, got.c1, got.c0), want[1:]))
+
+
 def test_charpoly_matches_symmetric_functions():
     """FLV coefficients against the polynomial rebuilt from numpy's spectrum."""
     rng = np.random.default_rng(10)
+    for name, (draw, gate) in CHARPOLY_FAMILIES.items():
+        worst = 0.0
+        for _ in range(200):
+            m = draw(rng)
+            worst = max(worst, _charpoly_gap(charpoly_flv(m), np.poly(np.linalg.eigvalsh(m))))
+        assert worst <= gate, name
+
+
+def test_charpoly_matches_numpy_on_real_nonsymmetric():
+    """Real non-symmetric input, whose complex eigenvalues come in
+    conjugate pairs: 1.1e-13 off np.poly of numpy's eigvals over 8000
+    draws."""
+    rng = np.random.default_rng(13)
+    worst = 0.0
     for _ in range(200):
-        h = random_hermitian(rng)
-        eigs = np.linalg.eigvalsh(h)
-        want = np.poly(eigs)  # leading 1, then c3, c2, c1, c0
-        got = charpoly_flv(h)
-        err = max(
-            abs(got.c3 - want[1]),
-            abs(got.c2 - want[2]),
-            abs(got.c1 - want[3]),
-            abs(got.c0 - want[4]),
-        )
-        assert err <= 1e-11
+        m = rng.standard_normal((4, 4))
+        worst = max(worst, _charpoly_gap(charpoly_flv(m), np.poly(np.linalg.eigvals(m))))
+    assert worst <= 1e-12
 
 
 def test_charpoly_rejects_complex_coefficients():
@@ -103,70 +126,6 @@ def test_charpoly_rejects_nonfinite():
     m[0, 0] = np.nan
     with pytest.raises(ValueError):
         charpoly_flv(m)
-
-
-def ref_charpoly_flv(m):
-    """(c0, c1, c2, c3) as complex numbers by the numpy formulation of the
-    Faddeev-LeVerrier recurrence, the reference for the written-out
-    linalg._flv."""
-    m = np.asarray(m, dtype=complex)
-    n1 = m
-    c3 = -complex(np.trace(n1))
-    n2 = m @ (n1 + c3 * _I4)
-    c2 = -complex(np.trace(n2)) / 2.0
-    n3 = m @ (n2 + c2 * _I4)
-    c1 = -complex(np.trace(n3)) / 3.0
-    n4 = m @ (n3 + c1 * _I4)
-    c0 = -complex(np.trace(n4)) / 4.0
-    return c0, c1, c2, c3
-
-
-DENSITY_FAMILIES = {
-    "ginibre": ginibre_density,
-    "rank2": lambda rng: rank_deficient_density(rng, 2),
-    "rank3": lambda rng: rank_deficient_density(rng, 3),
-    "pure": lambda rng: pure_density(haar_pure(rng)),
-    "near_quarter": near_quarter_density,
-}
-FLV_FAMILIES = {
-    **DENSITY_FAMILIES,
-    "hermitian": random_hermitian_trace_one,
-    "complex": lambda rng: rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
-}
-FLV_DRAWS = 3000
-
-
-def _flv_gap(m) -> float:
-    """Largest |written-out - numpy| over the four coefficients, relative to
-    the scale max(1, max|m|)^4 of c0."""
-    got = _flv(m.tolist())
-    want = ref_charpoly_flv(m)
-    return max(abs(a - b) for a, b in zip(got, want)) / max(1.0, float(np.abs(m).max())) ** 4
-
-
-@pytest.mark.parametrize("family", sorted(FLV_FAMILIES))
-def test_written_out_flv_matches_numpy_reference(family):
-    rng = np.random.default_rng(60 + sorted(FLV_FAMILIES).index(family))
-    draw = FLV_FAMILIES[family]
-    worst = max(_flv_gap(np.asarray(draw(rng), dtype=complex)) for _ in range(FLV_DRAWS))
-    assert worst <= 1e-14
-
-
-@pytest.mark.parametrize("family", sorted(DENSITY_FAMILIES))
-def test_written_out_flv_on_flip_products(family):
-    """The centred, trace-normalized flip product X = m / tr m - I/4 that
-    the concurrence's pass hands to the recurrence."""
-    rng = np.random.default_rng(70 + sorted(DENSITY_FAMILIES).index(family))
-    draw = DENSITY_FAMILIES[family]
-    worst = 0.0
-    for _ in range(FLV_DRAWS):
-        rho = draw(rng)
-        m = rho @ spin_flip(rho)
-        t = float(m.trace().real)
-        if t <= 1e-14:  # the pass's trace floor; it never solves these
-            continue
-        worst = max(worst, _flv_gap(m / t - _I4 / 4.0))
-    assert worst <= 1e-14
 
 
 def test_oracle_matches_numpy():

@@ -8,14 +8,24 @@ import numpy as np
 import pytest
 
 from twoqubit import bloch, entanglement, separability, spectrum
-from twoqubit.bloch import partial_transpose, partial_transpose_bloch, to_bloch
+from twoqubit.bloch import (
+    HERMITIAN_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    partial_transpose,
+    partial_transpose_bloch,
+    to_bloch,
+    validate_density_matrix,
+)
 from twoqubit.entanglement import (
     _report,
     concurrence,
     concurrence_pure,
     entanglement_report,
+    eof_upper_bound,
+    negativity,
 )
-from twoqubit.errors import InternalInconsistencyError
+from twoqubit.errors import InternalInconsistencyError, NotApplicableError
 from twoqubit.linalg import eig_hermitian_oracle
 from twoqubit.sampling import (
     bell_state,
@@ -314,6 +324,69 @@ def test_validation_is_on_by_default():
     not_a_state = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         peres_test(not_a_state)
+
+
+def _hermiticity_edge(rho, rng):
+    """rho + iK, K real symmetric and zero on the diagonal: every pair
+    difference m_ij - conj(m_ji) = 2iK_ij, the largest 0.999 HERMITIAN_TOL."""
+    k = rng.standard_normal((4, 4))
+    k = k + k.T
+    np.fill_diagonal(k, 0.0)
+    return rho + 1j * k * (0.999 * HERMITIAN_TOL / (2.0 * np.abs(k).max()))
+
+
+def _diagonal_edge(rho, rng):
+    """Imaginary diagonal parts of 0.49 HERMITIAN_TOL that sum to zero,
+    signed to add up in one Bloch coefficient (a03, a30 or a33)."""
+    signs = ((1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))[rng.integers(3)]
+    return rho + 1j * np.diag(0.49 * HERMITIAN_TOL * np.array(signs, dtype=float))
+
+
+def _trace_edge(rho, rng):
+    return rho * (1.0 + rng.choice((-1.0, 1.0)) * 0.999 * TRACE_TOL)
+
+
+def _psd_edge(rho, rng):
+    """The smallest eigenvalue moved to -0.99 PSD_TOL, the largest taking
+    up the difference so the trace stays one."""
+    w, v = np.linalg.eigh(rho)
+    w[-1] += w[0] + 0.99 * PSD_TOL
+    w[0] = -0.99 * PSD_TOL
+    m = (v * w) @ v.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+EDGES = {
+    "hermiticity": _hermiticity_edge,
+    "diagonal imag": _diagonal_edge,
+    "trace": _trace_edge,
+    "lambda_min": _psd_edge,
+}
+
+
+def test_states_at_the_validation_edges_get_answers():
+    """States pushed to just inside one validation tolerance at a time are
+    accepted, and every public measure answers them; only eof_upper_bound
+    may refuse, with NotApplicableError. Every family but the indefinite
+    "hermitian" one, which holds no states."""
+    rng = np.random.default_rng(80)
+    for edge_name, edge in EDGES.items():
+        for family, draw in FAMILIES.items():
+            if family == "hermitian":
+                continue
+            for _ in range(40):
+                m = edge(np.asarray(draw(rng), dtype=complex), rng)
+                where = f"{edge_name}, {family}"
+                validate_density_matrix(m)
+                assert math.isfinite(peres_test(m).lambda_min_pt), where
+                report = entanglement_report(m)
+                assert math.isfinite(report.concurrence + report.negativity), where
+                assert 0.0 <= concurrence(m) <= 1.0, where
+                assert negativity(m) >= 0.0, where
+                try:
+                    assert math.isfinite(eof_upper_bound(m)), where
+                except NotApplicableError:
+                    pass
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -64,6 +64,8 @@ def test_layer_us_prints_one_row_per_call():
         "`_factor`",
         "`_flip_product_eigs`",
         "`spin_flip`",
+        "`charpoly_flv`",
+        "`eig_hermitian_oracle`",
         "`eigvalsh`",
         "`eigvalsh`, stacked",
     ]

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Print the per-layer timing table of ROADMAP item 6 for one or more checkouts:
+"""Print the per-layer timing table for one or more checkouts:
 
     python3 tools/layer_us.py [ROOT ...]
 
-Each row is one call: an entry point, a layer, or LAPACK's ``eigvalsh`` as
-the yardstick. Its inputs come from 30 Ginibre states of seed 0 (drawn here
-with numpy, so every tree sees the same ones); one repeat makes 300 calls,
-cycling over the states, and the row shows the fastest of 9 repeats'
-microseconds per call ("eigvalsh, stacked" is one call on all states, shown
-per state). Cyclic GC is off while a repeat runs.
+This is the table of ROADMAP's "Measured performance" aim. Each row is one
+call: an entry point, a layer, one of the two reference routes a fuzz
+sample runs (``charpoly_flv`` and the Jacobi oracle), or LAPACK's
+``eigvalsh`` as the yardstick. Its inputs come from 30 Ginibre states of
+seed 0 (drawn here with numpy, so every tree sees the same ones); one
+repeat makes 300 calls, cycling over the states, and the row shows the
+fastest of 9 repeats' microseconds per call ("eigvalsh, stacked" is one
+call on all states, shown per state). Cyclic GC is off while a repeat runs.
 
 The public calls keep the record of the last matrix they were given. The
 per-call rows cycle over the states, and each row is warmed up on the last
@@ -91,6 +93,8 @@ ROWS = (
     ("_factor", lambda tq: tq.bloch._factor, _rows),
     ("_flip_product_eigs", lambda tq: tq.entanglement._flip_product_eigs, _flip_args),
     ("spin_flip", lambda tq: tq.entanglement.spin_flip, lambda tq, r: (r,)),
+    ("charpoly_flv", lambda tq: tq.linalg.charpoly_flv, lambda tq, r: (r,)),
+    ("eig_hermitian_oracle", lambda tq: tq.linalg.eig_hermitian_oracle, lambda tq, r: (r,)),
     ("eigvalsh", lambda tq: np.linalg.eigvalsh, lambda tq, r: (r,)),
 )
 STACKED = "eigvalsh, stacked"
@@ -166,7 +170,7 @@ def _fmt(us: float | None) -> str:
 
 
 def table(roots: list[str], best: list[dict]) -> list[str]:
-    """Markdown rows in ROADMAP item 6's layout, one column per tree."""
+    """Markdown rows, one per call and one column per tree."""
     lines = ["| call | " + " | ".join(f"µs, {r}" for r in roots) + " |"]
     lines.append("|---|" + "---|" * len(roots))
     for name in [row[0] for row in ROWS] + [STACKED]:
