@@ -10,24 +10,23 @@ with mu indexing qubit A and nu qubit B. The tensor is stored as a real
 polarization vector, a[0, 1:] qubit B's, and a[1:, 1:] the 3x3 correlation
 block.
 
-A public call reads its matrix once (_read): one conversion to a complex
-array, the shape and finiteness checks, and its 16 entries as plain Python
-complex numbers. Validation and the Bloch tensor are written out on those
-numbers, the style of the coefficient passes: at 4x4 a numpy call costs
-more in dispatch than the arithmetic it does. _factor, a pivoted Cholesky
-factor, is the package's one factorization: a state record computes it
-once for validation's certificate and the concurrence. LAPACK's eigvalsh
-still decides every positivity rejection.
+A public call reads its matrix once (linalg._read): one conversion to a
+complex array, the shape and finiteness checks, and its 16 entries as
+plain Python complex numbers. Validation and the Bloch tensor are
+written out on those numbers, the style of the coefficient passes: at 4x4
+a numpy call costs more in dispatch than the arithmetic it does. _factor,
+a pivoted Cholesky factor, is the package's one factorization: a state
+record computes it once for validation's certificate and the concurrence.
+LAPACK's eigvalsh still decides every positivity rejection.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .linalg import PAULIS, kron
+from .linalg import PAULIS, _asymmetry, _read, kron
 
 # Stacked sigma_mu (x) sigma_nu basis, indexed [mu, nu, i, j].
 _BASIS = np.array([[kron(PAULIS[m], PAULIS[n]) for n in range(4)] for m in range(4)])
@@ -35,18 +34,6 @@ _BASIS = np.array([[kron(PAULIS[m], PAULIS[n]) for n in range(4)] for m in range
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-
-
-def _read(m) -> tuple[np.ndarray, list]:
-    """m as a complex array and as rows of Python complex numbers;
-    ValueError unless it is 4x4 with finite entries."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    rows = m.tolist()
-    if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
-        raise ValueError("matrix contains non-finite entries")
-    return m, rows
 
 
 # The factor stops at a pivot at or below this. Past rho's rank a pivot is
@@ -109,29 +96,11 @@ def _check_rows(m: np.ndarray, rows, rank: int) -> None:
     """Hermiticity, unit trace and positive semidefiniteness of a matrix
     read by _read, in validate_density_matrix's order and words; ``rank``
     is what _factor(rows) found, which a state record keeps."""
-    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
-    # max |m_ij - conj(m_ji)| as linalg.is_hermitian takes it: the (i, j)
-    # and (j, i) differences have one modulus, |2 Im m_ii| on the diagonal.
-    try:
-        asym = max(
-            2.0 * abs(r00.imag),
-            2.0 * abs(r11.imag),
-            2.0 * abs(r22.imag),
-            2.0 * abs(r33.imag),
-            abs(r01 - r10.conjugate()),
-            abs(r02 - r20.conjugate()),
-            abs(r03 - r30.conjugate()),
-            abs(r12 - r21.conjugate()),
-            abs(r13 - r31.conjugate()),
-            abs(r23 - r32.conjugate()),
-        )
-    except OverflowError:  # a finite difference can have an infinite modulus
-        asym = float("inf")
-    if not asym <= HERMITIAN_TOL:
+    if not _asymmetry(rows) <= HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian")
     # Summed as numpy's trace sums the diagonal, in pairs onto a zero, so
     # the value and the signs of zeros in the message are the same.
-    tr = 0.0 + ((r00 + r11) + (r22 + r33))
+    tr = 0.0 + ((rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3]))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be one, got {tr}")
     # Certified by the factor of m, or of m + (PSD_TOL / 2) I past its zeros.

@@ -10,6 +10,7 @@ Jacobi oracle did not converge).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -387,7 +388,12 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if tally.breaches == 0 else EXIT_TOLERANCE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later main call in the process: parse_args keeps no state between
+    calls. It names the subcommand (args.command) and binds no function,
+    so main finds cmd_* on this module at each call."""
     parser = argparse.ArgumentParser(
         prog="twoqubit",
         description="Closed-form two-qubit spectra, separability, and the "
@@ -402,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file", help="path to the JSON state file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("chain", help="noisy-chain lambda_min table or epsilon sweep")
     p.add_argument("--q", type=float, required=True, help="initial |ad - bc|")
@@ -414,7 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="last step to tabulate (default n_max + 1)")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
-    p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("fuzz", help="randomized closed-form vs oracle comparison")
     p.add_argument("--samples", type=int, required=True)
@@ -424,14 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"],
     )
-    p.set_defaults(func=cmd_fuzz)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"analyze": cmd_analyze, "chain": cmd_chain, "fuzz": cmd_fuzz}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

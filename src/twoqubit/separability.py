@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import _check_rows, _factor, _read, _tensor_rows
+from .bloch import _check_rows, _factor, _tensor_rows
+from .linalg import _read
 from .spectrum import (
     SQRT3,
     SQRT6,
@@ -99,7 +100,7 @@ class _State:
     such as rho's own spectrum or the inequality right side, is computed
     by that reader.
 
-    The record reads rho once, with bloch._read, so a matrix that is not
+    The record reads rho once, with linalg._read, so a matrix that is not
     4x4 or has a non-finite entry raises ValueError here. It keeps the
     rows, not rho: a caller changing its array in place cannot reach the
     record. Every other piece is computed on first use and kept, so the

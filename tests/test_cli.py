@@ -390,3 +390,48 @@ def test_unknown_family_is_an_argparse_error(capsys):
 def test_exit_tolerance_is_distinct():
     # the breach exit code must stay distinguishable for scripting
     assert EXIT_TOLERANCE not in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_INTERNAL)
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """main parses with one parser, built on its first call (_build_parser
+    is cached). Calls through it that drop options the call before gave,
+    with an argparse rejection (exit 2) between them, print what the same
+    calls print on a freshly built parser each. The parser binds no
+    command function: main looks cmd_* up on the module at each call, so
+    one rebound after the first build (as the benchmark's tracer rebinds
+    it) is the one that runs."""
+    path = write_json(tmp_path, "g.json", matrix_doc(ginibre_density(np.random.default_rng(64))))
+    calls = [
+        ["chain", "--q", "0.4", "--epsilon", "0.05", "--n", "3"],
+        ["chain", "--q", "0.4", "--epsilon", "0.05"],
+        ["fuzz", "--samples", "2", "--seed", "5", "--family", "werner"],
+        ["chain", "--q", "0.4"],  # one of --epsilon and --sweep is required
+        ["fuzz", "--samples", "2", "--seed", "5", "--family", "rank2"],
+        ["analyze", path, "--json"],
+        ["analyze", path],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejecting the arguments
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    shared = [outcome(argv) for argv in calls]
+    assert twoqubit.cli._build_parser() is twoqubit.cli._build_parser()
+    fresh = []
+    for argv in calls:
+        twoqubit.cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_OK, 2, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert len(json.loads(shared[0][1])["rows"]) == 4
+    assert len(json.loads(shared[1][1])["rows"]) != 4
+    assert shared[2][1] != shared[4][1]
+    assert shared[5][1] != shared[6][1]
+
+    ran = []
+    monkeypatch.setattr(twoqubit.cli, "cmd_chain", lambda args: ran.append(args.q) or EXIT_OK)
+    assert main(["chain", "--q", "0.25", "--epsilon", "0.1"]) == EXIT_OK
+    assert ran == [0.25]

@@ -68,6 +68,7 @@ def test_layer_us_prints_one_row_per_call():
         "`eig_hermitian_oracle`",
         "`eigvalsh`",
         "`eigvalsh`, stacked",
+        "`twoqubit fuzz`, per sample",
     ]
     assert all(float(v) > 0.0 for v in rows.values())
     assert layer_us.table(["x"], [{}])[2].endswith("| - |")

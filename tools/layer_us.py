@@ -10,7 +10,10 @@ sample runs (``charpoly_flv`` and the Jacobi oracle), or LAPACK's
 seed 0 (drawn here with numpy, so every tree sees the same ones); one
 repeat makes 300 calls, cycling over the states, and the row shows the
 fastest of 9 repeats' microseconds per call ("eigvalsh, stacked" is one
-call on all states, shown per state). Cyclic GC is off while a repeat runs.
+call on all states, shown per state). The last row is the benchmark's
+fuzz_cli unit, one in-process ``twoqubit fuzz`` call of 10 samples, on
+the tree's own first 30 units of seed 0, shown per sample: a million over
+it is fuzz samples per second. Cyclic GC is off while a repeat runs.
 
 The public calls keep the record of the last matrix they were given. The
 per-call rows cycle over the states, and each row is warmed up on the last
@@ -98,6 +101,7 @@ ROWS = (
     ("eigvalsh", lambda tq: np.linalg.eigvalsh, lambda tq, r: (r,)),
 )
 STACKED = "eigvalsh, stacked"
+FUZZ = "twoqubit fuzz, per sample"
 
 # Worker state: {row: (function, [argument tuples], states per call)}.
 _CALLS: dict = {}
@@ -116,7 +120,7 @@ def ginibre_states(n: int, seed: int) -> list[np.ndarray]:
 
 def _load(root: str, n_states: int, seed: int) -> None:
     """Import ``twoqubit`` from ROOT/src and prepare every row's calls."""
-    tq, _ = load(root)
+    tq, workloads = load(root)
     rhos = ginibre_states(n_states, seed)
     for name, fn_of, args_of in ROWS:
         try:
@@ -127,6 +131,13 @@ def _load(root: str, n_states: int, seed: int) -> None:
             continue
         _CALLS[name] = (fn, args, 1)
     _CALLS[STACKED] = (np.linalg.eigvalsh, [(np.array(rhos),)], n_states)
+    try:
+        units = [(u,) for u in workloads.generate(tq, "fuzz_cli", seed, n_states)]
+        run_unit = functools.partial(workloads.run_unit, tq)
+        run_unit(*units[-1])
+    except Exception:  # a tree without the fuzz_cli workload
+        return
+    _CALLS[FUZZ] = (run_unit, units, workloads.states_per_unit("fuzz_cli"))
 
 
 def _round(calls: int) -> dict:
@@ -173,7 +184,7 @@ def table(roots: list[str], best: list[dict]) -> list[str]:
     """Markdown rows, one per call and one column per tree."""
     lines = ["| call | " + " | ".join(f"µs, {r}" for r in roots) + " |"]
     lines.append("|---|" + "---|" * len(roots))
-    for name in [row[0] for row in ROWS] + [STACKED]:
+    for name in [row[0] for row in ROWS] + [STACKED, FUZZ]:
         func, _, variant = name.partition(", ")
         label = f"`{func}`" + (f", {variant}" if variant else "")
         lines.append(f"| {label} | " + " | ".join(_fmt(b.get(name)) for b in best) + " |")
