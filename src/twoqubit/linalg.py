@@ -8,7 +8,10 @@ formulas, which no closed form takes), and a self-contained cyclic Jacobi
 eigensolver. The Jacobi routine is the numerical oracle every closed-form
 solver in this package is cross-checked against, so it deliberately
 shares no code with the trigonometric root formulas: no characteristic
-polynomials, no resolvent tricks, just plane rotations.
+polynomials, no resolvent tricks, just plane rotations. Its sweep is
+written out on the half-storage entries as locals, six rotations with
+their conjugates fixed in the formulas, and each moves the diagonal in
+Rutishauser's form.
 """
 
 from __future__ import annotations
@@ -140,35 +143,17 @@ def charpoly_flv(m) -> MonicQuartic:
 # Jacobi oracle
 # ---------------------------------------------------------------------------
 
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _rotation_plan() -> tuple:
-    """Per pair (p, q) of _PAIRS, in order: p, q, the pair's slot, and for
-    each of the two other indices k the slots of a[k][p] and a[k][q] among
-    the upper off-diagonal entries, each with whether that slot holds the
-    entry's conjugate: a[k][p] with k > p is stored as a[p][k]."""
-    slot = {pq: j for j, pq in enumerate(_PAIRS)}
-
-    def entry(k, i):
-        return slot[min(k, i), max(k, i)], k > i
-
-    return tuple(
-        (p, q, slot[p, q], tuple(entry(k, p) + entry(k, q) for k in range(4) if k not in (p, q)))
-        for p, q in _PAIRS
-    )
-
-
-_PLAN = _rotation_plan()
-
-
 def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
     """Eigenvalues of a 4x4 Hermitian matrix by cyclic complex Jacobi rotations.
 
-    The matrix is held in half storage: four real diagonal entries and the
-    six upper off-diagonal ones a[p][q], p < q, in _PAIRS order. A rotation
-    reads a[k][p] with k > p as the conjugate of a[p][k] and writes it back
-    the same way (_PLAN), so the lower triangle is never formed.
+    The matrix is held in half storage, as locals: the four real diagonal
+    entries d0..d3 and the six upper off-diagonal ones u01, u02, u03, u12,
+    u13, u23. A sweep rotates the pairs (0, 1), (0, 2), (0, 3), (1, 2),
+    (1, 3), (2, 3) in that order, each written out: a[k][p] with k > p is
+    the conjugate of the stored u_pk, so each update of the two other rows
+    carries its conjugates in its formula and the lower triangle is never
+    formed. A rotation with t = tan of its angle moves the diagonal in
+    Rutishauser's form, d_p -= t |a_pq| and d_q += t |a_pq|.
 
     Parameters
     ----------
@@ -186,7 +171,8 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         The four eigenvalues sorted in descending order.
 
     Raises ValueError unless m is 4x4 with finite entries (checked first)
-    and each |m_ij - conj(m_ji)| is at most 1e-8.
+    and each |m_ij - conj(m_ji)| is at most 1e-8. An entry whose modulus
+    exceeds the float range raises OracleConvergenceError.
     """
     _, rows = _read(m)
     if not _asymmetry(rows) <= 1e-8:
@@ -194,46 +180,126 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
 
     # Plain Python numbers: for a single 4x4 this is much faster than
     # elementwise numpy and keeps the routine dependency-free.
-    d = [rows[i][i].real for i in range(4)]
-    u = [rows[p][q] for p, q in _PAIRS]
-
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * sum(abs(apq) ** 2 for apq in u))
-        if off <= tol:
-            break
-        for p, q, pq, others in _PLAN:
-            apq = u[pq]
-            r = abs(apq)
-            if r == 0.0:
-                continue
-            phase = apq / r
-            app = d[p]
-            aqq = d[q]
-            theta = (aqq - app) / (2.0 * r)
-            if theta >= 0.0:
-                t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-            else:
-                t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            sig = t * c
-            s = sig * phase
-            sbar = s.conjugate()
-
-            d[p] = c * c * app - 2.0 * c * sig * r + sig * sig * aqq
-            d[q] = c * c * aqq + 2.0 * c * sig * r + sig * sig * app
-            u[pq] = 0.0j
-            for kp, kp_conj, kq, kq_conj in others:
-                akp = u[kp].conjugate() if kp_conj else u[kp]
-                akq = u[kq].conjugate() if kq_conj else u[kq]
-                new_p = c * akp - sbar * akq
-                new_q = s * akp + c * akq
-                u[kp] = new_p.conjugate() if kp_conj else new_p
-                u[kq] = new_q.conjugate() if kq_conj else new_q
-    else:
-        off = math.sqrt(2.0 * sum(abs(apq) ** 2 for apq in u))
-        if off > tol:
-            raise OracleConvergenceError(
-                f"Jacobi did not reach off-norm {tol} in {max_sweeps} sweeps (off={off:.3e})"
+    (d0, u01, u02, u03), (_, d1, u12, u13), (_, _, d2, u23), (_, _, _, d3) = rows
+    d0, d1, d2, d3 = d0.real, d1.real, d2.real, d3.real
+    sqrt = math.sqrt
+    # The squared off-norm 2 sum |u|^2 against tol^2, summed as products,
+    # which overflow to inf where ** raises OverflowError.
+    half_tol_sq = 0.5 * tol * tol
+    sweeps = 0
+    try:
+        while True:
+            off_sq = (
+                u01.real * u01.real + u01.imag * u01.imag
+                + u02.real * u02.real + u02.imag * u02.imag
+                + u03.real * u03.real + u03.imag * u03.imag
+                + u12.real * u12.real + u12.imag * u12.imag
+                + u13.real * u13.real + u13.imag * u13.imag
+                + u23.real * u23.real + u23.imag * u23.imag
             )
+            if off_sq <= half_tol_sq:
+                break
+            if sweeps >= max_sweeps:
+                raise OracleConvergenceError(
+                    f"Jacobi did not reach off-norm {tol} in {max_sweeps} sweeps "
+                    f"(off={sqrt(2.0 * off_sq):.3e})"
+                )
+            sweeps += 1
+            # Each rotation: theta = (a_qq - a_pp) / (2 |a_pq|), t the root
+            # of t^2 + 2 theta t = 1 of least modulus, c = 1 / sqrt(1 + t^2) and
+            # s = t c a_pq / |a_pq|; the new a[k][p] is c a_kp - conj(s) a_kq
+            # and the new a[k][q] is s a_kp + c a_kq.
+            r = abs(u01)
+            if r:
+                theta = (d1 - d0) / (2.0 * r)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c / r * u01
+                sb = s.conjugate()
+                t *= r
+                d0 -= t
+                d1 += t
+                u01 = 0j
+                u02, u12 = c * u02 - s * u12, sb * u02 + c * u12
+                u03, u13 = c * u03 - s * u13, sb * u03 + c * u13
+            r = abs(u02)
+            if r:
+                theta = (d2 - d0) / (2.0 * r)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c / r * u02
+                t *= r
+                d0 -= t
+                d2 += t
+                u02 = 0j
+                u01, u12 = c * u01 - s * u12.conjugate(), s * u01.conjugate() + c * u12
+                u03, u23 = c * u03 - s * u23, s.conjugate() * u03 + c * u23
+            r = abs(u03)
+            if r:
+                theta = (d3 - d0) / (2.0 * r)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c / r * u03
+                t *= r
+                d0 -= t
+                d3 += t
+                u03 = 0j
+                u01, u13 = c * u01 - s * u13.conjugate(), s * u01.conjugate() + c * u13
+                u02, u23 = c * u02 - s * u23.conjugate(), s * u02.conjugate() + c * u23
+            r = abs(u12)
+            if r:
+                theta = (d2 - d1) / (2.0 * r)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c / r * u12
+                sb = s.conjugate()
+                t *= r
+                d1 -= t
+                d2 += t
+                u12 = 0j
+                u01, u02 = c * u01 - sb * u02, s * u01 + c * u02
+                u13, u23 = c * u13 - s * u23, sb * u13 + c * u23
+            r = abs(u13)
+            if r:
+                theta = (d3 - d1) / (2.0 * r)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c / r * u13
+                t *= r
+                d1 -= t
+                d3 += t
+                u13 = 0j
+                u01, u03 = c * u01 - s.conjugate() * u03, s * u01 + c * u03
+                u12, u23 = c * u12 - s * u23.conjugate(), s * u12.conjugate() + c * u23
+            r = abs(u23)
+            if r:
+                theta = (d3 - d2) / (2.0 * r)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c / r * u23
+                sb = s.conjugate()
+                t *= r
+                d2 -= t
+                d3 += t
+                u23 = 0j
+                u02, u03 = c * u02 - sb * u03, s * u02 + c * u03
+                u12, u13 = c * u12 - sb * u13, s * u12 + c * u13
+    except OverflowError:
+        # abs() of a finite entry whose modulus is past the float range
+        raise OracleConvergenceError(
+            "Jacobi overflowed: an entry's modulus exceeds the float range"
+        ) from None
 
-    return sorted(d, reverse=True)
+    return sorted((d0, d1, d2, d3), reverse=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -114,18 +113,32 @@ class _State:
     def __init__(self, rho):
         self.rows = _read(rho)[1]
         self.validated = False
+        self._factor = self._t_rows = self._coeffs = self._pt = None
 
-    @cached_property
+    # Each stage is written out as "compute if unset, keep": on Python
+    # 3.11, functools.cached_property takes a lock on first access, which
+    # costs several times a stage's bookkeeping here.
+
+    @property
     def factor(self) -> tuple[int, tuple]:
-        return _factor(self.rows)
+        v = self._factor
+        if v is None:
+            v = self._factor = _factor(self.rows)
+        return v
 
-    @cached_property
+    @property
     def t_rows(self) -> tuple:
-        return _tensor_rows(self.rows)
+        v = self._t_rows
+        if v is None:
+            v = self._t_rows = _tensor_rows(self.rows)
+        return v
 
-    @cached_property
+    @property
     def coeffs(self) -> tuple[CharCoeffs, CharCoeffs]:
-        return _bloch_pass(self.t_rows)
+        v = self._coeffs
+        if v is None:
+            v = self._coeffs = _bloch_pass(self.t_rows)
+        return v
 
     @property
     def c(self) -> CharCoeffs:
@@ -135,9 +148,12 @@ class _State:
     def cp(self) -> CharCoeffs:
         return self.coeffs[1]
 
-    @cached_property
+    @property
     def pt(self) -> QuarticSpectrum:
-        return quartic_eigs(self.cp)
+        v = self._pt
+        if v is None:
+            v = self._pt = quartic_eigs(self.cp)
+        return v
 
 
 # The last record _checked_state built, as (key, record). The list is only

@@ -66,6 +66,7 @@ def test_layer_us_prints_one_row_per_call():
         "`spin_flip`",
         "`charpoly_flv`",
         "`eig_hermitian_oracle`",
+        "`eig_hermitian_oracle`, partial transpose",
         "`eigvalsh`",
         "`eigvalsh`, stacked",
         "`twoqubit fuzz`, per sample",

@@ -5,15 +5,16 @@
 
 This is the table of ROADMAP's "Measured performance" aim. Each row is one
 call: an entry point, a layer, one of the two reference routes a fuzz
-sample runs (``charpoly_flv`` and the Jacobi oracle), or LAPACK's
-``eigvalsh`` as the yardstick. Its inputs come from 30 Ginibre states of
-seed 0 (drawn here with numpy, so every tree sees the same ones); one
-repeat makes 300 calls, cycling over the states, and the row shows the
-fastest of 9 repeats' microseconds per call ("eigvalsh, stacked" is one
-call on all states, shown per state). The last row is the benchmark's
-fuzz_cli unit, one in-process ``twoqubit fuzz`` call of 10 samples, on
-the tree's own first 30 units of seed 0, shown per sample: a million over
-it is fuzz samples per second. Cyclic GC is off while a repeat runs.
+sample runs (``charpoly_flv``, and the Jacobi oracle on a state and on
+its partial transpose), or LAPACK's ``eigvalsh`` as the yardstick. Its
+inputs come from 30 Ginibre states of seed 0 (drawn here with numpy, so
+every tree sees the same ones); one repeat makes 300 calls, cycling over
+the states, and the row shows the fastest of 9 repeats' microseconds per
+call ("eigvalsh, stacked" is one call on all states, shown per state).
+The last row is the benchmark's fuzz_cli unit, one in-process ``twoqubit
+fuzz`` call of 10 samples, on the tree's own first 30 units of seed 0,
+shown per sample: a million over it is fuzz samples per second. Cyclic
+GC is off while a repeat runs.
 
 The public calls keep the record of the last matrix they were given. The
 per-call rows cycle over the states, and each row is warmed up on the last
@@ -98,6 +99,11 @@ ROWS = (
     ("spin_flip", lambda tq: tq.entanglement.spin_flip, lambda tq, r: (r,)),
     ("charpoly_flv", lambda tq: tq.linalg.charpoly_flv, lambda tq, r: (r,)),
     ("eig_hermitian_oracle", lambda tq: tq.linalg.eig_hermitian_oracle, lambda tq, r: (r,)),
+    (
+        "eig_hermitian_oracle, partial transpose",
+        lambda tq: tq.linalg.eig_hermitian_oracle,
+        lambda tq, r: (tq.bloch.partial_transpose(r),),
+    ),
     ("eigvalsh", lambda tq: np.linalg.eigvalsh, lambda tq, r: (r,)),
 )
 STACKED = "eigvalsh, stacked"
