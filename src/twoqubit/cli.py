@@ -35,6 +35,7 @@ from .separability import (
     TAU_SEP,
     _State,
     _checked_state,
+    _pure_q,
     _verdict,
     pure_pt_spectrum,
     pure_separable,
@@ -120,11 +121,10 @@ def _load_state_file(path: str) -> np.ndarray:
         if not (isinstance(data, list) and len(data) == 4):
             raise _ParseFailure('"pure" must be a length-4 array')
         v = np.array([_complex_entry(x) for x in data])
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
-            raise _ValidationFailure(
-                f"pure state norm is {norm!r}, not 1 within 1e-10"
-            )
+        try:
+            _pure_q(v)  # the library's normalization rule, on |v|^2
+        except ValueError as exc:
+            raise _ValidationFailure(str(exc)) from exc
         rho = pure_density(v)
     return rho
 

@@ -44,14 +44,18 @@ TAU_SEP = 1e-10
 
 @dataclass(frozen=True)
 class SeparabilityReport:
+    """Peres verdict from the partial transpose's spectrum: ``separable``
+    when its smallest eigenvalue ``lambda_min_pt`` is >= -TAU_SEP, and
+    ``marginal`` when |lambda_min_pt| <= TAU_SEP, where its sign is not
+    reliable. ``branch`` names the quartic_eigs branch (a spectrum.Branch
+    value) that solved the PT spectrum from ``pt_coeffs``, the PT
+    characteristic coefficients, which inequality_rhs also takes."""
+
     separable: bool
     lambda_min_pt: float
     branch: str
     marginal: bool
     pt_coeffs: CharCoeffs
-    # Whether the explicit inequality form of the criterion agrees with the
-    # sign of lambda_min_pt; None on branches where it is not evaluated.
-    inequality_agrees: bool | None = None
 
 
 def pt_coeffs(t) -> CharCoeffs:
@@ -72,12 +76,13 @@ def pt_coeffs(t) -> CharCoeffs:
 
 
 def inequality_rhs(c: CharCoeffs) -> float | None:
-    """Right side of the explicit separability inequality, which must not
-    exceed 1 for a separable state. Algebraically this is 1 - 4 lambda_min
-    of the quartic with coefficients c: s times (sqrt(x)/sqrt(3) + 2
-    inner/sqrt(6)) on the unit shape. It is only defined away from the
-    doubly degenerate branches, so c that quartic_eigs solves as s = 0 or
-    as a single+triple shape returns None."""
+    """Right side of the paper's explicit form of Peres' condition, which
+    must not exceed 1 for a separable state. Algebraically this is
+    1 - 4 lambda_min of the quartic with coefficients c: s times
+    (sqrt(x)/sqrt(3) + 2 inner/sqrt(6)) on the unit shape. It is only
+    defined away from the doubly degenerate branches, so c that quartic_eigs
+    solves as s = 0 or as a single+triple shape returns None. No call path
+    evaluates it; the verdict reads lambda_min_pt."""
     if c.s == 0.0:
         return None
     tp = trig_params(c)
@@ -96,8 +101,7 @@ class _State:
     the coefficient pass and the CLI), coefficients c and PT coefficients
     cp from one spectrum._bloch_pass, and the PT spectrum (read by the
     verdict, the negativity and the EoF bound). A stage with one reader,
-    such as rho's own spectrum or the inequality right side, is computed
-    by that reader.
+    such as rho's own spectrum, is computed by that reader.
 
     The record reads rho once, with linalg._read, so a matrix that is not
     4x4 or has a non-finite entry raises ValueError here. It keeps the
@@ -191,29 +195,20 @@ def _checked_state(rho, check: bool) -> _State:
 
 def _verdict(s: _State) -> SeparabilityReport:
     lam_min = s.pt.eigenvalues[-1]
-    separable = lam_min >= -TAU_SEP
-    marginal = abs(lam_min) <= TAU_SEP
-
-    rhs = inequality_rhs(s.cp)
-    agrees = None if rhs is None else (rhs <= 1.0 + 4.0 * TAU_SEP) == separable
     return SeparabilityReport(
-        separable=separable,
+        separable=lam_min >= -TAU_SEP,
         lambda_min_pt=lam_min,
         branch=s.pt.branch.value,
-        marginal=marginal,
+        marginal=abs(lam_min) <= TAU_SEP,
         pt_coeffs=s.cp,
-        inequality_agrees=agrees,
     )
 
 
 def peres_test(rho, check: bool = True) -> SeparabilityReport:
-    """Separability verdict for a two-qubit density matrix.
-
-    The partial-transpose spectrum is computed in closed form; the state is
-    separable iff its smallest eigenvalue is >= -TAU_SEP, and flagged
-    marginal when |lambda_min| <= TAU_SEP. Set ``check=False`` to skip the
-    density matrix validation for inputs known to be valid.
-    """
+    """Separability verdict for a two-qubit density matrix, from the
+    partial-transpose spectrum in closed form (see SeparabilityReport). Set
+    ``check=False`` to skip the density matrix validation for inputs known
+    to be valid."""
     return _verdict(_checked_state(rho, check))
 
 

@@ -151,6 +151,10 @@ def test_analyze_pure_input(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", write_json(tmp_path, "prod.json", {"pure": [1, 0, 0, 0]}))
     assert code == EXIT_OK
     assert "separable: yes (marginal)\n" in out
+    # |v|^2 = 1 + 5e-11 is inside the trace tolerance
+    doc = {"pure": [math.sqrt(1.0 + 5e-11), 0, 0, 0]}
+    code, _, _ = run(capsys, "analyze", write_json(tmp_path, "near.json", doc))
+    assert code == EXIT_OK
 
 
 def test_analyze_parse_failures(tmp_path, capsys):
@@ -225,6 +229,12 @@ def test_analyze_validation_failures(tmp_path, capsys):
     doc = {"pure": [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     code, _, _ = run(capsys, "analyze", write_json(tmp_path, "norm.json", doc))
     assert code == EXIT_VALIDATION
+    # |v| - 1 = 8e-11, but the trace |v|^2 is 1.6e-10 off: refused at the
+    # normalization step, not by validation's trace check
+    doc = {"pure": [1.00000000008, 0, 0, 0]}
+    code, out, err = run(capsys, "analyze", write_json(tmp_path, "norm2.json", doc))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "error: state is not normalized (norm^2 = 1.00000000016)\n"
 
     # well-formed tensors that describe no trace-one matrix
     zeros = [[0.0] * 4 for _ in range(3)]
@@ -369,6 +379,23 @@ def test_fuzz_breach_exits_3(capsys, monkeypatch):
     ]
     assert [d["index"] for d in doc["counterexamples"]] == [0, 0, 1]
     assert all(len(d["input"]) == 4 for d in doc["counterexamples"])
+
+
+def test_no_call_path_evaluates_the_inequality(tmp_path, capsys, monkeypatch):
+    """The paper's explicit form is public, but neither the verdict, the
+    report, analyze nor a fuzz sample evaluates it."""
+
+    def refuse(c):
+        raise AssertionError("inequality_rhs was called")
+
+    monkeypatch.setattr(twoqubit.separability, "inequality_rhs", refuse)
+    rho = ginibre_density(np.random.default_rng(21))
+    peres_test(rho)
+    entanglement_report(rho)
+    code, _, _ = run(capsys, "analyze", write_json(tmp_path, "g.json", matrix_doc(rho)))
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "fuzz", "--samples", "1", "--seed", "21", "--family", "ginibre")
+    assert code == EXIT_OK
 
 
 def test_fuzz_is_deterministic(capsys):

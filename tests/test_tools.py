@@ -10,28 +10,31 @@ import answer_diff  # noqa: E402
 
 def test_answer_diff_counts_each_kind_of_change():
     """Numbers report their largest move, other values the units where they
-    changed, and a unit that raises on one side only is counted apart."""
+    changed, a field that one tree never has is named as such, and a unit
+    that raises on one side only is counted apart."""
     a = [
-        {"x": 1.0, "flag": True, "v.len": 2, "v[0]": 0.5, "v[1]": 0.25},
-        {"x": 2.0, "flag": False, "v.len": 1, "v[0]": 0.5},
+        {"x": 1.0, "flag": True, "v.len": 2, "v[0]": 0.5, "v[1]": 0.25, "old": None},
+        {"x": 2.0, "flag": False, "v.len": 1, "v[0]": 0.5, "old": True},
         "raised ValueError: bad",
-        {"x": 3.0, "flag": None, "v.len": 0},
+        {"x": 3.0, "flag": None, "v.len": 0, "old": False},
     ]
     b = [
         {"x": 1.5, "flag": True, "v.len": 2, "v[0]": 0.5, "v[1]": 0.5},
-        {"x": 2.0, "flag": None, "v.len": 1, "v[0]": 0.5},
-        {"x": 0.0, "flag": True, "v.len": 0},
+        {"x": 2.0, "flag": None, "v.len": 1, "v[0]": 0.5, "new": 1.0},
+        {"x": 0.0, "flag": True, "v.len": 0, "new": 2.0},
         "raised ValueError: bad",
     ]
     lines = answer_diff.compare(a, b)
-    rows = {f[0]: f[1:] for f in (line.split() for line in lines[1:5])}
+    rows = {f[0]: f[1:] for f in (line.split() for line in lines[1:7])}
     assert rows == {
         "flag": ["0.00e+00", "-", "0", "1", "units", "1"],
+        "new": ["only", "in", "B"],
+        "old": ["only", "in", "A"],
         "v.len": ["0.00e+00", "-", "0", "0"],
         "v[*]": ["2.50e-01", "0", "1", "0"],
         "x": ["5.00e-01", "0", "1", "0"],
     }
-    assert [line.strip() for line in lines[5:]] == [
+    assert [line.strip() for line in lines[7:]] == [
         "raise appears: 1  units 3",
         "raise disappears: 1  units 2",
         "raise differs: 0",

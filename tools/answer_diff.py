@@ -18,6 +18,9 @@ Per (workload, seed), one line per field, B against A:
 - ``changed``: the number of units where any other value (a flag, a branch
   name, ``None``, a list length) differs, with the first few unit indices.
 
+A field that no unit of one tree has (a field added or removed between the
+trees) reads ``only in A`` or ``only in B`` in place of those counts.
+
 Then the units that raise on one side only, and those whose exception
 differs. Where ``tools/answer_digest.py`` only says whether any answer
 changed, this says which, and by how much.
@@ -100,8 +103,19 @@ def _units(indices: list[int]) -> str:
     return shown + (", ..." if len(indices) > SHOWN_UNITS else "")
 
 
+def _field(path: str) -> str:
+    """The row a path reports under: list entries share one name."""
+    return re.sub(r"\[\d+\]", "[*]", path)
+
+
+def _names(rows: list) -> set[str]:
+    return {_field(path) for row in rows if not isinstance(row, str) for path in row}
+
+
 def compare(rows_a: list, rows_b: list) -> list[str]:
     """Report lines for one (workload, seed)."""
+    names_a, names_b = _names(rows_a), _names(rows_b)
+    only = {n: "only in A" for n in names_a - names_b} | {n: "only in B" for n in names_b - names_a}
     fields: dict[str, dict] = {}
     appear, disappear, differ = [], [], []
     for i, (a, b) in enumerate(zip(rows_a, rows_b)):
@@ -115,7 +129,7 @@ def compare(rows_a: list, rows_b: list) -> list[str]:
             continue
         for path in sorted(a.keys() | b.keys()):
             stat = fields.setdefault(
-                re.sub(r"\[\d+\]", "[*]", path),
+                _field(path),
                 {"max": 0.0, "at": None, "moved": set(), "changed": set()},
             )
             x, y = a.get(path, "<absent>"), b.get(path, "<absent>")
@@ -133,6 +147,9 @@ def compare(rows_a: list, rows_b: list) -> list[str]:
                 stat["changed"].add(i)
     lines = [f"  {'field':<48} {'max|d|':>9} {'at':>5} {'moved':>6} {'changed':>7}"]
     for name, stat in sorted(fields.items()):
+        if name in only:
+            lines.append(f"  {name:<48} {only[name]}")
+            continue
         at = "-" if stat["at"] is None else str(stat["at"])
         line = f"  {name:<48} {stat['max']:9.2e} {at:>5} {len(stat['moved']):6d} {len(stat['changed']):7d}"
         if stat["changed"]:
