@@ -4,7 +4,9 @@ or fuzz the closed forms against the Jacobi oracle.
 Exit codes: 0 success, 1 input parse error, 2 validation error (bad matrix
 or bad parameter ranges), 3 tolerance breach during fuzzing, 4 internal
 error (a closed form failed its own consistency check, or, in fuzz, the
-Jacobi oracle did not converge).
+Jacobi oracle did not converge), 141 stdout closed before the output was
+written (as in ``twoqubit chain ... | head -1``; 128 + SIGPIPE, the code
+of a process the signal ends), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -47,6 +50,7 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 _SWEEP_MAX_POINTS = 10**6
 
@@ -306,10 +310,12 @@ def _fuzz_spectrum_checks(rho, s: _State, idx, tally: _FuzzTally) -> None:
     tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, lambda: _matrix_json(rho))
 
 
-def _fuzz_density_checks(rho, idx, tally: _FuzzTally) -> _State:
+def _fuzz_density_checks(rho, idx, tally: _FuzzTally) -> tuple[_State, float | None]:
     """The spectrum checks plus verdict equivalence for one density
-    matrix; returns its record."""
+    matrix; returns its record and its concurrence, None where no check
+    computed it."""
     s = _State(rho)
+    c = None
     _fuzz_spectrum_checks(rho, s, idx, tally)
     sep = _verdict(s)
     pt_oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
@@ -328,7 +334,7 @@ def _fuzz_density_checks(rho, idx, tally: _FuzzTally) -> _State:
             "concurrence_vs_verdict", 0.0 if agree else 1.0, 0.5, idx,
             lambda: _matrix_json(rho),
         )
-    return s
+    return s, c
 
 
 def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally):
@@ -360,8 +366,9 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
         _fuzz_density_checks(rho, idx, tally)
     elif family == "werner":
         p = rng.uniform(-1.0 / 3.0, 1.0)
-        s = _fuzz_density_checks(werner_state(p), idx, tally)
-        c = _concurrence(s)
+        s, c = _fuzz_density_checks(werner_state(p), idx, tally)
+        if c is None:
+            c = _concurrence(s)
         err = abs(c - max(0.0, (3.0 * p - 1.0) / 2.0))
         tally.record("werner_concurrence_formula", err, 1e-10, idx, lambda: [p])
     else:
@@ -432,10 +439,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = {"analyze": cmd_analyze, "chain": cmd_chain, "fuzz": cmd_fuzz}[args.command]
     try:
-        return command(args)
+        args = _build_parser().parse_args(argv)
+        command = {"analyze": cmd_analyze, "chain": cmd_chain, "fuzz": cmd_fuzz}[args.command]
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # What is still buffered goes to the null device, so the
+        # interpreter's own flush at exit finds a sink and says nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -144,7 +144,11 @@ def negativity(rho, check: bool = True) -> float:
 
 
 def _eof_bound(s: _State) -> float:
-    if _factor(s.rows, -TAU_BRANCH)[0] < 4:
+    # rho's own factor, where validation or the concurrence made it: one
+    # that stops short of rank 4 puts lambda_min(rho) within its pivot
+    # tolerance of zero or below, so rho - TAU_BRANCH I cannot reach rank 4.
+    own = s._factor
+    if (own is not None and own[0] < 4) or _factor(s.rows, -TAU_BRANCH)[0] < 4:
         raise NotApplicableError(
             f"bound requires a full-rank state with lambda_min > {TAU_BRANCH:g} "
             f"(factor rank {s.factor[0]})"

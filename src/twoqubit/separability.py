@@ -85,10 +85,10 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     evaluates it; the verdict reads lambda_min_pt."""
     if c.s == 0.0:
         return None
-    tp = trig_params(c)
-    if _single_triple(c, tp) is not None:
+    c1, _, phi = trig_params(c)
+    if _single_triple(c, phi) is not None:
         return None
-    sx, u, w = _resolvent_terms(c, tp.c1, math.cos(tp.phi))
+    sx, u, w = _resolvent_terms(c, c1, math.cos(phi))
     inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL / c.s)
     return c.s * (sx / SQRT3 + 2.0 * inner / SQRT6)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +112,7 @@ class CharCoeffs:
         return 1.0 / 256.0 + (-1.0 / 32.0 + (0.25 * self.k3 + self.k4 * s) * s) * s * s
 
 
-@dataclass(frozen=True)
-class TrigParams:
+class TrigParams(NamedTuple):
     """Resolvent parameters c1, c2 and the angle phi of a unit shape.
 
     phi is None when c1 (and necessarily c2) vanish within TAU_BRANCH; the
@@ -229,11 +229,15 @@ def _even_terms(xa, xb, a) -> tuple[float, float, float]:
 
 
 def _tensor_list(t) -> list:
-    """A Bloch tensor's rows as lists of floats; ValueError unless it is (4, 4)."""
+    """A Bloch tensor's rows as lists of floats; ValueError unless it is
+    (4, 4) with finite entries, as from_bloch words it."""
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
         raise ValueError("expected a (4, 4) Bloch tensor")
-    return t.tolist()
+    rows = t.tolist()
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
+        raise ValueError("tensor contains non-finite entries")
+    return rows
 
 
 def _own_pass(t):
@@ -252,6 +256,8 @@ def _own_pass(t):
     )
     if s == 0.0:
         return CharCoeffs(s=0.0, k3=0.0, k4=0.0), None
+    if s == math.inf:  # finite entries whose squares overflow
+        raise ValueError("matrix contains non-finite entries")
     xa = (a1 / s, a2 / s, a3 / s)
     xb = (b1 / s, b2 / s, b3 / s)
     corr = ((p11 / s, p12 / s, p13 / s), (p21 / s, p22 / s, p23 / s), (p31 / s, p32 / s, p33 / s))
@@ -326,13 +332,13 @@ def trig_params(c: CharCoeffs) -> TrigParams:
                 f"c1 = {c1:.3e} vanishes but c2 = {c2:.3e} does not; "
                 f"impossible for a real spectrum (coeffs {c})"
             )
-        return TrigParams(c1=c1, c2=c2, phi=None)
+        return TrigParams(c1, c2, None)
     gap = c2 * c2 - 4.0 * c1 ** 6
     if gap > max(1e-9, 2.0 * band * max(abs(c2), c1 ** 3)):
         raise ValueError(f"c2^2 - 4 c1^6 = {gap:.3e} > 0: spectrum is not real")
     ratio = c2 / (2.0 * c1 ** 3)
     ratio = min(1.0, max(-1.0, ratio))
-    return TrigParams(c1=c1, c2=c2, phi=math.acos(ratio) / 3.0)
+    return TrigParams(c1, c2, math.acos(ratio) / 3.0)
 
 
 def _clamped_sqrt(
@@ -352,10 +358,14 @@ def _clamped_sqrt(
 
 def _poly_residual(c: CharCoeffs, eigs) -> float:
     """Largest |p(mu)| of the unit quartic over mu = (lambda - 1/4) / s."""
-    return max(
-        abs(((mu * mu - 0.5) * mu - c.k3) * mu + c.k4)
-        for mu in ((lam - 0.25) / c.s for lam in eigs)
-    )
+    s, k3, k4 = c.s, c.k3, c.k4
+    worst = 0.0
+    for lam in eigs:
+        mu = (lam - 0.25) / s
+        r = abs(((mu * mu - 0.5) * mu - k3) * mu + k4)
+        if r > worst:
+            worst = r
+    return worst
 
 
 def _resolvent_terms(c: CharCoeffs, c1: float, cos_theta: float):
@@ -383,9 +393,9 @@ def _generic_eigs(c: CharCoeffs, c1: float, cos_theta: float, band: float, flush
     )
 
 
-def _single_triple(c: CharCoeffs, tp: TrigParams):
-    """The single+triple spectrum quartic_eigs gives c (s > 0, tp =
-    trig_params(c)), as (eigenvalues, branch), or None where it takes
+def _single_triple(c: CharCoeffs, phi: float | None):
+    """The single+triple spectrum quartic_eigs gives c (s > 0, phi that
+    of trig_params(c)), as (eigenvalues, branch), or None where it takes
     another branch. It does so where phi is None, or where c's shape is
     within _DEGEN_COEFF_TOL / s of one of the two single+triple shapes, the
     distance being the sum of the k3 and k4 distances. The shapes are
@@ -394,7 +404,7 @@ def _single_triple(c: CharCoeffs, tp: TrigParams):
     image."""
     sgn = 1.0 if c.k3 >= 0.0 else -1.0
     mismatch = abs(c.k3 - sgn / (3.0 * SQRT3)) + abs(c.k4 + 1.0 / 48.0)
-    if tp.phi is not None and not mismatch <= _DEGEN_COEFF_TOL / c.s:
+    if phi is not None and not mismatch <= _DEGEN_COEFF_TOL / c.s:
         return None
     single = 0.25 + sgn * SQRT3 * c.s / 2.0
     triple = 0.25 - sgn * c.s / (2.0 * SQRT3)
@@ -411,7 +421,9 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     (b0 = 0), c2 = 0, and finally the generic trigonometric formula. The
     c2 = 0 branch evaluates that same formula on the middle resolvent root
     and on the largest one, and the candidate with the smaller residual
-    wins; a residual beyond tolerance raises InternalInconsistencyError.
+    wins. The spectrum a branch gives is gated by its residual: beyond
+    tolerance raises InternalInconsistencyError. A non-finite s, k3 or k4
+    raises ValueError first.
 
     The proximity pre-gate exists because a triple root is exactly where
     the trigonometric route is worst (it splits the root with an error of
@@ -424,17 +436,21 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     b1 at _RANK_TOL: b0 is the product of the eigenvalues, and 5e-13 read
     lambda4 = 4.0e-5 of diag(0.9997, 2.02e-4, 6.06e-5, 4.04e-5) as 0.0.
     """
-    if c.s == 0.0:
+    s = c.s
+    # x - x is 0.0 for a finite x and NaN otherwise: one test for all three.
+    if (s - s) + (c.k3 - c.k3) + (c.k4 - c.k4) != 0.0:
+        raise ValueError(f"coefficients must be finite, got {c}")
+    if s == 0.0:
         return QuarticSpectrum(eigenvalues=(0.25, 0.25, 0.25, 0.25), branch=Branch.ALL_QUARTER)
-    tp = trig_params(c)
-    tol = _DEGEN_COEFF_TOL / c.s
+    c1, c2, phi = trig_params(c)
+    tol = _DEGEN_COEFF_TOL / s
     band = max(_CLAMP_BAND, 300.0 * tol)
     flush = 30.0 * tol
     b0 = c.b0
 
-    near = _single_triple(c, tp)
+    near = _single_triple(c, phi)
     if near is not None:
-        candidates = [near]
+        eigs, branch = near
     elif abs(b0) <= _RANK_TOL and abs(c.b1) <= _RANK_TOL:
         # Vanishing b0 and b1 factor the quartic as lambda^2 times
         # (lambda^2 - lambda + b2): a double root at the origin beside a
@@ -443,23 +459,25 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
         # eigenvalue sits nearby, so the factored form takes precedence.
         # It is still the generic stratum, just evaluated differently.
         r = _clamped_sqrt(1.0 - 4.0 * c.b2, "origin-pair factor", band, flush)
-        candidates = [(((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC)]
+        eigs, branch = ((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC
     elif abs(b0) <= _RANK_TOL:
         # A vanishing constant term factors one root out at the origin
         # exactly. The residual cubic keeps a neighbor of that root well
         # conditioned, where the resolvent route would smear both.
         three, _ = cubic_eigs(cubic_coeffs(c))
-        candidates = [((three[0], three[1], three[2], 0.0), Branch.GENERIC)]
-    elif abs(tp.c2) <= TAU_BRANCH:
+        eigs, branch = (three[0], three[1], three[2], 0.0), Branch.GENERIC
+    elif abs(c2) <= TAU_BRANCH:
         # Middle resolvent root first, then the largest; a residual tie
         # goes to the middle root.
-        tries = (0.0, math.cos(tp.phi))
-        candidates = [(_generic_eigs(c, tp.c1, ct, band, flush), Branch.C2_ZERO) for ct in tries]
+        eigs = _generic_eigs(c, c1, 0.0, band, flush)
+        top = _generic_eigs(c, c1, math.cos(phi), band, flush)
+        if _poly_residual(c, top) < _poly_residual(c, eigs):
+            eigs = top
+        branch = Branch.C2_ZERO
     else:
-        candidates = [(_generic_eigs(c, tp.c1, math.cos(tp.phi), band, flush), Branch.GENERIC)]
+        eigs, branch = _generic_eigs(c, c1, math.cos(phi), band, flush), Branch.GENERIC
 
-    scored = [(_poly_residual(c, e), e, b) for e, b in candidates]
-    residual, eigs, branch = min(scored, key=lambda x: x[0])
+    residual = _poly_residual(c, eigs)
     if residual > max(_RESIDUAL_TOL, 30.0 * tol):
         raise InternalInconsistencyError(
             f"closed-form spectrum residual {residual:.3e} for coefficients {c}"

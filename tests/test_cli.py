@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import twoqubit.cli
 import twoqubit.separability
 from twoqubit.bloch import to_bloch
 from twoqubit.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
@@ -398,6 +402,55 @@ def test_no_call_path_evaluates_the_inequality(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_werner_fuzz_computes_each_concurrence_once(capsys, monkeypatch):
+    """A Werner sample's verdict check and its formula check share one
+    concurrence: one flip-product pass per sample."""
+    calls = []
+    real = twoqubit.entanglement._flip_product_eigs
+
+    def counted(factor):
+        calls.append(1)
+        return real(factor)
+
+    monkeypatch.setattr(twoqubit.entanglement, "_flip_product_eigs", counted)
+    code, out, _ = run(capsys, "fuzz", "--samples", "40", "--seed", "8", "--family", "werner")
+    assert code == EXIT_OK
+    assert len(calls) == 40
+    checks = json.loads(out)["max_error"]
+    assert "concurrence_vs_verdict" in checks and "werner_concurrence_formula" in checks
+
+
+def _run_into_closed_pipe(*argv):
+    """Run the CLI in a fresh interpreter whose stdout is a pipe with its
+    read end already closed; (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(twoqubit.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoqubit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("command", ["chain", "analyze"])
+def test_closed_stdout_is_a_quiet_exit(tmp_path, command):
+    """As in ``chain ... | head -1`` or ``analyze FILE | true``: a closed
+    stdout exits EXIT_BROKEN_PIPE, not 1, the parse-error code, with
+    nothing on stderr, also from the interpreter's flush at exit."""
+    if command == "chain":
+        argv = ["chain", "--q", "0.4", "--sweep", "0:1:0.0001", "--csv"]
+    else:
+        argv = ["analyze", write_json(tmp_path, "bell.json", bell_matrix_doc())]
+    code, err = _run_into_closed_pipe(*argv)
+    assert code == EXIT_BROKEN_PIPE
+    assert err == ""  # no traceback, no "Exception ignored"
+
+
 def test_fuzz_is_deterministic(capsys):
     _, first, _ = run(capsys, "fuzz", "--samples", "40", "--seed", "11", "--family", "ginibre")
     _, second, _ = run(capsys, "fuzz", "--samples", "40", "--seed", "11", "--family", "ginibre")
@@ -417,6 +470,8 @@ def test_unknown_family_is_an_argparse_error(capsys):
 def test_exit_tolerance_is_distinct():
     # the breach exit code must stay distinguishable for scripting
     assert EXIT_TOLERANCE not in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_INTERNAL)
+    codes = (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_TOLERANCE, EXIT_INTERNAL)
+    assert EXIT_BROKEN_PIPE not in codes
 
 
 def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):

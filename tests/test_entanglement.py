@@ -30,6 +30,7 @@ from twoqubit.sampling import (
     haar_pure,
     near_quarter_density,
     pure_density,
+    random_hermitian_trace_one,
     random_product_pure,
     rank_deficient_density,
     werner_state,
@@ -329,17 +330,41 @@ def _overflowing_off_diagonal():
     return rho
 
 
-@pytest.mark.parametrize("measure", MEASURES)
+def _overflowing_hermitian():
+    """A Hermitian trace-one matrix whose Bloch tensor's squares overflow,
+    so s would be inf."""
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = rho[1, 0] = 1e200
+    return rho
+
+
+OVERFLOWING = {
+    "scaled_identity": 1e200 * np.eye(4, dtype=complex) / 4.0,
+    "off_diagonal": _overflowing_off_diagonal(),
+    "hermitian": _overflowing_hermitian(),
+}
+NON_FINITE = "matrix contains non-finite entries"
+# (measure, input, the error it raises and its message)
+OVERFLOW_CASES = [(m, name, ValueError, NON_FINITE) for m in MEASURES for name in OVERFLOWING] + [
+    (peres_test, "hermitian", ValueError, NON_FINITE),
+    (negativity, "hermitian", ValueError, NON_FINITE),
+    (eof_upper_bound, "hermitian", NotApplicableError, "factor rank 3"),
+]
+
+
 @pytest.mark.parametrize(
-    "rho",
-    [1e200 * np.eye(4, dtype=complex) / 4.0, _overflowing_off_diagonal()],
-    ids=["scaled_identity", "off_diagonal"],
+    "measure, name, error, message",
+    OVERFLOW_CASES,
+    ids=[f"{name}-{m.__name__}" for m, name, _, _ in OVERFLOW_CASES],
 )
-def test_unchecked_overflowing_product_is_a_typed_error(measure, rho):
+def test_unchecked_overflowing_product_is_a_typed_error(measure, name, error, message):
     """A product that overflows is not solved: the pass raises, with no
-    RuntimeWarning first, even where the trace is finite."""
-    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
-        measure(rho, check=False)
+    RuntimeWarning first, even where the trace is finite. Nor is a partial
+    transpose whose scale s overflows, which would read lambda_min_pt =
+    -inf and a negativity of inf; the bound's gate refuses that indefinite
+    matrix before any spectrum."""
+    with pytest.raises(error, match=message):
+        measure(OVERFLOWING[name], check=False)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +438,50 @@ def _rank2_mix(p):
         return (m + m.conj().T) / 2.0
 
     return draw
+
+
+def _tiny_lambda_min(rng):
+    """A Haar rotation of a spectrum whose least eigenvalue is within a few
+    times the factor's pivot tolerance of zero, on either side."""
+    lam = rng.choice([0.0, 1e-16, 1e-15, 3e-15, 1e-14, -1e-15, -1e-14])
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u = np.linalg.qr(z)[0]
+    rho = u @ np.diag([0.5, 0.3, 0.2 - lam, lam]) @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: pure_density(haar_pure(rng)),
+        lambda rng: rank_deficient_density(rng, 2),
+        lambda rng: rank_deficient_density(rng, 3),
+        _rank2_mix(1e-8),
+        random_hermitian_trace_one,
+        _tiny_lambda_min,
+    ],
+    ids=["rank1", "rank2", "rank3", "rank2_mix", "indefinite", "tiny_lambda_min"],
+)
+def test_eof_gate_skip_agrees_with_the_shifted_factor(draw):
+    """Where rho's own factor stops below rank 4, so does the factor of
+    rho - TAU_BRANCH I, so the bound may refuse on the kept factor alone:
+    a record that holds it answers as one that runs the shifted gate."""
+    rng = np.random.default_rng(72)
+    refused = 0
+    for _ in range(500):
+        rho = draw(rng)
+        kept, fresh = _State(rho), _State(rho)
+        if kept.factor[0] < 4:
+            assert _factor(kept.rows, -TAU_BRANCH)[0] < 4
+            refused += 1
+        outcomes = []
+        for s in (kept, fresh):
+            try:
+                outcomes.append(repr(entanglement._eof_bound(s)))
+            except NotApplicableError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+    assert refused > 0
 
 
 def _chain_state(rng):

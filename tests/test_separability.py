@@ -484,7 +484,10 @@ def test_consecutive_calls_share_one_record(monkeypatch):
     needs no shifted one). The factorization runs twice: rho's, kept by
     the record, and the EoF bound's gate at -TAU_BRANCH. The concurrence
     solves one more quartic, of tau^dagger tau, under entanglement's name.
-    The answers are a fresh record's."""
+    On a rank-2 state it also runs twice, rho's and validation's at
+    +PSD_TOL / 2: the EoF bound reads the kept rank-2 factor and skips its
+    gate, and the rank-2 concurrence solves no quartic. The answers are a
+    fresh record's."""
     calls = dict.fromkeys(("_bloch_pass", "_check_rows", "_factor", "quartic_eigs", "tau quartic"), 0)
 
     def counted(module, name, key=None):
@@ -515,6 +518,18 @@ def test_consecutive_calls_share_one_record(monkeypatch):
             "_factor": 2,
             "quartic_eigs": 1,
             "tau quartic": 1,
+        }
+        assert got == answers(_State(rho))
+    for _ in range(20):
+        rho = rank_deficient_density(rng, 2)
+        before = dict(calls)
+        got = public_answers(rho)
+        assert {k: calls[k] - before[k] for k in calls} == {
+            "_bloch_pass": 1,
+            "_check_rows": 1,
+            "_factor": 2,
+            "quartic_eigs": 1,
+            "tau quartic": 0,
         }
         assert got == answers(_State(rho))
 

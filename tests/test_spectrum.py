@@ -33,6 +33,7 @@ from twoqubit.spectrum import (
     trig_params,
 )
 from twoqubit.bloch import to_bloch
+from twoqubit.separability import pt_coeffs
 
 
 def diag_density(*xs):
@@ -83,6 +84,26 @@ def test_bloch_route_agrees_with_trace_route():
 def test_bloch_route_rejects_bad_shape():
     with pytest.raises(ValueError):
         coeffs_from_bloch(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("route", [coeffs_from_bloch, pt_coeffs])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bloch_route_rejects_non_finite_tensor(route, bad):
+    """from_bloch's check and words; unchecked, the coefficients are NaN."""
+    t = np.eye(4)
+    t[1, 2] = bad
+    with pytest.raises(ValueError, match="^tensor contains non-finite entries$"):
+        route(t)
+
+
+@pytest.mark.parametrize("route", [coeffs_from_bloch, pt_coeffs])
+def test_bloch_route_rejects_overflowing_scale(route):
+    """Finite entries whose squares overflow give s = inf, which is
+    refused as the state measures refuse an overflowing product."""
+    t = np.eye(4)
+    t[1, 2] = 1e200
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        route(t)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +183,19 @@ def test_quartic_rejects_inconsistent_coefficients():
     c = CharCoeffs(s=0.5, k3=0.0, k4=0.1)
     with pytest.raises(InternalInconsistencyError):
         quartic_eigs(c)
+
+
+@pytest.mark.parametrize("field", ["s", "k3", "k4"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("s", [0.3, 0.0], ids=["s0.3", "s0"])
+def test_quartic_rejects_non_finite_coefficients(field, bad, s):
+    """Unchecked, a NaN k3 is flushed to zero in a radicand and reads as a
+    finite Generic spectrum; every non-finite coefficient raises
+    ValueError, also beside s = 0."""
+    c = dict(s=s, k3=0.05, k4=-0.01)
+    c[field] = bad
+    with pytest.raises(ValueError, match="^coefficients must be finite"):
+        quartic_eigs(CharCoeffs(**c))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ inputs come from 30 Ginibre states of seed 0 (drawn here with numpy, so
 every tree sees the same ones); one repeat makes 300 calls, cycling over
 the states, and the row shows the fastest of 9 repeats' microseconds per
 call ("eigvalsh, stacked" is one call on all states, shown per state).
+The row "entanglement_report, rank 2" runs on 30 rank-2 states of seed 0
+instead, G G† / tr(G G†) with complex Gaussian 4x2 G.
 The last row is the benchmark's fuzz_cli unit, one in-process ``twoqubit
 fuzz`` call of 10 samples, on the tree's own first 30 units of seed 0,
 shown per sample: a million over it is fuzz samples per second. Cyclic
@@ -75,6 +77,7 @@ ROWS = (
         lambda tq: functools.partial(tq.entanglement_report, check=False),
         lambda tq, r: (r,),
     ),
+    ("entanglement_report, rank 2", lambda tq: tq.entanglement_report, lambda tq, r: (r,)),
     (
         "eof_upper_bound, check=False",
         lambda tq: functools.partial(tq.eof_upper_bound, check=False),
@@ -106,6 +109,8 @@ ROWS = (
     ),
     ("eigvalsh", lambda tq: np.linalg.eigvalsh, lambda tq, r: (r,)),
 )
+# The rank of the states a row runs on, where it is not 4.
+RANK = {"entanglement_report, rank 2": 2}
 STACKED = "eigvalsh, stacked"
 FUZZ = "twoqubit fuzz, per sample"
 
@@ -113,12 +118,12 @@ FUZZ = "twoqubit fuzz, per sample"
 _CALLS: dict = {}
 
 
-def ginibre_states(n: int, seed: int) -> list[np.ndarray]:
-    """n full-rank states G G† / tr(G G†) with complex Gaussian 4x4 G."""
+def ginibre_states(n: int, seed: int, rank: int = 4) -> list[np.ndarray]:
+    """n rank-r states G G† / tr(G G†) with complex Gaussian 4 x rank G."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
         m = g @ g.conj().T
         out.append(m / np.trace(m).real)
     return out
@@ -127,16 +132,16 @@ def ginibre_states(n: int, seed: int) -> list[np.ndarray]:
 def _load(root: str, n_states: int, seed: int) -> None:
     """Import ``twoqubit`` from ROOT/src and prepare every row's calls."""
     tq, workloads = load(root)
-    rhos = ginibre_states(n_states, seed)
+    states = {rank: ginibre_states(n_states, seed, rank) for rank in {4, *RANK.values()}}
     for name, fn_of, args_of in ROWS:
         try:
             fn = fn_of(tq)
-            args = [args_of(tq, r) for r in rhos]
+            args = [args_of(tq, r) for r in states[RANK.get(name, 4)]]
             fn(*args[-1])
         except Exception:  # a row this tree cannot run
             continue
         _CALLS[name] = (fn, args, 1)
-    _CALLS[STACKED] = (np.linalg.eigvalsh, [(np.array(rhos),)], n_states)
+    _CALLS[STACKED] = (np.linalg.eigvalsh, [(np.array(states[4]),)], n_states)
     try:
         units = [(u,) for u in workloads.generate(tq, "fuzz_cli", seed, n_states)]
         run_unit = functools.partial(workloads.run_unit, tq)
