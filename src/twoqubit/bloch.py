@@ -192,16 +192,25 @@ def to_bloch(rho):
     return np.array(_tensor_rows(_read(rho)[1]))
 
 
-def from_bloch(t):
-    """Reassemble the 4x4 matrix from its Bloch tensor."""
+def _read_tensor(t) -> tuple[np.ndarray, list]:
+    """t as a float array and as rows of Python floats; ValueError unless
+    it is (4, 4) with finite entries and a[0, 0] = 1 within TRACE_TOL,
+    tested in that order. Every tensor input is read here except
+    partial_transpose_bloch's, a linear map on any (4, 4) array."""
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
         raise ValueError("expected a (4, 4) Bloch tensor")
-    if not np.all(np.isfinite(t)):
+    rows = t.tolist()
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
         raise ValueError("tensor contains non-finite entries")
-    if abs(t[0, 0] - 1.0) > TRACE_TOL:
+    if abs(rows[0][0] - 1.0) > TRACE_TOL:
         raise ValueError("a[0, 0] must equal 1")
-    return np.einsum("mnij,mn->ij", _BASIS, t) / 4.0
+    return t, rows
+
+
+def from_bloch(t):
+    """Reassemble the 4x4 matrix from its Bloch tensor, read by _read_tensor."""
+    return np.einsum("mnij,mn->ij", _BASIS, _read_tensor(t)[0]) / 4.0
 
 
 def reduced_state(t, subsystem: str):
@@ -209,13 +218,9 @@ def reduced_state(t, subsystem: str):
 
     ``subsystem`` is "A" or "B". Tracing out the partner leaves
     (sigma_0 + xi . sigma) / 2 with xi the corresponding polarization view.
-    A tensor that is not (4, 4) or has a non-finite entry raises ValueError.
+    The tensor is read by _read_tensor, whose checks raise ValueError.
     """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (4, 4):
-        raise ValueError("expected a (4, 4) Bloch tensor")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor contains non-finite entries")
+    t = _read_tensor(t)[0]
     if subsystem == "A":
         xi = t[1:, 0]
     elif subsystem == "B":

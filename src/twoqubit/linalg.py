@@ -117,11 +117,7 @@ def charpoly_flv(m) -> MonicQuartic:
     imaginary part of a c_k exceeds 1e-12 max(1, max |m_ij|)^(4 - k). A
     reference route: the closed forms read theirs off the Bloch tensor.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix contains non-finite entries")
+    m = _read(m)[0]
     c3 = -m.trace()
     n = m @ m + c3 * m
     c2 = -n.trace() / 2.0
@@ -160,7 +156,9 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
     m : array_like
         Hermitian 4x4 matrix with finite entries.
     tol : float
-        Convergence threshold on the Frobenius norm of the off-diagonal part.
+        Convergence threshold on the Frobenius norm of the off-diagonal
+        part of m scaled exactly by a power of two to entries of order one,
+        so the stop is relative and no square can overflow.
     max_sweeps : int
         Hard cap on full rotation sweeps; exceeding it raises
         OracleConvergenceError rather than looping forever.
@@ -171,8 +169,8 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         The four eigenvalues sorted in descending order.
 
     Raises ValueError unless m is 4x4 with finite entries (checked first)
-    and each |m_ij - conj(m_ji)| is at most 1e-8. An entry whose modulus
-    exceeds the float range raises OracleConvergenceError.
+    and each |m_ij - conj(m_ji)| is at most 1e-8. An entry or eigenvalue
+    whose modulus exceeds the float range raises OracleConvergenceError.
     """
     _, rows = _read(m)
     if not _asymmetry(rows) <= 1e-8:
@@ -182,124 +180,134 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
     # elementwise numpy and keeps the routine dependency-free.
     (d0, u01, u02, u03), (_, d1, u12, u13), (_, _, d2, u23), (_, _, _, d3) = rows
     d0, d1, d2, d3 = d0.real, d1.real, d2.real, d3.real
+    # Scaled exactly by f = 2^-e, which puts the largest real or imaginary
+    # part in [1/2, 1); e stops at -1022, where f would pass the float range.
+    big = max(
+        abs(d0), abs(d1), abs(d2), abs(d3), abs(u01.real), abs(u01.imag), abs(u02.real),
+        abs(u02.imag), abs(u03.real), abs(u03.imag), abs(u12.real), abs(u12.imag),
+        abs(u13.real), abs(u13.imag), abs(u23.real), abs(u23.imag),
+    )
+    e = max(math.frexp(big)[1], -1022)
+    f = math.ldexp(1.0, -e)
+    d0, d1, d2, d3 = d0 * f, d1 * f, d2 * f, d3 * f
+    u01, u02, u03, u12, u13, u23 = u01 * f, u02 * f, u03 * f, u12 * f, u13 * f, u23 * f
     sqrt = math.sqrt
-    # The squared off-norm 2 sum |u|^2 against tol^2, summed as products,
-    # which overflow to inf where ** raises OverflowError.
+    # The squared off-norm 2 sum |u|^2 against tol^2.
     half_tol_sq = 0.5 * tol * tol
     sweeps = 0
-    try:
-        while True:
-            off_sq = (
-                u01.real * u01.real + u01.imag * u01.imag
-                + u02.real * u02.real + u02.imag * u02.imag
-                + u03.real * u03.real + u03.imag * u03.imag
-                + u12.real * u12.real + u12.imag * u12.imag
-                + u13.real * u13.real + u13.imag * u13.imag
-                + u23.real * u23.real + u23.imag * u23.imag
+    while True:
+        off_sq = (
+            u01.real * u01.real + u01.imag * u01.imag
+            + u02.real * u02.real + u02.imag * u02.imag
+            + u03.real * u03.real + u03.imag * u03.imag
+            + u12.real * u12.real + u12.imag * u12.imag
+            + u13.real * u13.real + u13.imag * u13.imag
+            + u23.real * u23.real + u23.imag * u23.imag
+        )
+        if off_sq <= half_tol_sq:
+            break
+        if sweeps >= max_sweeps:
+            raise OracleConvergenceError(
+                f"Jacobi did not reach relative off-norm {tol} in {max_sweeps} sweeps "
+                f"(off={sqrt(2.0 * off_sq):.3e})"
             )
-            if off_sq <= half_tol_sq:
-                break
-            if sweeps >= max_sweeps:
-                raise OracleConvergenceError(
-                    f"Jacobi did not reach off-norm {tol} in {max_sweeps} sweeps "
-                    f"(off={sqrt(2.0 * off_sq):.3e})"
-                )
-            sweeps += 1
-            # Each rotation: theta = (a_qq - a_pp) / (2 |a_pq|), t the root
-            # of t^2 + 2 theta t = 1 of least modulus, c = 1 / sqrt(1 + t^2) and
-            # s = t c a_pq / |a_pq|; the new a[k][p] is c a_kp - conj(s) a_kq
-            # and the new a[k][q] is s a_kp + c a_kq.
-            r = abs(u01)
-            if r:
-                theta = (d1 - d0) / (2.0 * r)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c / r * u01
-                sb = s.conjugate()
-                t *= r
-                d0 -= t
-                d1 += t
-                u01 = 0j
-                u02, u12 = c * u02 - s * u12, sb * u02 + c * u12
-                u03, u13 = c * u03 - s * u13, sb * u03 + c * u13
-            r = abs(u02)
-            if r:
-                theta = (d2 - d0) / (2.0 * r)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c / r * u02
-                t *= r
-                d0 -= t
-                d2 += t
-                u02 = 0j
-                u01, u12 = c * u01 - s * u12.conjugate(), s * u01.conjugate() + c * u12
-                u03, u23 = c * u03 - s * u23, s.conjugate() * u03 + c * u23
-            r = abs(u03)
-            if r:
-                theta = (d3 - d0) / (2.0 * r)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c / r * u03
-                t *= r
-                d0 -= t
-                d3 += t
-                u03 = 0j
-                u01, u13 = c * u01 - s * u13.conjugate(), s * u01.conjugate() + c * u13
-                u02, u23 = c * u02 - s * u23.conjugate(), s * u02.conjugate() + c * u23
-            r = abs(u12)
-            if r:
-                theta = (d2 - d1) / (2.0 * r)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c / r * u12
-                sb = s.conjugate()
-                t *= r
-                d1 -= t
-                d2 += t
-                u12 = 0j
-                u01, u02 = c * u01 - sb * u02, s * u01 + c * u02
-                u13, u23 = c * u13 - s * u23, sb * u13 + c * u23
-            r = abs(u13)
-            if r:
-                theta = (d3 - d1) / (2.0 * r)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c / r * u13
-                t *= r
-                d1 -= t
-                d3 += t
-                u13 = 0j
-                u01, u03 = c * u01 - s.conjugate() * u03, s * u01 + c * u03
-                u12, u23 = c * u12 - s * u23.conjugate(), s * u12.conjugate() + c * u23
-            r = abs(u23)
-            if r:
-                theta = (d3 - d2) / (2.0 * r)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c / r * u23
-                sb = s.conjugate()
-                t *= r
-                d2 -= t
-                d3 += t
-                u23 = 0j
-                u02, u03 = c * u02 - sb * u03, s * u02 + c * u03
-                u12, u13 = c * u12 - sb * u13, s * u12 + c * u13
-    except OverflowError:
-        # abs() of a finite entry whose modulus is past the float range
-        raise OracleConvergenceError(
-            "Jacobi overflowed: an entry's modulus exceeds the float range"
-        ) from None
+        sweeps += 1
+        # Each rotation: theta = (a_qq - a_pp) / (2 |a_pq|), t the root
+        # of t^2 + 2 theta t = 1 of least modulus, c = 1 / sqrt(1 + t^2) and
+        # s = t c a_pq / |a_pq|; the new a[k][p] is c a_kp - conj(s) a_kq
+        # and the new a[k][q] is s a_kp + c a_kq.
+        r = abs(u01)
+        if r:
+            theta = (d1 - d0) / (2.0 * r)
+            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c / r * u01
+            sb = s.conjugate()
+            t *= r
+            d0 -= t
+            d1 += t
+            u01 = 0j
+            u02, u12 = c * u02 - s * u12, sb * u02 + c * u12
+            u03, u13 = c * u03 - s * u13, sb * u03 + c * u13
+        r = abs(u02)
+        if r:
+            theta = (d2 - d0) / (2.0 * r)
+            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c / r * u02
+            t *= r
+            d0 -= t
+            d2 += t
+            u02 = 0j
+            u01, u12 = c * u01 - s * u12.conjugate(), s * u01.conjugate() + c * u12
+            u03, u23 = c * u03 - s * u23, s.conjugate() * u03 + c * u23
+        r = abs(u03)
+        if r:
+            theta = (d3 - d0) / (2.0 * r)
+            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c / r * u03
+            t *= r
+            d0 -= t
+            d3 += t
+            u03 = 0j
+            u01, u13 = c * u01 - s * u13.conjugate(), s * u01.conjugate() + c * u13
+            u02, u23 = c * u02 - s * u23.conjugate(), s * u02.conjugate() + c * u23
+        r = abs(u12)
+        if r:
+            theta = (d2 - d1) / (2.0 * r)
+            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c / r * u12
+            sb = s.conjugate()
+            t *= r
+            d1 -= t
+            d2 += t
+            u12 = 0j
+            u01, u02 = c * u01 - sb * u02, s * u01 + c * u02
+            u13, u23 = c * u13 - s * u23, sb * u13 + c * u23
+        r = abs(u13)
+        if r:
+            theta = (d3 - d1) / (2.0 * r)
+            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c / r * u13
+            t *= r
+            d1 -= t
+            d3 += t
+            u13 = 0j
+            u01, u03 = c * u01 - s.conjugate() * u03, s * u01 + c * u03
+            u12, u23 = c * u12 - s * u23.conjugate(), s * u12.conjugate() + c * u23
+        r = abs(u23)
+        if r:
+            theta = (d3 - d2) / (2.0 * r)
+            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c / r * u23
+            sb = s.conjugate()
+            t *= r
+            d2 -= t
+            d3 += t
+            u23 = 0j
+            u02, u03 = c * u02 - sb * u03, s * u02 + c * u03
+            u12, u13 = c * u12 - sb * u13, s * u12 + c * u13
 
-    return sorted((d0, d1, d2, d3), reverse=True)
+    try:
+        return [math.ldexp(d, e) for d in sorted((d0, d1, d2, d3), reverse=True)]
+    except OverflowError:
+        # An entry whose modulus is past the float range puts an eigenvalue there.
+        raise OracleConvergenceError(
+            "Jacobi overflowed: an eigenvalue's modulus exceeds the float range"
+        ) from None

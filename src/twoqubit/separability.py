@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _check_rows, _factor, _tensor_rows
+from .bloch import _check_rows, _factor, _read_tensor, _tensor_rows
 from .linalg import _read
 from .spectrum import (
     SQRT3,
@@ -33,7 +33,6 @@ from .spectrum import (
     _clamped_sqrt,
     _resolvent_terms,
     _single_triple,
-    _tensor_list,
     quartic_eigs,
     trig_params,
 )
@@ -72,7 +71,7 @@ def pt_coeffs(t) -> CharCoeffs:
     the part the partial transpose flips. spectrum._bloch_pass computes it
     beside t's own k3 and k4 and checks it on the column-flipped tensor.
     """
-    return _bloch_pass(_tensor_list(t))[1]
+    return _bloch_pass(_read_tensor(t)[1])[1]
 
 
 def inequality_rhs(c: CharCoeffs) -> float | None:
@@ -81,12 +80,11 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     1 - 4 lambda_min of the quartic with coefficients c: s times
     (sqrt(x)/sqrt(3) + 2 inner/sqrt(6)) on the unit shape. It is only
     defined away from the doubly degenerate branches, so c that quartic_eigs
-    solves as s = 0 or as a single+triple shape returns None. No call path
+    solves as s = 0 or as a single+triple shape returns None, and a
+    non-finite coefficient raises ValueError from trig_params. No call path
     evaluates it; the verdict reads lambda_min_pt."""
-    if c.s == 0.0:
-        return None
     c1, _, phi = trig_params(c)
-    if _single_triple(c, phi) is not None:
+    if c.s == 0.0 or _single_triple(c, phi) is not None:
         return None
     sx, u, w = _resolvent_terms(c, c1, math.cos(phi))
     inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL / c.s)

@@ -31,14 +31,14 @@ rank-reduced cubic and quadratic solvers for spectra with known zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
+from .bloch import _read_tensor
 from .errors import InternalInconsistencyError
-from .linalg import charpoly_flv
+from .linalg import _read, charpoly_flv
 
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
@@ -83,8 +83,7 @@ class Branch(Enum):
     ALL_QUARTER = "AllQuarter"
 
 
-@dataclass(frozen=True)
-class CharCoeffs:
+class CharCoeffs(NamedTuple):
     """Scale s = sqrt(tr X^2) and shape k3 = e3(X / s), k4 = det(X / s) of
     X = m - I/4 for a trace-one 4x4 matrix m (k3 = k4 = 0 when s = 0). The
     purity tr2 and the coefficients of lambda^4 - lambda^3 + b2 lambda^2 +
@@ -124,14 +123,12 @@ class TrigParams(NamedTuple):
     phi: float | None
 
 
-@dataclass(frozen=True)
-class QuarticSpectrum:
+class QuarticSpectrum(NamedTuple):
     eigenvalues: tuple[float, float, float, float]  # descending
     branch: Branch
 
 
-@dataclass(frozen=True)
-class CubicCoeffs:
+class CubicCoeffs(NamedTuple):
     """Reduced-cubic data for a spectrum with a known zero eigenvalue."""
 
     b1: float
@@ -144,7 +141,7 @@ def coeffs_from_traces(m) -> CharCoeffs:
     """Characteristic data of a trace-one 4x4 matrix by one Faddeev-LeVerrier
     pass on X = m - I/4: s^2 = -2 e2, k3 = e3 / s^3, k4 = e4 / s^4, the
     reference for the Bloch formulas below; |1 - tr m| > 1e-12 raises."""
-    q = charpoly_flv(np.asarray(m) - _QUARTER_I)
+    q = charpoly_flv(_read(m)[0] - _QUARTER_I)
     if abs(q.c3) > 1e-12:
         raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
     s2 = -2.0 * q.c2
@@ -228,18 +225,6 @@ def _even_terms(xa, xb, a) -> tuple[float, float, float]:
     return bilin, rest, cross_sq
 
 
-def _tensor_list(t) -> list:
-    """A Bloch tensor's rows as lists of floats; ValueError unless it is
-    (4, 4) with finite entries, as from_bloch words it."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (4, 4):
-        raise ValueError("expected a (4, 4) Bloch tensor")
-    rows = t.tolist()
-    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
-        raise ValueError("tensor contains non-finite entries")
-    return rows
-
-
 def _own_pass(t):
     """(c, parts): c of the Bloch tensor rows t, written out on its unit
     tensor u; parts (xa, xb, corr, odd, det A) for the PT, None at s = 0."""
@@ -306,7 +291,7 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     matrix of A's rows. Every product is written out on the 15 parameters
     as plain floats. It is _bloch_pass's c, PT cross-check included.
     """
-    return _bloch_pass(_tensor_list(t))[0]
+    return _bloch_pass(_read_tensor(t)[1])[0]
 
 
 def trig_params(c: CharCoeffs) -> TrigParams:
@@ -318,8 +303,12 @@ def trig_params(c: CharCoeffs) -> TrigParams:
     identity in the test suite. A vanishing c1 forces c2 to vanish as well
     (the discriminant identity leaves no room for anything else), so
     c1 <= TAU_BRANCH with |c2| materially nonzero raises
-    InternalInconsistencyError instead of guessing.
+    InternalInconsistencyError instead of guessing. A non-finite s, k3 or
+    k4 raises ValueError first, the one gate on coefficients.
     """
+    # x - x is 0.0 for a finite x and NaN otherwise: one test for all three.
+    if (c.s - c.s) + (c.k3 - c.k3) + (c.k4 - c.k4) != 0.0:
+        raise ValueError(f"coefficients must be finite, got {c}")
     band = 30.0 * _DEGEN_COEFF_TOL / c.s if c.s else 0.0
     disc = 0.25 + 12.0 * c.k4
     if disc < -max(1e-12, band):
@@ -423,7 +412,7 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     and on the largest one, and the candidate with the smaller residual
     wins. The spectrum a branch gives is gated by its residual: beyond
     tolerance raises InternalInconsistencyError. A non-finite s, k3 or k4
-    raises ValueError first.
+    raises ValueError first, from trig_params.
 
     The proximity pre-gate exists because a triple root is exactly where
     the trigonometric route is worst (it splits the root with an error of
@@ -436,13 +425,10 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     b1 at _RANK_TOL: b0 is the product of the eigenvalues, and 5e-13 read
     lambda4 = 4.0e-5 of diag(0.9997, 2.02e-4, 6.06e-5, 4.04e-5) as 0.0.
     """
+    c1, c2, phi = trig_params(c)
     s = c.s
-    # x - x is 0.0 for a finite x and NaN otherwise: one test for all three.
-    if (s - s) + (c.k3 - c.k3) + (c.k4 - c.k4) != 0.0:
-        raise ValueError(f"coefficients must be finite, got {c}")
     if s == 0.0:
         return QuarticSpectrum(eigenvalues=(0.25, 0.25, 0.25, 0.25), branch=Branch.ALL_QUARTER)
-    c1, c2, phi = trig_params(c)
     tol = _DEGEN_COEFF_TOL / s
     band = max(_CLAMP_BAND, 300.0 * tol)
     flush = 30.0 * tol
@@ -488,8 +474,8 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
 def cubic_coeffs(c: CharCoeffs) -> CubicCoeffs:
     """Reduce a quartic with vanishing constant term to its residual cubic
     lambda^3 - lambda^2 + b2 lambda + b1, adding d = 2 - 27 b1 - 9 b2; a
-    |b0| above _CUBIC_B0_TOL raises ValueError."""
-    if abs(c.b0) > _CUBIC_B0_TOL:
+    |b0| above _CUBIC_B0_TOL, or NaN, raises ValueError."""
+    if not abs(c.b0) <= _CUBIC_B0_TOL:
         raise ValueError(f"constant coefficient {c.b0:.3e} does not vanish")
     d = 2.0 - 27.0 * c.b1 - 9.0 * c.b2
     return CubicCoeffs(b1=c.b1, b2=c.b2, tr2=c.tr2, d=d)

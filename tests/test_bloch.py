@@ -16,6 +16,8 @@ from twoqubit.bloch import (
     validate_density_matrix,
 )
 from twoqubit.linalg import eig_hermitian_oracle, is_hermitian
+from twoqubit.separability import pt_coeffs
+from twoqubit.spectrum import coeffs_from_bloch
 from twoqubit.sampling import (
     bell_state,
     ginibre_density,
@@ -96,15 +98,33 @@ def test_reduced_state_subsystem_name():
 
 
 def test_reduced_state_guards():
-    """A tensor of the wrong shape or with a non-finite entry raises
-    ValueError, as from_bloch does."""
-    with pytest.raises(ValueError, match=r"^expected a \(4, 4\) Bloch tensor$"):
-        reduced_state(np.zeros((3, 3)), "A")
-    t = to_bloch(np.eye(4, dtype=complex) / 4.0)
-    t[2, 0] = np.nan
-    for subsystem in ("A", "B"):
-        with pytest.raises(ValueError, match="^tensor contains non-finite entries$"):
-            reduced_state(t, subsystem)
+    """Every tensor reader (reduced_state, from_bloch and both coefficient
+    routes) reads through one check: a tensor of the wrong shape, with a
+    non-finite entry or with a[0, 0] off one raises ValueError in from_bloch's
+    words. Unchecked, a[0, 0] = 7 gave the coefficients and reduced state of
+    the trace-one tensor."""
+    readers = (
+        lambda t: reduced_state(t, "A"),
+        lambda t: reduced_state(t, "B"),
+        from_bloch,
+        coeffs_from_bloch,
+        pt_coeffs,
+    )
+    good = to_bloch(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    bad = [(np.zeros((3, 3)), r"^expected a \(4, 4\) Bloch tensor$")]
+    bad.append((good[:, :3], r"^expected a \(4, 4\) Bloch tensor$"))
+    for entry, value in (((2, 0), np.nan), ((1, 3), np.inf), ((0, 0), -np.inf)):
+        t = good.copy()
+        t[entry] = value
+        bad.append((t, "^tensor contains non-finite entries$"))
+    t = good.copy()
+    t[0, 0] = 7.0
+    bad.append((t, r"^a\[0, 0\] must equal 1$"))
+    for read in readers:
+        read(good)
+        for t, message in bad:
+            with pytest.raises(ValueError, match=message):
+                read(t)
 
 
 def test_partial_transpose_explicit():

@@ -33,7 +33,7 @@ from twoqubit.spectrum import (
     trig_params,
 )
 from twoqubit.bloch import to_bloch
-from twoqubit.separability import pt_coeffs
+from twoqubit.separability import inequality_rhs, pt_coeffs
 
 
 def diag_density(*xs):
@@ -62,6 +62,16 @@ def test_coeffs_known_diagonal():
 def test_coeffs_reject_wrong_trace():
     with pytest.raises(ValueError):
         coeffs_from_traces(np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "m", [0.25, np.full((1, 4), 0.25), np.full((4, 1), 0.25)], ids=["scalar", "row", "column"]
+)
+def test_trace_route_rejects_non_square_input(m):
+    """Unchecked, each broadcasts against I/4 and reads as the coefficients
+    of a spectrum (1, 0, 0, 0)."""
+    with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+        coeffs_from_traces(m)
 
 
 def test_bloch_route_agrees_with_trace_route():
@@ -196,6 +206,27 @@ def test_quartic_rejects_non_finite_coefficients(field, bad, s):
     c[field] = bad
     with pytest.raises(ValueError, match="^coefficients must be finite"):
         quartic_eigs(CharCoeffs(**c))
+
+
+@pytest.mark.parametrize("field", ["s", "k3", "k4"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        (trig_params, "^coefficients must be finite"),
+        (inequality_rhs, "^coefficients must be finite"),
+        (cubic_coeffs, "^constant coefficient"),
+    ],
+    ids=["trig_params", "inequality_rhs", "cubic_coeffs"],
+)
+def test_coefficient_routes_reject_non_finite(route, message, field, bad):
+    """trig_params holds quartic_eigs' finiteness gate, and inequality_rhs
+    calls it first; cubic_coeffs refuses a NaN b0. Unchecked, a NaN k3 gave
+    phi = pi/3, a finite inequality_rhs and a finite cubic spectrum."""
+    c = dict(s=0.3, k3=0.05, k4=-0.01)
+    c[field] = bad
+    with pytest.raises(ValueError, match=message):
+        route(CharCoeffs(**c))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,23 @@ def test_answer_diff_counts_each_kind_of_change():
     ]
 
 
+def test_answer_diff_flattens_named_tuples_by_field():
+    """A NamedTuple, such as a report's pt_coeffs, flattens by field name
+    as a dataclass does; a plain tuple flattens by position."""
+    from twoqubit.spectrum import CharCoeffs
+
+    out = {}
+    answer_diff._flatten({"c": CharCoeffs(0.5, 0.25, -0.125), "v": (1.0, 2.0)}, "r", out)
+    assert out == {
+        "r.c.s": 0.5,
+        "r.c.k3": 0.25,
+        "r.c.k4": -0.125,
+        "r.v.len": 2,
+        "r.v[0]": 1.0,
+        "r.v[1]": 2.0,
+    }
+
+
 def test_layer_us_prints_one_row_per_call():
     """Two tiny repeats on this checkout: every row has a number, and a row
     the tree cannot run would print as "-"."""
@@ -74,6 +91,7 @@ def test_layer_us_prints_one_row_per_call():
         "`eigvalsh`",
         "`eigvalsh`, stacked",
         "`twoqubit fuzz`, per sample",
+        "machine-speed probe",
     ]
     assert all(float(v) > 0.0 for v in rows.values())
     assert layer_us.table(["x"], [{}])[2].endswith("| - |")

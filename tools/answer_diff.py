@@ -47,6 +47,9 @@ def _flatten(value, path: str, out: dict) -> None:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         for f in dataclasses.fields(value):
             _flatten(getattr(value, f.name), f"{path}.{f.name}", out)
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple
+        for name in value._fields:
+            _flatten(getattr(value, name), f"{path}.{name}", out)
     elif isinstance(value, dict):
         for key, item in value.items():
             _flatten(item, f"{path}.{key}", out)

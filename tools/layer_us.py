@@ -16,7 +16,10 @@ instead, G G† / tr(G G†) with complex Gaussian 4x2 G.
 The last row is the benchmark's fuzz_cli unit, one in-process ``twoqubit
 fuzz`` call of 10 samples, on the tree's own first 30 units of seed 0,
 shown per sample: a million over it is fuzz samples per second. Cyclic
-GC is off while a repeat runs.
+GC is off while a repeat runs. The "machine-speed probe" row is the tree's
+own ``bench/run.probe_us``, the benchmark's fixed mix of numpy calls and
+interpreted arithmetic that shares no code with the library: divide a row
+by it to compare tables taken at different times or host loads.
 
 The public calls keep the record of the last matrix they were given. The
 per-call rows cycle over the states, and each row is warmed up on the last
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib
 import itertools
 import multiprocessing
 import os
@@ -113,9 +117,12 @@ ROWS = (
 RANK = {"entanglement_report, rank 2": 2}
 STACKED = "eigvalsh, stacked"
 FUZZ = "twoqubit fuzz, per sample"
+PROBE = "machine-speed probe"
 
 # Worker state: {row: (function, [argument tuples], states per call)}.
 _CALLS: dict = {}
+# Worker state: the tree's bench/run.probe_us, where it has one.
+_PROBE: list = []
 
 
 def ginibre_states(n: int, seed: int, rank: int = 4) -> list[np.ndarray]:
@@ -143,6 +150,10 @@ def _load(root: str, n_states: int, seed: int) -> None:
         _CALLS[name] = (fn, args, 1)
     _CALLS[STACKED] = (np.linalg.eigvalsh, [(np.array(states[4]),)], n_states)
     try:
+        _PROBE.append(importlib.import_module("run").probe_us)
+    except Exception:  # a tree without the benchmark's probe
+        pass
+    try:
         units = [(u,) for u in workloads.generate(tq, "fuzz_cli", seed, n_states)]
         run_unit = functools.partial(workloads.run_unit, tq)
         run_unit(*units[-1])
@@ -163,6 +174,8 @@ def _round(calls: int) -> dict:
             for a in seq:
                 fn(*a)
             out[name] = (time.perf_counter_ns() - t0) / 1e3 / calls / per_call
+        for probe in _PROBE:
+            out[PROBE] = probe()
     finally:
         gc.enable()
     return out
@@ -195,9 +208,9 @@ def table(roots: list[str], best: list[dict]) -> list[str]:
     """Markdown rows, one per call and one column per tree."""
     lines = ["| call | " + " | ".join(f"µs, {r}" for r in roots) + " |"]
     lines.append("|---|" + "---|" * len(roots))
-    for name in [row[0] for row in ROWS] + [STACKED, FUZZ]:
+    for name in [row[0] for row in ROWS] + [STACKED, FUZZ, PROBE]:
         func, _, variant = name.partition(", ")
-        label = f"`{func}`" + (f", {variant}" if variant else "")
+        label = name if name == PROBE else f"`{func}`" + (f", {variant}" if variant else "")
         lines.append(f"| {label} | " + " | ".join(_fmt(b.get(name)) for b in best) + " |")
     return lines
 
