@@ -117,7 +117,12 @@ def charpoly_flv(m) -> MonicQuartic:
     imaginary part of a c_k exceeds 1e-12 max(1, max |m_ij|)^(4 - k). A
     reference route: the closed forms read theirs off the Bloch tensor.
     """
-    m = _read(m)[0]
+    return _flv(_read(m)[0])
+
+
+def _flv(m: np.ndarray) -> MonicQuartic:
+    """charpoly_flv on a complex 4x4 array with finite entries, as _read
+    returns it or a shift of one."""
     c3 = -m.trace()
     n = m @ m + c3 * m
     c2 = -n.trace() / 2.0
@@ -179,17 +184,17 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
     # Plain Python numbers: for a single 4x4 this is much faster than
     # elementwise numpy and keeps the routine dependency-free.
     (d0, u01, u02, u03), (_, d1, u12, u13), (_, _, d2, u23), (_, _, _, d3) = rows
-    d0, d1, d2, d3 = d0.real, d1.real, d2.real, d3.real
     # Scaled exactly by f = 2^-e, which puts the largest real or imaginary
     # part in [1/2, 1); e stops at -1022, where f would pass the float range.
     big = max(
-        abs(d0), abs(d1), abs(d2), abs(d3), abs(u01.real), abs(u01.imag), abs(u02.real),
-        abs(u02.imag), abs(u03.real), abs(u03.imag), abs(u12.real), abs(u12.imag),
-        abs(u13.real), abs(u13.imag), abs(u23.real), abs(u23.imag),
+        abs(d0.real), abs(d1.real), abs(d2.real), abs(d3.real), abs(u01.real), abs(u01.imag),
+        abs(u02.real), abs(u02.imag), abs(u03.real), abs(u03.imag), abs(u12.real),
+        abs(u12.imag), abs(u13.real), abs(u13.imag), abs(u23.real), abs(u23.imag),
     )
+    ldexp = math.ldexp
     e = max(math.frexp(big)[1], -1022)
-    f = math.ldexp(1.0, -e)
-    d0, d1, d2, d3 = d0 * f, d1 * f, d2 * f, d3 * f
+    f = ldexp(1.0, -e)
+    d0, d1, d2, d3 = d0.real * f, d1.real * f, d2.real * f, d3.real * f
     u01, u02, u03, u12, u13, u23 = u01 * f, u02 * f, u03 * f, u12 * f, u13 * f, u23 * f
     sqrt = math.sqrt
     # The squared off-norm 2 sum |u|^2 against tol^2.
@@ -219,9 +224,7 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         r = abs(u01)
         if r:
             theta = (d1 - d0) / (2.0 * r)
-            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
+            t = (-1.0 if theta < 0.0 else 1.0) / (abs(theta) + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c / r * u01
             sb = s.conjugate()
@@ -234,9 +237,7 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         r = abs(u02)
         if r:
             theta = (d2 - d0) / (2.0 * r)
-            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
+            t = (-1.0 if theta < 0.0 else 1.0) / (abs(theta) + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c / r * u02
             t *= r
@@ -248,9 +249,7 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         r = abs(u03)
         if r:
             theta = (d3 - d0) / (2.0 * r)
-            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
+            t = (-1.0 if theta < 0.0 else 1.0) / (abs(theta) + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c / r * u03
             t *= r
@@ -262,9 +261,7 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         r = abs(u12)
         if r:
             theta = (d2 - d1) / (2.0 * r)
-            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
+            t = (-1.0 if theta < 0.0 else 1.0) / (abs(theta) + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c / r * u12
             sb = s.conjugate()
@@ -277,9 +274,7 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         r = abs(u13)
         if r:
             theta = (d3 - d1) / (2.0 * r)
-            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
+            t = (-1.0 if theta < 0.0 else 1.0) / (abs(theta) + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c / r * u13
             t *= r
@@ -291,9 +286,7 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
         r = abs(u23)
         if r:
             theta = (d3 - d2) / (2.0 * r)
-            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
+            t = (-1.0 if theta < 0.0 else 1.0) / (abs(theta) + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c / r * u23
             sb = s.conjugate()
@@ -305,7 +298,8 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
             u12, u13 = c * u12 - sb * u13, s * u12 + c * u13
 
     try:
-        return [math.ldexp(d, e) for d in sorted((d0, d1, d2, d3), reverse=True)]
+        # Scaling back is exact and monotone, so it may come before the sort.
+        return sorted((ldexp(d0, e), ldexp(d1, e), ldexp(d2, e), ldexp(d3, e)), reverse=True)
     except OverflowError:
         # An entry whose modulus is past the float range puts an eigenvalue there.
         raise OracleConvergenceError(

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bloch import _read_tensor
 from .errors import InternalInconsistencyError
-from .linalg import _read, charpoly_flv
+from .linalg import _flv, _read
 
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
@@ -141,7 +141,7 @@ def coeffs_from_traces(m) -> CharCoeffs:
     """Characteristic data of a trace-one 4x4 matrix by one Faddeev-LeVerrier
     pass on X = m - I/4: s^2 = -2 e2, k3 = e3 / s^3, k4 = e4 / s^4, the
     reference for the Bloch formulas below; |1 - tr m| > 1e-12 raises."""
-    q = charpoly_flv(_read(m)[0] - _QUARTER_I)
+    q = _flv(_read(m)[0] - _QUARTER_I)
     if abs(q.c3) > 1e-12:
         raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
     s2 = -2.0 * q.c2
@@ -304,17 +304,20 @@ def trig_params(c: CharCoeffs) -> TrigParams:
     (the discriminant identity leaves no room for anything else), so
     c1 <= TAU_BRANCH with |c2| materially nonzero raises
     InternalInconsistencyError instead of guessing. A non-finite s, k3 or
-    k4 raises ValueError first, the one gate on coefficients.
+    k4 raises ValueError first, the one gate on coefficients. At s = 0 the
+    matrix is I/4 whatever k3 and k4 say, so they are read as 0 there, as
+    the library builds them.
     """
     # x - x is 0.0 for a finite x and NaN otherwise: one test for all three.
     if (c.s - c.s) + (c.k3 - c.k3) + (c.k4 - c.k4) != 0.0:
         raise ValueError(f"coefficients must be finite, got {c}")
+    k3, k4 = (c.k3, c.k4) if c.s else (0.0, 0.0)
     band = 30.0 * _DEGEN_COEFF_TOL / c.s if c.s else 0.0
-    disc = 0.25 + 12.0 * c.k4
+    disc = 0.25 + 12.0 * k4
     if disc < -max(1e-12, band):
         raise ValueError(f"1/4 + 12 k4 = {disc:.3e} < 0: spectrum is not real")
     c1 = math.sqrt(disc) if disc > 0.0 else 0.0
-    c2 = -0.25 + 27.0 * c.k3 * c.k3 + 36.0 * c.k4
+    c2 = -0.25 + 27.0 * k3 * k3 + 36.0 * k4
     if c1 <= TAU_BRANCH:
         if abs(c2) > max(TAU_BRANCH, band):
             raise InternalInconsistencyError(

@@ -226,38 +226,27 @@ def test_oracle_answers_where_squares_overflow(value):
 
 
 def test_oracle_answers_on_huge_hermitian():
-    """Random Hermitian matrices scaled by 1e150 to 1e200: 1.5e-15 of the
-    largest |eigenvalue| off eigvalsh over 2000 draws, in up to 7 sweeps
-    (tol is relative). An entry whose modulus is past the float range puts
-    an eigenvalue there and raises the typed error."""
+    """Random Hermitian matrices scaled by 1e150 to 1e200, and 50 at each
+    fixed scale from 1e-15 to 1e100, agree with eigvalsh to 1e-14 of the
+    largest |eigenvalue|: the sweep runs on m scaled exactly by a power of
+    two, so its stop is relative. With an absolute stop, the scales 1e-15,
+    1e-14 and 1e-12 came back 0.96, 0.17 and 7.9e-6 off. A zero matrix has
+    four zero eigenvalues, and an entry whose modulus is past the float
+    range puts an eigenvalue there and raises the typed error."""
     rng = np.random.default_rng(14)
-    for _ in range(200):
-        m = random_hermitian(rng) * 10.0 ** rng.uniform(150.0, 200.0)
+    exponents = [*rng.uniform(150.0, 200.0, 200)]
+    exponents += [e for e in (-15, -14, -12, -6, 0, 6, 100) for _ in range(50)]
+    for e in exponents:
+        m = random_hermitian(rng) * 10.0 ** e
         got = eig_hermitian_oracle(m)
         want = np.linalg.eigvalsh(m, UPLO="U")[::-1]
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * abs(want).max()
+    assert eig_hermitian_oracle(np.zeros((4, 4))) == [0.0, 0.0, 0.0, 0.0]
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1.5e308 + 1.5e308j
     m[1, 0] = m[0, 1].conjugate()
     with pytest.raises(OracleConvergenceError, match="overflowed"):
         eig_hermitian_oracle(m)
-
-
-def test_oracle_stop_is_relative_at_every_scale():
-    """The sweep runs on m scaled exactly by a power of two, so its stop
-    does not depend on the scale. With an absolute stop, random Hermitian
-    matrices scaled by 1e-15, 1e-14 and 1e-12 came back 0.96, 0.17 and
-    7.9e-6 of the largest |eigenvalue| off eigvalsh here. A zero matrix has four
-    zero eigenvalues, and one whose eigenvalue is past the float range
-    raises the typed error."""
-    rng = np.random.default_rng(15)
-    for scale in (1e-15, 1e-14, 1e-12, 1e-6, 1.0, 1e6, 1e100, 1e200):
-        for _ in range(50):
-            m = random_hermitian(rng) * scale
-            got = eig_hermitian_oracle(m)
-            want = np.linalg.eigvalsh(m, UPLO="U")[::-1]
-            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * abs(want).max()
-    assert eig_hermitian_oracle(np.zeros((4, 4))) == [0.0, 0.0, 0.0, 0.0]
     with pytest.raises(OracleConvergenceError, match="overflowed"):
         eig_hermitian_oracle(np.full((4, 4), 1.5e308))
 

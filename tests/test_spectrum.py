@@ -229,6 +229,20 @@ def test_coefficient_routes_reject_non_finite(route, message, field, bad):
         route(CharCoeffs(**c))
 
 
+@pytest.mark.parametrize("k3, k4", [(0.0, -1.0 / 48.0), (0.7, 0.3), (-1e6, 5.0)])
+def test_coefficient_routes_read_s0_as_quarter(k3, k4):
+    """At s = 0 the matrix is I/4 whatever finite k3 and k4 say: the
+    finiteness gate passes them and trig_params reads them as 0, so a
+    hand-built CharCoeffs(0, 0, -1/48) is not refused as an internal
+    inconsistency."""
+    c = CharCoeffs(0.0, k3, k4)
+    assert trig_params(c) == trig_params(CharCoeffs(0.0, 0.0, 0.0))
+    spec = quartic_eigs(c)
+    assert spec.branch is Branch.ALL_QUARTER
+    assert spec.eigenvalues == (0.25, 0.25, 0.25, 0.25)
+    assert inequality_rhs(c) is None
+
+
 # ---------------------------------------------------------------------------
 # branch dispatch
 # ---------------------------------------------------------------------------
