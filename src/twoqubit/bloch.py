@@ -183,6 +183,31 @@ def _tensor_rows(rows) -> tuple:
     )
 
 
+def _hermitian_tensor_rows(diag, upper) -> tuple:
+    """_tensor_rows of the Hermitian matrix with real diagonal ``diag``
+    (d0, d1, d2, d3) and upper triangle ``upper`` (u01, u02, u03, u12, u13,
+    u23), its lower triangle their conjugates, bit for bit: each entry is
+    _tensor_rows' expression in its order on the real or imaginary parts
+    (an entry conj(u) reads u.real and -u.imag), with its "+ 0.0" and its
+    "0.0 - a22". Its checks are identities here and are skipped: each
+    imaginary part it tests is a +- pair of one number, and the trace must
+    be one by the caller's scaling (a Gram matrix over its trace)."""
+    d0, d1, d2, d3 = diag
+    u01, u02, u03, u12, u13, u23 = upper
+    x01, x02, x03, x12, x13, x23 = u01.real, u02.real, u03.real, u12.real, u13.real, u23.real
+    y01, y02, y03, y12, y13, y23 = u01.imag, u02.imag, u03.imag, u12.imag, u13.imag, u23.imag
+    p0, n0 = d0 + d1, d0 - d1
+    p1, n1 = x01 + x01, -y01 - y01
+    p2r, p2i, n2r, n2i = x02 + x13, -y02 + -y13, x02 - x13, -y02 - -y13
+    p3r, p3i, n3r, n3i = x03 + x12, -y03 + -y12, x03 - x12, -y03 - -y12
+    return (
+        (1.0, p1 + x23 + x23 + 0.0, n1 + -y23 - y23 + 0.0, n0 + d2 - d3 + 0.0),
+        (p2r + x02 + x13 + 0.0, p3r + x12 + x03 + 0.0, n3i + y12 - y03 + 0.0, n2r + x02 - x13 + 0.0),
+        (p2i - y02 - y13 + 0.0, p3i - y12 - y03 + 0.0, 0.0 - (n3r - x12 + x03), n2i - y02 + y13 + 0.0),
+        (p0 - d2 - d3 + 0.0, p1 - x23 - x23 + 0.0, n1 - -y23 + y23 + 0.0, n0 - d2 + d3 + 0.0),
+    )
+
+
 def to_bloch(rho):
     """Bloch tensor a[mu, nu] = Tr(rho sigma_mu (x) sigma_nu) of a Hermitian
     trace-one matrix, written out on its entries in np.einsum's order (see

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _factor, _tensor_rows
+from .bloch import _factor, _hermitian_tensor_rows
 from .errors import InternalInconsistencyError, NotApplicableError
 from .separability import _State, _checked_state, _pure_q
 from .spectrum import TAU_BRANCH, _own_pass, quartic_eigs
@@ -40,8 +40,10 @@ def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
     Rank 1: f. Rank 2: tau / sqrt(f) = (a, b; b, d) turned by the phase
     that makes its determinant positive has sigma1 -/+ sigma2 = sqrt(|a -/+
     conj d|^2 + |b +/- conj b|^2), exact at sigma1 = sigma2. Rank 3 and 4:
-    f times the spectrum of tau^dagger tau / f by the Bloch route. A finite
-    rho whose tau overflows raises ValueError."""
+    f times the spectrum of tau^dagger tau / f by the Bloch route, its
+    Bloch rows read off the diagonal and upper triangle alone
+    (bloch._hermitian_tensor_rows). A finite rho whose tau overflows raises
+    ValueError."""
     rank, w = factor
     (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = w
     t00 = 2.0 * (x10 * x20 - x00 * x30)
@@ -85,10 +87,8 @@ def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
     g12 = (c01 * t02 + c11 * t12 + c12 * t22 + c13 * t23) * h
     g13 = (c01 * t03 + c11 * t13 + c12 * t23 + c13 * t33) * h
     g23 = (c02 * t03 + c12 * t13 + c22 * t23 + c23 * t33) * h
-    x = ((g00 * h, g01, g02, g03), (g01.conjugate(), g11 * h, g12, g13),
-         (g02.conjugate(), g12.conjugate(), g22 * h, g23),
-         (g03.conjugate(), g13.conjugate(), g23.conjugate(), g33 * h))
-    l0, l1, l2, l3 = quartic_eigs(_own_pass(_tensor_rows(x))[0]).eigenvalues
+    t = _hermitian_tensor_rows((g00 * h, g11 * h, g22 * h, g33 * h), (g01, g02, g03, g12, g13, g23))
+    l0, l1, l2, l3 = quartic_eigs(_own_pass(t)[0]).eigenvalues
     if l3 < -1e-8:
         raise InternalInconsistencyError(
             f"flip-product eigenvalue {f * l3:.3e} is negative beyond tolerance"
@@ -144,11 +144,19 @@ def negativity(rho, check: bool = True) -> float:
 
 
 def _eof_bound(s: _State) -> float:
-    # rho's own factor, where validation or the concurrence made it: one
-    # that stops short of rank 4 puts lambda_min(rho) within its pivot
-    # tolerance of zero or below, so rho - TAU_BRANCH I cannot reach rank 4.
+    # rho's own factor, where validation or the concurrence made it. Short
+    # of rank 4 it puts lambda_min(rho) within its pivot tolerance of zero
+    # or below, so rho - TAU_BRANCH I cannot reach rank 4. At rank 4 its
+    # last pivot r, the one nonzero entry of W's fourth column, certifies
+    # the gate where r^2 > 32 TAU_BRANCH (see eof_upper_bound).
     own = s._factor
-    if (own is not None and own[0] < 4) or _factor(s.rows, -TAU_BRANCH)[0] < 4:
+    if own is not None and own[0] == 4:
+        (_, _, _, r0), (_, _, _, r1), (_, _, _, r2), (_, _, _, r3) = own[1]
+        r = r0 + r1 + r2 + r3
+        full = r * r > 32.0 * TAU_BRANCH or _factor(s.rows, -TAU_BRANCH)[0] == 4
+    else:
+        full = own is None and _factor(s.rows, -TAU_BRANCH)[0] == 4
+    if not full:
         raise NotApplicableError(
             f"bound requires a full-rank state with lambda_min > {TAU_BRANCH:g} "
             f"(factor rank {s.factor[0]})"
@@ -166,6 +174,19 @@ def eof_upper_bound(rho, check: bool = True) -> float:
     4 exactly when lambda_min(rho) > TAU_BRANCH, to within its backward
     error of about 2e-15, and otherwise NotApplicableError is raised,
     naming the rank of rho's own factor.
+
+    Where the state's record keeps rho's own factor at rank 4 (validation
+    made it), its last pivot r settles the gate first. Diagonal pivoting
+    makes L = P W, W's rows in pivot order, lower triangular with |l_jk|
+    <= l_kk and l_kk >= l_44 = r (Higham, Accuracy and Stability, 2nd ed.,
+    10.3). So L = V D, D its diagonal and V unit triangular with |v_jk| <= 1, and
+    |V^-1| is at most the inverse of the matrix with 1 on the diagonal and
+    -1 below it (same book, 8.3), whose squared Frobenius norm is (4^n +
+    6n - 1) / 9, 31 at n = 4. Hence lambda_min(rho) = 1 / ||L^-1||_2^2 >=
+    r^2 / 31, and r^2 > 32 TAU_BRANCH certifies lambda_min >= 1.03e-8, 3e-10
+    past the gate and far beyond the factor's backward error: there the
+    shifted factor reaches rank 4 too, so the answer is the same. Below
+    that the shifted factor decides; a kept factor short of rank 4 refuses.
     """
     return _eof_bound(_checked_state(rho, check))
 

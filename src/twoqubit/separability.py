@@ -94,12 +94,13 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
 class _State:
     """One state's data, kept only where several calls read it: the rows
     of Python complex numbers read from rho, their pivoted Cholesky factor
-    (bloch._factor, as (rank, rows of W), read by validation and the
-    concurrence), the Bloch tensor as rows of plain floats (t_rows, read by
-    the coefficient pass and the CLI), coefficients c and PT coefficients
-    cp from one spectrum._bloch_pass, and the PT spectrum (read by the
-    verdict, the negativity and the EoF bound). A stage with one reader,
-    such as rho's own spectrum, is computed by that reader.
+    (bloch._factor, as (rank, rows of W), read by validation, the
+    concurrence and the EoF bound's gate, which reads its last pivot), the
+    Bloch tensor as rows of plain floats (t_rows, read by the coefficient
+    pass and the CLI), coefficients c and PT coefficients cp from one
+    spectrum._bloch_pass, and the PT spectrum (read by the verdict, the
+    negativity and the EoF bound). A stage with one reader, such as rho's
+    own spectrum, is computed by that reader.
 
     The record reads rho once, with linalg._read, so a matrix that is not
     4x4 or has a non-finite entry raises ValueError here. It keeps the

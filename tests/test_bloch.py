@@ -8,6 +8,8 @@ from twoqubit.bloch import (
     PSD_TOL,
     TRACE_TOL,
     _BASIS,
+    _hermitian_tensor_rows,
+    _tensor_rows,
     from_bloch,
     partial_transpose,
     partial_transpose_bloch,
@@ -289,6 +291,44 @@ def test_to_bloch_matches_einsum_bit_for_bit(family):
         assert to_bloch(rho).tobytes() == ref_to_bloch(rho).tobytes()
     for rho in (np.eye(4, dtype=complex) / 4.0, pure_density(bell_state()), np.diag([1.0, 0, 0, 0])):
         assert to_bloch(rho).tobytes() == ref_to_bloch(rho).tobytes()
+
+
+def hermitian_completion(diag, upper):
+    """Rows of the Hermitian matrix with diagonal diag and upper triangle
+    upper (01, 02, 03, 12, 13, 23), its lower triangle their conjugates."""
+    d0, d1, d2, d3 = diag
+    u01, u02, u03, u12, u13, u23 = upper
+    return (
+        (d0, u01, u02, u03),
+        (u01.conjugate(), d1, u12, u13),
+        (u02.conjugate(), u12.conjugate(), d2, u23),
+        (u03.conjugate(), u13.conjugate(), u23.conjugate(), d3),
+    )
+
+
+def test_hermitian_tensor_rows_is_tensor_rows_of_the_completion():
+    """The upper-triangle Bloch rows have _tensor_rows' bits on the
+    Hermitian completion, the signs of zeros included: random trace-one
+    inputs, parts drawn from signed zeros and tiny numbers, and real
+    inputs, as complex numbers with a signed zero imaginary part and as
+    floats."""
+    rng = np.random.default_rng(147)
+    parts = (0.0, -0.0, 1e-300, -1e-300, 0.125, -0.125)
+    diags = ((0.25,) * 4, (1.0, 0.0, -0.0, 0.0), (0.5, -0.0, 0.5, -0.0), (-0.0, 0.0, 1.0, -0.0))
+    cases = []
+    for _ in range(2000):
+        d = rng.random(4)
+        d = [float(x) for x in d / d.sum()]
+        u = (0.3 * rng.standard_normal((6, 2))).tolist()
+        cases.append((d, [complex(a, b) for a, b in u]))
+        cases.append((d, [complex(a, -0.0 if b < 0.0 else 0.0) for a, b in u]))
+        cases.append((d, [a for a, _ in u]))
+        signed = [complex(*rng.choice(parts, 2).tolist()) for _ in range(6)]
+        cases.append((diags[int(rng.integers(4))], signed))
+    for diag, upper in cases:
+        got = _hermitian_tensor_rows(diag, upper)
+        want = _tensor_rows(hermitian_completion(diag, upper))
+        assert [x.hex() for row in got for x in row] == [x.hex() for row in want for x in row]
 
 
 def ref_validate(m):

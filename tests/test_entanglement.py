@@ -20,7 +20,7 @@ from twoqubit.entanglement import (
     negativity,
     spin_flip,
 )
-from twoqubit.bloch import _factor, partial_transpose, to_bloch
+from twoqubit.bloch import _factor, _tensor_rows, partial_transpose, to_bloch
 from twoqubit.chain import evolve_chain
 from twoqubit.errors import InternalInconsistencyError, NotApplicableError
 from twoqubit.spectrum import TAU_BRANCH, Branch, QuarticSpectrum
@@ -440,40 +440,86 @@ def _rank2_mix(p):
     return draw
 
 
-def _tiny_lambda_min(rng):
-    """A Haar rotation of a spectrum whose least eigenvalue is within a few
-    times the factor's pivot tolerance of zero, on either side."""
-    lam = rng.choice([0.0, 1e-16, 1e-15, 3e-15, 1e-14, -1e-15, -1e-14])
-    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    u = np.linalg.qr(z)[0]
-    rho = u @ np.diag([0.5, 0.3, 0.2 - lam, lam]) @ u.conj().T
-    return (rho + rho.conj().T) / 2.0
+def _rotated_lambda_min(choices):
+    """A Haar rotation of the spectrum (0.5, 0.3, 0.2 - lam, lam), lam
+    drawn from choices."""
+
+    def draw(rng):
+        lam = rng.choice(choices)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u = np.linalg.qr(z)[0]
+        rho = u @ np.diag([0.5, 0.3, 0.2 - lam, lam]) @ u.conj().T
+        return (rho + rho.conj().T) / 2.0
+
+    return draw
 
 
-@pytest.mark.parametrize(
-    "draw",
-    [
-        lambda rng: pure_density(haar_pure(rng)),
-        lambda rng: rank_deficient_density(rng, 2),
-        lambda rng: rank_deficient_density(rng, 3),
-        _rank2_mix(1e-8),
-        random_hermitian_trace_one,
-        _tiny_lambda_min,
-    ],
-    ids=["rank1", "rank2", "rank3", "rank2_mix", "indefinite", "tiny_lambda_min"],
-)
-def test_eof_gate_skip_agrees_with_the_shifted_factor(draw):
-    """Where rho's own factor stops below rank 4, so does the factor of
-    rho - TAU_BRANCH I, so the bound may refuse on the kept factor alone:
-    a record that holds it answers as one that runs the shifted gate."""
+# lambda_min within a few times the factor's pivot tolerance of zero, on
+# either side.
+_tiny_lambda_min = _rotated_lambda_min([0.0, 1e-16, 1e-15, 3e-15, 1e-14, -1e-15, -1e-14])
+# lambda_min on either side of TAU_BRANCH and of the kept factor's
+# certificate r^2 > 32 TAU_BRANCH, which lambda_min >= r^2 / 31 allows
+# anywhere in [r^2 / 31, r^2].
+_gate_lambda_min = _rotated_lambda_min([1e-9, 9.99e-9, 1.001e-8, 1e-7, 3.1e-7, 3.3e-7, 1e-6])
+
+
+def _chain_state(rng):
+    """The structured benchmark's chain stratum: a Haar pure state sent
+    down 1 to 8 swap-and-depolarize links."""
+    return evolve_chain(pure_density(haar_pure(rng)), float(rng.uniform(0.05, 0.3)), int(rng.integers(1, 9)))
+
+
+def _rotated_werner(rng):
+    u = _local(rng)
+    return u @ werner_state(float(rng.uniform(-1.0 / 3.0, 1.0))) @ u.conj().T
+
+
+def _last_pivot(factor):
+    """r, the one nonzero entry of the fourth column of a rank-4 W."""
+    return max(row[3] for row in factor[1])
+
+
+# draw: (function, the gate paths its 500 draws must take). "short": rho's
+# factor stops below rank 4; "certified": it reaches rank 4 with r^2 >
+# 32 TAU_BRANCH; "shifted": rank 4 below that, where the factor of rho -
+# TAU_BRANCH I decides.
+GATE_DRAWS = {
+    "rank1": (lambda rng: pure_density(haar_pure(rng)), {"short"}),
+    "rank2": (lambda rng: rank_deficient_density(rng, 2), {"short"}),
+    "rank3": (lambda rng: rank_deficient_density(rng, 3), {"short"}),
+    "rank2_mix": (_rank2_mix(1e-8), {"short"}),
+    "indefinite": (random_hermitian_trace_one, {"short"}),
+    "tiny_lambda_min": (_tiny_lambda_min, {"short", "shifted"}),
+    "gate_lambda_min": (_gate_lambda_min, {"shifted", "certified"}),
+    "ginibre": (ginibre_density, {"certified"}),
+    "werner": (_rotated_werner, {"certified"}),
+    "near_quarter": (near_quarter_density, {"certified"}),
+    "chain": (_chain_state, {"certified"}),
+}
+
+
+@pytest.mark.parametrize("name", list(GATE_DRAWS))
+def test_eof_gate_skip_agrees_with_the_shifted_factor(name):
+    """A record that keeps rho's factor, as validation leaves it, answers
+    as a fresh one that runs the shifted gate, in repr or message. Where
+    the kept factor stops below rank 4, so does the factor of rho -
+    TAU_BRANCH I; where its last pivot certifies the gate, that factor
+    reaches rank 4. A fresh record that answers factors rho only shifted."""
+    draw, paths = GATE_DRAWS[name]
     rng = np.random.default_rng(72)
-    refused = 0
+    seen = set()
     for _ in range(500):
         rho = draw(rng)
         kept, fresh = _State(rho), _State(rho)
+        shifted = _factor(kept.rows, -TAU_BRANCH)[0]
         if kept.factor[0] < 4:
-            assert _factor(kept.rows, -TAU_BRANCH)[0] < 4
-            refused += 1
+            assert shifted < 4
+            seen.add("short")
+        elif _last_pivot(kept.factor) ** 2 > 32.0 * TAU_BRANCH:
+            assert shifted == 4
+            seen.add("certified")
+        else:
+            seen.add("shifted")
         outcomes = []
         for s in (kept, fresh):
             try:
@@ -481,13 +527,66 @@ def test_eof_gate_skip_agrees_with_the_shifted_factor(draw):
             except NotApplicableError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
-    assert refused > 0
+        assert fresh._factor is None or outcomes[0].startswith("bound requires")
+    assert paths <= seen
 
 
-def _chain_state(rng):
-    """The structured benchmark's chain stratum: a Haar pure state sent
-    down 1 to 8 swap-and-depolarize links."""
-    return evolve_chain(pure_density(haar_pure(rng)), float(rng.uniform(0.05, 0.3)), int(rng.integers(1, 9)))
+def _kahan_type(theta, mu):
+    """rho = L L^T / tr, L lower triangular with diagonal s^k and -c s^k
+    below it in column k (s, c = sin, cos theta), row j scaled by (1 -
+    mu)^j so that diagonal pivoting keeps the order: the transposed Kahan
+    matrix, whose last pivot most overstates sigma_min."""
+    s, c = math.sin(theta), math.cos(theta)
+    low = np.array([[(s**k if j == k else -c * s**k) * (1.0 - mu) ** j if k <= j else 0.0 for k in range(4)] for j in range(4)])
+    rho = low @ low.T
+    return (rho / np.trace(rho)).astype(complex)
+
+
+def test_last_pivot_bounds_lambda_min():
+    """lambda_min(rho) >= r^2 / 31 for the last pivot r of rho's rank-4
+    factor, which the EoF gate's certificate rests on. Kahan-type factors
+    come within 1.5 of the constant (lambda_min / r^2 = 0.046 at best);
+    random draws stay far from it."""
+    kahan = [_kahan_type(theta, mu) for theta in np.linspace(0.01, 1.55, 78) for mu in (1e-6, 1e-3, 1e-2)]
+    rng = np.random.default_rng(73)
+    draws = [f(rng) for f in (ginibre_density, _gate_lambda_min, near_quarter_density, _chain_state) for _ in range(250)]
+    ratios = {}
+    for label, states in (("kahan", kahan), ("random", draws)):
+        got = []
+        for rho in states:
+            factor = _factor(_State(rho).rows)
+            if factor[0] == 4:
+                got.append(float(np.linalg.eigvalsh(rho)[0]) / _last_pivot(factor) ** 2)
+        ratios[label] = min(got)
+        assert len(got) > 0.9 * len(states)
+    assert 1.0 / 31.0 <= ratios["kahan"] <= 0.05
+    assert ratios["random"] >= 1.0 / 31.0
+
+
+def _old_tensor_rows(diag, upper):
+    """The flip pass's former route to tau^dagger tau / f's Bloch rows:
+    its Hermitian completion, lower triangle conjugated, through
+    _tensor_rows and its checks."""
+    d0, d1, d2, d3 = diag
+    u01, u02, u03, u12, u13, u23 = upper
+    x = ((d0, u01, u02, u03), (u01.conjugate(), d1, u12, u13),
+         (u02.conjugate(), u12.conjugate(), d2, u23),
+         (u03.conjugate(), u13.conjugate(), u23.conjugate(), d3))
+    return _tensor_rows(x)
+
+
+def test_flip_pass_on_the_upper_triangle_is_bit_for_bit(monkeypatch):
+    """The rank >= 3 flip pass gives the former route's bits on 300 factors
+    from each of five families."""
+    families = (ginibre_density, lambda rng: rank_deficient_density(rng, 3), _rotated_werner,
+                near_quarter_density, _chain_state)
+    rng = np.random.default_rng(79)
+    factors = [_State(draw(rng)).factor for draw in families for _ in range(300)]
+    assert all(rank >= 3 for rank, _ in factors)
+    got = [_flip_product_eigs(f) for f in factors]
+    monkeypatch.setattr(entanglement, "_hermitian_tensor_rows", _old_tensor_rows)
+    want = [_flip_product_eigs(f) for f in factors]
+    assert [[x.hex() for x in mu] for mu in got] == [[x.hex() for x in mu] for mu in want]
 
 
 # stratum: (draw, seed, gate on the Wootters sum against the tau reference)

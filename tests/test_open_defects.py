@@ -14,8 +14,8 @@ import pytest
 
 from twoqubit.bloch import partial_transpose, to_bloch
 from twoqubit.entanglement import entanglement_report, eof_upper_bound
-from twoqubit.sampling import werner_state
-from twoqubit.separability import peres_test
+from twoqubit.sampling import near_quarter_density, werner_state
+from twoqubit.separability import _State, peres_test
 from twoqubit.spectrum import coeffs_from_bloch, coeffs_from_traces, quartic_eigs
 
 DRAWS = 20
@@ -145,6 +145,24 @@ def test_near_quarter_spectrum_accuracy():
         got = quartic_eigs(coeffs_from_traces(m)).eigenvalues
         want = np.linalg.eigvalsh(m)[::-1]
         assert np.max(np.abs(np.array(got) - want)) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 3: quartic_eigs' shape flush returns a close pair near I/4 as a double root",
+)
+def test_close_pair_near_quarter_is_resolved():
+    """The draws of near_quarter_density (seed 2) on which `twoqubit fuzz
+    --family near_quarter --samples 20000 --seed 2` breaches its 1e-9
+    eigenvalue gate: the shape gates flush a pair closer than about
+    1e-6 sqrt(s) to its mean, 1.6e-9, 3.2e-9 and 1.6e-9 off eigvalsh."""
+    rng = np.random.default_rng(2)
+    for index in range(18163):
+        rho = near_quarter_density(rng)
+        if index in (160, 10879, 18162):
+            got = np.array(quartic_eigs(_State(rho).c).eigenvalues)
+            assert np.max(np.abs(got - np.linalg.eigvalsh(rho)[::-1])) <= 1e-9
 
 
 def near_mixed(g, rng):

@@ -481,10 +481,11 @@ def test_consecutive_calls_share_one_record(monkeypatch):
     """peres_test then entanglement_report on one matrix reads, validates
     and runs the Bloch pass once, and solves one quartic of rho's, the
     partial transpose's (a Ginibre state's factor has rank 4, so validation
-    needs no shifted one). The factorization runs twice: rho's, kept by
-    the record, and the EoF bound's gate at -TAU_BRANCH. The concurrence
-    solves one more quartic, of tau^dagger tau, under entanglement's name.
-    On a rank-2 state it also runs twice, rho's and validation's at
+    needs no shifted one). The factorization runs once: rho's, kept by the
+    record, whose last pivot certifies the EoF bound's gate without the
+    factor at -TAU_BRANCH. The concurrence solves one more quartic, of
+    tau^dagger tau, under entanglement's name.
+    On a rank-2 state it runs twice, rho's and validation's at
     +PSD_TOL / 2: the EoF bound reads the kept rank-2 factor and skips its
     gate, and the rank-2 concurrence solves no quartic. The answers are a
     fresh record's."""
@@ -515,7 +516,7 @@ def test_consecutive_calls_share_one_record(monkeypatch):
         assert {k: calls[k] - before[k] for k in calls} == {
             "_bloch_pass": 1,
             "_check_rows": 1,
-            "_factor": 2,
+            "_factor": 1,
             "quartic_eigs": 1,
             "tau quartic": 1,
         }

@@ -75,6 +75,7 @@ def test_layer_us_prints_one_row_per_call():
         "`entanglement_report`",
         "`entanglement_report`, check=False",
         "`entanglement_report`, rank 2",
+        "`eof_upper_bound`",
         "`eof_upper_bound`, check=False",
         "`peres_test + entanglement_report`",
         "`validate_density_matrix`",

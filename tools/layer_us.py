@@ -12,7 +12,10 @@ every tree sees the same ones); one repeat makes 300 calls, cycling over
 the states, and the row shows the fastest of 9 repeats' microseconds per
 call ("eigvalsh, stacked" is one call on all states, shown per state).
 The row "entanglement_report, rank 2" runs on 30 rank-2 states of seed 0
-instead, G G† / tr(G G†) with complex Gaussian 4x2 G.
+instead, G G† / tr(G G†) with complex Gaussian 4x2 G. The row
+"eof_upper_bound" validates, so its record holds rho's factor and the gate
+reads that factor's last pivot; with check=False the record holds no
+factor and the gate factors rho - TAU_BRANCH I.
 The last row is the benchmark's fuzz_cli unit, one in-process ``twoqubit
 fuzz`` call of 10 samples, on the tree's own first 30 units of seed 0,
 shown per sample: a million over it is fuzz samples per second. Cyclic
@@ -82,6 +85,7 @@ ROWS = (
         lambda tq, r: (r,),
     ),
     ("entanglement_report, rank 2", lambda tq: tq.entanglement_report, lambda tq, r: (r,)),
+    ("eof_upper_bound", lambda tq: tq.eof_upper_bound, lambda tq, r: (r,)),
     (
         "eof_upper_bound, check=False",
         lambda tq: functools.partial(tq.eof_upper_bound, check=False),
