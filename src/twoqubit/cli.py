@@ -43,7 +43,7 @@ from .separability import (
     pure_pt_spectrum,
     pure_separable,
 )
-from .spectrum import coeffs_from_traces, quartic_eigs
+from .spectrum import _coeffs_from_traces, quartic_eigs
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -52,7 +52,13 @@ EXIT_TOLERANCE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
 
+# The most rows a chain table prints, a --sweep's or an --epsilon one's.
 _SWEEP_MAX_POINTS = 10**6
+
+# Fuzz samples drawn, and their trace-route coefficients computed in one
+# stacked call, before any of them is checked: numpy's per-call cost is
+# paid once a block, and the block bounds what a long run holds.
+_FUZZ_BLOCK = 256
 
 
 class _ParseFailure(Exception):
@@ -235,6 +241,14 @@ def cmd_chain(args) -> int:
     eps = args.epsilon
     if not 0.0 <= eps <= 1.0:
         raise _ValidationFailure(f"--epsilon must lie in [0, 1], got {eps}")
+    # Rows 0..n, n the given --n or n_max + 1; an unbounded n_max with no
+    # --n is chain_report's error.
+    rows = max_transfer_distance(args.q, eps) + 2 if args.n is None else args.n + 1
+    if rows > _SWEEP_MAX_POINTS and rows != math.inf:
+        raise _ValidationFailure(
+            f"the table would have {rows} rows, more than {_SWEEP_MAX_POINTS}; "
+            "--n sets its length"
+        )
     try:
         report = chain_report(args.q, eps, n=args.n)
     except ValueError as exc:
@@ -295,28 +309,28 @@ class _FuzzTally:
                 )
 
 
-def _fuzz_spectrum_checks(rho, s: _State, idx, tally: _FuzzTally) -> None:
+def _fuzz_spectrum_checks(rho, s: _State, ref, idx, tally: _FuzzTally) -> None:
     """Eigenvalue fidelity and coefficient route agreement for one
-    Hermitian trace-one matrix rho and its record s."""
+    Hermitian trace-one matrix rho, its record s and its trace-route
+    coefficients ref."""
     closed = quartic_eigs(s.c).eigenvalues
     oracle = eig_hermitian_oracle(rho)
     err = max(abs(a - b) for a, b in zip(closed, oracle))
     tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, lambda: _matrix_json(rho))
-    ca = coeffs_from_traces(rho)
     cb = s.c
     err = max(
-        abs(ca.b0 - cb.b0), abs(ca.b1 - cb.b1), abs(ca.b2 - cb.b2), abs(ca.tr2 - cb.tr2)
+        abs(ref.b0 - cb.b0), abs(ref.b1 - cb.b1), abs(ref.b2 - cb.b2), abs(ref.tr2 - cb.tr2)
     )
     tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, lambda: _matrix_json(rho))
 
 
-def _fuzz_density_checks(rho, idx, tally: _FuzzTally) -> tuple[_State, float | None]:
+def _fuzz_density_checks(rho, ref, idx, tally: _FuzzTally) -> tuple[_State, float | None]:
     """The spectrum checks plus verdict equivalence for one density
-    matrix; returns its record and its concurrence, None where no check
-    computed it."""
+    matrix and its trace-route coefficients ref; returns its record and
+    its concurrence, None where no check computed it."""
     s = _State(rho)
     c = None
-    _fuzz_spectrum_checks(rho, s, idx, tally)
+    _fuzz_spectrum_checks(rho, s, ref, idx, tally)
     sep = _verdict(s)
     pt_oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
     lam_err = abs(sep.lambda_min_pt - pt_oracle_min)
@@ -337,15 +351,33 @@ def _fuzz_density_checks(rho, idx, tally: _FuzzTally) -> tuple[_State, float | N
     return s, c
 
 
-def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally):
+def _fuzz_draw(family: str, rng: np.random.Generator):
+    """One sample of family, (its matrix, its state vector for pure or its
+    p for werner, else None); the only step of a sample that reads rng."""
     if family == "ginibre":
-        _fuzz_density_checks(ginibre_density(rng), idx, tally)
-    elif family == "hermitian":
-        h = random_hermitian_trace_one(rng)
-        _fuzz_spectrum_checks(h, _State(h), idx, tally)
-    elif family == "pure":
+        return ginibre_density(rng), None
+    if family == "hermitian":
+        return random_hermitian_trace_one(rng), None
+    if family == "pure":
         v = haar_pure(rng)
-        rho = pure_density(v)
+        return pure_density(v), v
+    if family == "near_quarter":
+        return near_quarter_density(rng), None
+    if family in ("rank2", "rank3"):
+        return rank_deficient_density(rng, 2 if family == "rank2" else 3), None
+    if family == "werner":
+        p = rng.uniform(-1.0 / 3.0, 1.0)
+        return werner_state(p), p
+    raise _ValidationFailure(f"unknown family {family!r}")
+
+
+def _fuzz_check(family: str, rho, extra, ref, idx: int, tally: _FuzzTally):
+    """Every check of one drawn sample; ref is rho's trace-route
+    coefficients, None for pure, which has no coefficient check."""
+    if family == "hermitian":
+        _fuzz_spectrum_checks(rho, _State(rho), ref, idx, tally)
+    elif family == "pure":
+        v = extra
         s = _State(rho)
         state_json = [[float(x.real), float(x.imag)] for x in v]
         closed = pure_pt_spectrum(v)
@@ -359,20 +391,15 @@ def _fuzz_one(family: str, rng: np.random.Generator, idx: int, tally: _FuzzTally
             "pure_verdict_agreement", 0.0 if agree else 1.0, 0.5, idx,
             lambda: state_json,
         )
-    elif family == "near_quarter":
-        _fuzz_density_checks(near_quarter_density(rng), idx, tally)
-    elif family in ("rank2", "rank3"):
-        rho = rank_deficient_density(rng, 2 if family == "rank2" else 3)
-        _fuzz_density_checks(rho, idx, tally)
     elif family == "werner":
-        p = rng.uniform(-1.0 / 3.0, 1.0)
-        s, c = _fuzz_density_checks(werner_state(p), idx, tally)
+        p = extra
+        s, c = _fuzz_density_checks(rho, ref, idx, tally)
         if c is None:
             c = _concurrence(s)
         err = abs(c - max(0.0, (3.0 * p - 1.0) / 2.0))
         tally.record("werner_concurrence_formula", err, 1e-10, idx, lambda: [p])
     else:
-        raise _ValidationFailure(f"unknown family {family!r}")
+        _fuzz_density_checks(rho, ref, idx, tally)
 
 
 def cmd_fuzz(args) -> int:
@@ -380,8 +407,13 @@ def cmd_fuzz(args) -> int:
         raise _ValidationFailure(f"--samples must be >= 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     tally = _FuzzTally()
-    for idx in range(args.samples):
-        _fuzz_one(args.family, rng, idx, tally)
+    for start in range(0, args.samples, _FUZZ_BLOCK):
+        n = min(_FUZZ_BLOCK, args.samples - start)
+        block = [_fuzz_draw(args.family, rng) for _ in range(n)]
+        rhos = np.array([rho for rho, _ in block])
+        refs = [None] * n if args.family == "pure" else _coeffs_from_traces(rhos)
+        for idx, ((rho, extra), ref) in enumerate(zip(block, refs), start):
+            _fuzz_check(args.family, rho, extra, ref, idx, tally)
     summary = {
         "family": args.family,
         "samples": args.samples,

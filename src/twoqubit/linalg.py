@@ -3,15 +3,15 @@
 Pauli constants, the input read and Hermitian-asymmetry measure that
 validation and the oracle share (_read, _asymmetry), characteristic
 polynomial coefficients via the Faddeev-LeVerrier recurrence (numpy
-products on the matrix itself; the reference route for the Bloch
-formulas, which no closed form takes), and a self-contained cyclic Jacobi
-eigensolver. The Jacobi routine is the numerical oracle every closed-form
-solver in this package is cross-checked against, so it deliberately
-shares no code with the trigonometric root formulas: no characteristic
-polynomials, no resolvent tricks, just plane rotations. Its sweep is
-written out on the half-storage entries as locals, six rotations with
-their conjugates fixed in the formulas, and each moves the diagonal in
-Rutishauser's form.
+products on a stack of matrices, one matrix being a stack of one; the
+reference route for the Bloch formulas, which no closed form takes), and
+a self-contained cyclic Jacobi eigensolver. The Jacobi routine is the
+numerical oracle every closed-form solver in this package is
+cross-checked against, so it deliberately shares no code with the
+trigonometric root formulas: no characteristic polynomials, no resolvent
+tricks, just plane rotations. Its sweep is written out on the
+half-storage entries as locals, six rotations with their conjugates
+fixed in the formulas, and each moves the diagonal in Rutishauser's form.
 """
 
 from __future__ import annotations
@@ -117,27 +117,32 @@ def charpoly_flv(m) -> MonicQuartic:
     imaginary part of a c_k exceeds 1e-12 max(1, max |m_ij|)^(4 - k). A
     reference route: the closed forms read theirs off the Bloch tensor.
     """
-    return _flv(_read(m)[0])
+    return _flv(_read(m)[0][None])[0]
 
 
-def _flv(m: np.ndarray) -> MonicQuartic:
-    """charpoly_flv on a complex 4x4 array with finite entries, as _read
-    returns it or a shift of one."""
-    c3 = -m.trace()
-    n = m @ m + c3 * m
-    c2 = -n.trace() / 2.0
-    n = m @ n + c2 * m
-    c1 = -n.trace() / 3.0
-    c0 = -(m @ n + c1 * m).trace() / 4.0
-    coeffs = (c0, c1, c2, c3)
-    if max(abs(c.imag) for c in coeffs) > 1e-12:
+def _flv(m: np.ndarray) -> list[MonicQuartic]:
+    """charpoly_flv on each matrix of an (N, 4, 4) complex stack with finite
+    entries (_read arrays, or shifts of them), in one numpy recurrence.
+    Each product and trace is its own matrix's, so matrix i's coefficients
+    are those of the stack of one that holds it; the first matrix that
+    fails the imaginary-part gate raises."""
+    c3 = -m.trace(axis1=-2, axis2=-1)
+    n = m @ m + c3[:, None, None] * m
+    c2 = -n.trace(axis1=-2, axis2=-1) / 2.0
+    n = m @ n + c2[:, None, None] * m
+    c1 = -n.trace(axis1=-2, axis2=-1) / 3.0
+    c0 = -(m @ n + c1[:, None, None] * m).trace(axis1=-2, axis2=-1) / 4.0
+    coeffs = np.array((c0, c1, c2, c3))
+    imag = np.abs(coeffs.imag)
+    if imag.max() > 1e-12:
         # c_k is of degree 4 - k in the entries: gate it at that power of
         # their scale, which leaves trace-one inputs at 1e-12.
-        scale = max(1.0, float(np.abs(m).max()))
-        worst = max(abs(c.imag) / scale ** (4 - k) for k, c in enumerate(coeffs))
-        if worst > 1e-12:
-            raise ValueError(f"characteristic polynomial is not real (imag {worst:.3e})")
-    return MonicQuartic(*(float(c.real) for c in coeffs))
+        for i in np.flatnonzero(imag.max(axis=0) > 1e-12):
+            scale = max(1.0, float(np.abs(m[i]).max()))
+            worst = max(imag[k, i] / scale ** (4 - k) for k in range(4))
+            if worst > 1e-12:
+                raise ValueError(f"characteristic polynomial is not real (imag {worst:.3e})")
+    return [MonicQuartic(*q) for q in coeffs.real.T.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -141,14 +141,24 @@ def coeffs_from_traces(m) -> CharCoeffs:
     """Characteristic data of a trace-one 4x4 matrix by one Faddeev-LeVerrier
     pass on X = m - I/4: s^2 = -2 e2, k3 = e3 / s^3, k4 = e4 / s^4, the
     reference for the Bloch formulas below; |1 - tr m| > 1e-12 raises."""
-    q = _flv(_read(m)[0] - _QUARTER_I)
-    if abs(q.c3) > 1e-12:
-        raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
-    s2 = -2.0 * q.c2
-    if s2 <= 0.0:
-        return CharCoeffs(s=0.0, k3=0.0, k4=0.0)
-    s = math.sqrt(s2)
-    return CharCoeffs(s=s, k3=-q.c1 / (s2 * s), k4=q.c0 / (s2 * s2))
+    return _coeffs_from_traces(_read(m)[0][None])[0]
+
+
+def _coeffs_from_traces(ms: np.ndarray) -> list[CharCoeffs]:
+    """coeffs_from_traces on each matrix of an (N, 4, 4) complex stack with
+    finite entries, in one recurrence; the first matrix whose trace is off
+    one raises."""
+    out = []
+    for q in _flv(ms - _QUARTER_I):
+        if abs(q.c3) > 1e-12:
+            raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
+        s2 = -2.0 * q.c2
+        if s2 <= 0.0:
+            out.append(CharCoeffs(s=0.0, k3=0.0, k4=0.0))
+            continue
+        s = math.sqrt(s2)
+        out.append(CharCoeffs(s=s, k3=-q.c1 / (s2 * s), k4=q.c0 / (s2 * s2)))
+    return out
 
 
 def _pt_odd_terms(xa, xb, a) -> tuple[float, float]:

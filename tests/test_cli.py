@@ -348,6 +348,20 @@ def test_chain_validation_failures(capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_chain_epsilon_table_is_bounded(capsys):
+    """An --epsilon table is refused past the --sweep bound, before any row
+    is built: q = 0.3 at eps = 1e-9 has n_max = 788457381, and --n sets the
+    length."""
+    for argv in (
+        ("--q", "0.3", "--epsilon", "1e-9"),
+        ("--q", "0.5", "--epsilon", "0.1", "--n", "2000000"),
+        ("--q", "0.5", "--epsilon", "0.1", "--n", "1000000"),  # 10^6 + 1 rows
+    ):
+        code, out, err = run(capsys, "chain", *argv)
+        assert code == EXIT_VALIDATION and out == "", argv
+        assert err.startswith("error: ") and "--n" in err and err.count("\n") == 1, argv
+
+
 @pytest.mark.parametrize(
     "family", ["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"]
 )
@@ -362,6 +376,38 @@ def test_fuzz_families_pass(capsys, family):
     if family != "pure":
         # the Bloch route of the solver against the trace route
         assert "bloch_vs_flv_coeffs" in doc["max_error"]
+
+
+@pytest.mark.parametrize(
+    "family", ["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"]
+)
+def test_fuzz_output_does_not_depend_on_the_block(capsys, monkeypatch, family):
+    """Samples are drawn and their reference coefficients computed a block
+    at a time; one sample per block prints the same bytes and exit code
+    over a run that crosses a block boundary."""
+    samples = str(twoqubit.cli._FUZZ_BLOCK + 3)
+    argv = ["fuzz", "--samples", samples, "--seed", "12", "--family", family]
+    want = run(capsys, *argv)
+    monkeypatch.setattr(twoqubit.cli, "_FUZZ_BLOCK", 1)
+    assert run(capsys, *argv) == want
+
+
+def test_fuzz_indexes_samples_across_blocks(capsys, monkeypatch):
+    """With every dump kept, an oracle 1e-6 off breaches each ginibre
+    sample's two eigenvalue checks, in sample order through the second
+    block."""
+    oracle = twoqubit.cli.eig_hermitian_oracle
+    monkeypatch.setattr(
+        twoqubit.cli, "eig_hermitian_oracle", lambda m: [x + 1e-6 for x in oracle(m)]
+    )
+    monkeypatch.setattr(twoqubit.cli._FuzzTally, "_DUMP_CAP", 10**6)
+    samples = twoqubit.cli._FUZZ_BLOCK + 3
+    argv = ["fuzz", "--samples", str(samples), "--seed", "3", "--family", "ginibre"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_TOLERANCE
+    assert [d["index"] for d in json.loads(out)["counterexamples"]] == [
+        i for i in range(samples) for _ in range(2)
+    ]
 
 
 def test_fuzz_breach_exits_3(capsys, monkeypatch):

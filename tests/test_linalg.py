@@ -7,6 +7,7 @@ from twoqubit.bloch import partial_transpose
 from twoqubit.errors import OracleConvergenceError
 from twoqubit.linalg import (
     MonicQuartic,
+    _flv,
     charpoly_flv,
     eig_hermitian_oracle,
     is_hermitian,
@@ -140,6 +141,54 @@ def test_charpoly_rejects_nonfinite():
     m[0, 0] = np.nan
     with pytest.raises(ValueError):
         charpoly_flv(m)
+
+
+def _flv_one(m) -> MonicQuartic:
+    """The recurrence on one 4x4 array, the reference the stacked _flv
+    must equal bit for bit."""
+    c3 = -m.trace()
+    n = m @ m + c3 * m
+    c2 = -n.trace() / 2.0
+    n = m @ n + c2 * m
+    c1 = -n.trace() / 3.0
+    c0 = -(m @ n + c1 * m).trace() / 4.0
+    return MonicQuartic(*(float(c.real) for c in (c0, c1, c2, c3)))
+
+
+STACK_FAMILIES = {
+    "ginibre": ginibre_density,
+    "hermitian": random_hermitian_trace_one,
+    "rank2": lambda rng: rank_deficient_density(rng, 2),
+    "rank3": lambda rng: rank_deficient_density(rng, 3),
+    "werner": lambda rng: werner_state(rng.uniform(-1.0 / 3.0, 1.0)),
+    "near_quarter": near_quarter_density,
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_flv_stack_equals_the_one_matrix_recurrence(n):
+    """Each matrix of a stack, and of its shift by I/4 as coeffs_from_traces
+    runs it, gets the bits the recurrence on it alone gives."""
+    rng = np.random.default_rng(40 + n)
+    for name, draw in STACK_FAMILIES.items():
+        ms = np.array([draw(rng) for _ in range(n)])
+        for stack in (ms, ms - np.eye(4) / 4.0):
+            got = _flv(stack)
+            assert len(got) == n and all(type(c) is float for q in got for c in q)
+            want = [_flv_one(m) for m in stack]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), name
+
+
+def test_flv_stack_rejects_one_nonreal_matrix():
+    rng = np.random.default_rng(47)
+    bad = np.diag([0.5 + 0.2j, 0.5 - 0.1j, 0.0, -0.1j])
+    with pytest.raises(ValueError) as alone:
+        charpoly_flv(bad)
+    ms = np.array([ginibre_density(rng) for _ in range(7)])
+    ms[3] = bad
+    with pytest.raises(ValueError, match="characteristic polynomial is not real") as stacked:
+        _flv(ms)
+    assert str(stacked.value) == str(alone.value)
 
 
 def _lower_moved(rng):

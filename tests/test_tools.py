@@ -91,6 +91,7 @@ def test_layer_us_prints_one_row_per_call():
         "`eig_hermitian_oracle`, partial transpose",
         "`eigvalsh`",
         "`eigvalsh`, stacked",
+        "`coeffs_from_traces`, stacked",
         "`twoqubit fuzz`, per sample",
         "machine-speed probe",
     ]

@@ -10,7 +10,10 @@ its partial transpose), or LAPACK's ``eigvalsh`` as the yardstick. Its
 inputs come from 30 Ginibre states of seed 0 (drawn here with numpy, so
 every tree sees the same ones); one repeat makes 300 calls, cycling over
 the states, and the row shows the fastest of 9 repeats' microseconds per
-call ("eigvalsh, stacked" is one call on all states, shown per state).
+call. The two "stacked" rows are one call on all states, shown per state:
+LAPACK's ``eigvalsh``, and ``coeffs_from_traces``' Faddeev-LeVerrier
+reference as fuzz runs it on a block of samples (``spectrum``'s private
+stack entry).
 The row "entanglement_report, rank 2" runs on 30 rank-2 states of seed 0
 instead, G G† / tr(G G†) with complex Gaussian 4x2 G. The row
 "eof_upper_bound" validates, so its record holds rho's factor and the gate
@@ -119,7 +122,11 @@ ROWS = (
 )
 # The rank of the states a row runs on, where it is not 4.
 RANK = {"entanglement_report, rank 2": 2}
-STACKED = "eigvalsh, stacked"
+# (row, the function to time) of the rows that take every state in one call.
+STACKED = (
+    ("eigvalsh, stacked", lambda tq: np.linalg.eigvalsh),
+    ("coeffs_from_traces, stacked", lambda tq: tq.spectrum._coeffs_from_traces),
+)
 FUZZ = "twoqubit fuzz, per sample"
 PROBE = "machine-speed probe"
 
@@ -152,7 +159,14 @@ def _load(root: str, n_states: int, seed: int) -> None:
         except Exception:  # a row this tree cannot run
             continue
         _CALLS[name] = (fn, args, 1)
-    _CALLS[STACKED] = (np.linalg.eigvalsh, [(np.array(states[4]),)], n_states)
+    stack = np.array(states[4])
+    for name, fn_of in STACKED:
+        try:
+            fn = fn_of(tq)
+            fn(stack)
+        except Exception:  # a row this tree cannot run
+            continue
+        _CALLS[name] = (fn, [(stack,)], n_states)
     try:
         _PROBE.append(importlib.import_module("run").probe_us)
     except Exception:  # a tree without the benchmark's probe
@@ -212,7 +226,7 @@ def table(roots: list[str], best: list[dict]) -> list[str]:
     """Markdown rows, one per call and one column per tree."""
     lines = ["| call | " + " | ".join(f"µs, {r}" for r in roots) + " |"]
     lines.append("|---|" + "---|" * len(roots))
-    for name in [row[0] for row in ROWS] + [STACKED, FUZZ, PROBE]:
+    for name in [row[0] for row in ROWS + STACKED] + [FUZZ, PROBE]:
         func, _, variant = name.partition(", ")
         label = name if name == PROBE else f"`{func}`" + (f", {variant}" if variant else "")
         lines.append(f"| {label} | " + " | ".join(_fmt(b.get(name)) for b in best) + " |")
