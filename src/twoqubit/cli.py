@@ -141,7 +141,7 @@ def _load_state_file(path: str) -> np.ndarray:
 
 def _analysis_dict(rho: np.ndarray) -> dict:
     try:
-        s = _checked_state(rho, True)
+        s = _checked_state(rho)
     except ValueError as exc:
         raise _ValidationFailure(str(exc)) from exc
     spec = quartic_eigs(s.c)

@@ -42,8 +42,8 @@ def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
     conj d|^2 + |b +/- conj b|^2), exact at sigma1 = sigma2. Rank 3 and 4:
     f times the spectrum of tau^dagger tau / f by the Bloch route, its
     Bloch rows read off the diagonal and upper triangle alone
-    (bloch._hermitian_tensor_rows). A finite rho whose tau overflows raises
-    ValueError."""
+    (bloch._hermitian_tensor_rows). The factor is a validated state's, so
+    |W_ij| <= 1, every entry of tau is at most about 4 and f is finite."""
     rank, w = factor
     (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = w
     t00 = 2.0 * (x10 * x20 - x00 * x30)
@@ -52,8 +52,6 @@ def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
     if rank <= 2:
         f = t00.real * t00.real + t00.imag * t00.imag + t11.real * t11.real
         f += t11.imag * t11.imag + 2.0 * (t01.real * t01.real + t01.imag * t01.imag)
-        if not math.isfinite(f):
-            raise ValueError("matrix contains non-finite entries")
         if rank < 2 or f == 0.0:
             return (f, 0.0, 0.0, 0.0)
         det = t00 * t11 - t01 * t01
@@ -76,10 +74,7 @@ def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
     g11 = (c01 * t01 + c11 * t11 + c12 * t12 + c13 * t13).real
     g22 = (c02 * t02 + c12 * t12 + c22 * t22 + c23 * t23).real
     g33 = (c03 * t03 + c13 * t13 + c23 * t23 + c33 * t33).real
-    # |g_ab| <= (g_aa + g_bb) / 2 term by term: a finite f bounds them all.
     f = g00 + g11 + g22 + g33
-    if not math.isfinite(f):
-        raise ValueError("matrix contains non-finite entries")
     h = 1.0 / f
     g01 = (c00 * t01 + c01 * t11 + c02 * t12 + c03 * t13) * h
     g02 = (c00 * t02 + c01 * t12 + c02 * t22 + c03 * t23) * h
@@ -102,11 +97,11 @@ def _concurrence(s: _State) -> float:
     return c if c > _TAU_FLOOR else 0.0
 
 
-def concurrence(rho, check: bool = True) -> float:
+def concurrence(rho) -> float:
     """Concurrence C(rho) = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4))
     with mu_i the descending eigenvalues of rho times its spin flip, 0.0 up
     to _TAU_FLOOR."""
-    return _concurrence(_checked_state(rho, check))
+    return _concurrence(_checked_state(rho))
 
 
 def _binary_entropy(x: float) -> float:
@@ -119,12 +114,12 @@ def _eof_from_concurrence(c: float) -> float:
     return _binary_entropy((1.0 + math.sqrt(1.0 - min(c, 1.0) ** 2)) / 2.0)
 
 
-def eof(rho, check: bool = True) -> float:
+def eof(rho) -> float:
     """Entanglement of formation via the concurrence:
 
         E = h((1 + sqrt(1 - C^2)) / 2),  h the binary entropy.
     """
-    return _eof_from_concurrence(concurrence(rho, check=check))
+    return _eof_from_concurrence(concurrence(rho))
 
 
 def concurrence_pure(state) -> float:
@@ -137,34 +132,30 @@ def _negativity(s: _State) -> float:
     return sum(max(0.0, -lam) for lam in s.pt.eigenvalues)
 
 
-def negativity(rho, check: bool = True) -> float:
+def negativity(rho) -> float:
     """Sum of the absolute values of the negative partial-transpose
     eigenvalues, computed from the closed-form PT spectrum."""
-    return _negativity(_checked_state(rho, check))
+    return _negativity(_checked_state(rho))
 
 
 def _eof_bound(s: _State) -> float:
-    # rho's own factor, where validation or the concurrence made it. Short
-    # of rank 4 it puts lambda_min(rho) within its pivot tolerance of zero
-    # or below, so rho - TAU_BRANCH I cannot reach rank 4. At rank 4 its
-    # last pivot r, the one nonzero entry of W's fourth column, certifies
-    # the gate where r^2 > 32 TAU_BRANCH (see eof_upper_bound).
-    own = s._factor
-    if own is not None and own[0] == 4:
-        (_, _, _, r0), (_, _, _, r1), (_, _, _, r2), (_, _, _, r3) = own[1]
-        r = r0 + r1 + r2 + r3
-        full = r * r > 32.0 * TAU_BRANCH or _factor(s.rows, -TAU_BRANCH)[0] == 4
-    else:
-        full = own is None and _factor(s.rows, -TAU_BRANCH)[0] == 4
-    if not full:
+    # rho's own factor, which validation made. Short of rank 4 it puts
+    # lambda_min(rho) within its pivot tolerance of zero or below, so
+    # rho - TAU_BRANCH I cannot reach rank 4. At rank 4 its last pivot r,
+    # the one nonzero entry of W's fourth column (all zero short of rank
+    # 4), certifies the gate where r^2 > 32 TAU_BRANCH (see eof_upper_bound).
+    rank, w = s.factor
+    (_, _, _, r0), (_, _, _, r1), (_, _, _, r2), (_, _, _, r3) = w
+    r = r0 + r1 + r2 + r3
+    if rank < 4 or (r * r <= 32.0 * TAU_BRANCH and _factor(s.rows, -TAU_BRANCH)[0] < 4):
         raise NotApplicableError(
             f"bound requires a full-rank state with lambda_min > {TAU_BRANCH:g} "
-            f"(factor rank {s.factor[0]})"
+            f"(factor rank {rank})"
         )
     return min(max(1.0 - 4.0 * s.pt.eigenvalues[-1], 0.0), 1.0)
 
 
-def eof_upper_bound(rho, check: bool = True) -> float:
+def eof_upper_bound(rho) -> float:
     """Upper bound 1 - 4 lambda_min(rho^PT) on the entanglement of
     formation of a full-rank state, clamped to [0, 1], with lambda_min the
     smallest eigenvalue of the closed-form partial-transpose spectrum.
@@ -175,20 +166,20 @@ def eof_upper_bound(rho, check: bool = True) -> float:
     error of about 2e-15, and otherwise NotApplicableError is raised,
     naming the rank of rho's own factor.
 
-    Where the state's record keeps rho's own factor at rank 4 (validation
-    made it), its last pivot r settles the gate first. Diagonal pivoting
-    makes L = P W, W's rows in pivot order, lower triangular with |l_jk|
-    <= l_kk and l_kk >= l_44 = r (Higham, Accuracy and Stability, 2nd ed.,
-    10.3). So L = V D, D its diagonal and V unit triangular with |v_jk| <= 1, and
-    |V^-1| is at most the inverse of the matrix with 1 on the diagonal and
-    -1 below it (same book, 8.3), whose squared Frobenius norm is (4^n +
-    6n - 1) / 9, 31 at n = 4. Hence lambda_min(rho) = 1 / ||L^-1||_2^2 >=
+    Validation keeps rho's own factor; at rank 4 its last pivot r settles
+    the gate first. Diagonal pivoting makes L = P W, W's rows in pivot
+    order, lower triangular with |l_jk| <= l_kk and l_kk >= l_44 = r
+    (Higham, Accuracy and Stability, 2nd ed., 10.3). So L = V D, D its
+    diagonal and V unit triangular with |v_jk| <= 1, and |V^-1| is at most
+    the inverse of the matrix with 1 on the diagonal and -1 below it (same
+    book, 8.3), whose squared Frobenius norm is (4^n + 6n - 1) / 9, 31 at
+    n = 4. Hence lambda_min(rho) = 1 / ||L^-1||_2^2 >=
     r^2 / 31, and r^2 > 32 TAU_BRANCH certifies lambda_min >= 1.03e-8, 3e-10
     past the gate and far beyond the factor's backward error: there the
     shifted factor reaches rank 4 too, so the answer is the same. Below
     that the shifted factor decides; a kept factor short of rank 4 refuses.
     """
-    return _eof_bound(_checked_state(rho, check))
+    return _eof_bound(_checked_state(rho))
 
 
 @dataclass(frozen=True)
@@ -214,7 +205,7 @@ def _report(s: _State) -> EntanglementReport:
     )
 
 
-def entanglement_report(rho, check: bool = True) -> EntanglementReport:
+def entanglement_report(rho) -> EntanglementReport:
     """All entanglement measures in one pass. eof_upper_bound is None when
     the state is not full rank."""
-    return _report(_checked_state(rho, check))
+    return _report(_checked_state(rho))

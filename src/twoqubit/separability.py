@@ -4,13 +4,13 @@ A two-qubit state is separable exactly when its partial transpose is
 positive semidefinite. The partial transpose changes the characteristic
 coefficients in a simple closed way (the purity is untouched), so the PT
 spectrum, and with it the verdict, comes out of the same quartic solver.
-Only the input validation (on by default) may diagonalize, with eigvalsh,
-and only for a matrix the rank of its factor does not settle.
+Only the input validation may diagonalize, with eigvalsh, and only for a
+matrix the rank of its factor does not settle.
 
-Every public call, here and in entanglement, builds its state's record
-through _checked_state, which keeps the last record: consecutive calls on
-the same matrix (the same shape and bits) share its read, validation,
-factor, Bloch tensor, coefficients and PT spectrum.
+Every public call, here and in entanglement, validates its input through
+_checked_state, which keeps the last valid state's record: consecutive
+calls on the same matrix (the same shape and bits) share its read,
+validation, factor, Bloch tensor, coefficients and PT spectrum.
 """
 
 from __future__ import annotations
@@ -107,15 +107,14 @@ class _State:
     rows, not rho: a caller changing its array in place cannot reach the
     record. Every other piece is computed on first use and kept, so the
     stages run in the order the calls read them and none runs twice; a
-    stage that raises keeps nothing and raises again. ``validated`` says
-    whether the rows have passed the density-matrix checks. Fuzz builds
-    records directly; the public calls and ``twoqubit analyze`` get theirs
-    from _checked_state, which keeps the last one.
+    stage that raises keeps nothing and raises again. The record does not
+    validate rho: fuzz builds records directly, also for Hermitian matrices
+    that are not states; the public calls and ``twoqubit analyze`` get
+    theirs from _checked_state, which validates and keeps the last one.
     """
 
     def __init__(self, rho):
         self.rows = _read(rho)[1]
-        self.validated = False
         self._factor = self._t_rows = self._coeffs = self._pt = None
 
     # Each stage is written out as "compute if unset, keep": on Python
@@ -166,29 +165,26 @@ class _State:
 _last = [None]
 
 
-def _checked_state(rho, check: bool) -> _State:
+def _checked_state(rho) -> _State:
     """The record for a public call's input, its rows validated as
-    bloch.validate_density_matrix does, from the record's factor, unless
-    ``check`` is false.
+    bloch.validate_density_matrix does, from the record's factor.
 
     The last record is reused when the input has the same shape and the
     same bits (so -0.0 and 0.0 differ and no float comparison is made):
     every stage is a deterministic function of those bits, so the answers
-    are the ones a fresh record gives. Validation runs unless the record
-    has passed it, on this call's matrix, whose bits are the record's; a
-    failed one marks nothing.
+    are the ones a fresh record gives. A new record is kept only once its
+    rows pass validation, so every kept record is a valid state's and a
+    matrix validation refuses raises on every call, leaving the last
+    record in place.
     """
     m = np.asarray(rho, dtype=complex)
     key = (m.shape, m.tobytes())
     last = _last[0]
     if last is not None and last[0] == key:
-        s = last[1]
-    else:
-        s = _State(m)
-        _last[0] = (key, s)
-    if check and not s.validated:
-        _check_rows(m, s.rows, s.factor[0])
-        s.validated = True
+        return last[1]
+    s = _State(m)
+    _check_rows(m, s.rows, s.factor[0])
+    _last[0] = (key, s)
     return s
 
 
@@ -203,12 +199,11 @@ def _verdict(s: _State) -> SeparabilityReport:
     )
 
 
-def peres_test(rho, check: bool = True) -> SeparabilityReport:
+def peres_test(rho) -> SeparabilityReport:
     """Separability verdict for a two-qubit density matrix, from the
-    partial-transpose spectrum in closed form (see SeparabilityReport). Set
-    ``check=False`` to skip the density matrix validation for inputs known
-    to be valid."""
-    return _verdict(_checked_state(rho, check))
+    partial-transpose spectrum in closed form (see SeparabilityReport).
+    A matrix that is not a density matrix raises ValueError."""
+    return _verdict(_checked_state(rho))
 
 
 def _pure_q(state) -> float:

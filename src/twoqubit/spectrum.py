@@ -532,7 +532,7 @@ def cubic_eigs(c: CubicCoeffs):
 def rank2_eigs(tr2: float):
     """The two nonzero eigenvalues of a rank-2 trace-one PSD matrix:
     (1 +/- sqrt(2 tr2 - 1)) / 2. Requires 1/2 <= tr2 <= 1."""
-    if tr2 < 0.5 - 1e-10 or tr2 > 1.0 + 1e-10:
+    if not 0.5 - 1e-10 <= tr2 <= 1.0 + 1e-10:  # NaN fails it too
         raise ValueError(f"rank-2 purity must lie in [1/2, 1], got {tr2}")
     s = math.sqrt(max(2.0 * tr2 - 1.0, 0.0))
     return (1.0 + s) / 2.0, (1.0 - s) / 2.0

@@ -100,7 +100,7 @@ def test_criterion_3_verdict_equivalence_and_werner_threshold():
     lam_worst = 0.0
     for _ in range(100_000):
         rho = ginibre_density(rng)
-        report = peres_test(rho, check=False)
+        report = peres_test(rho)
         oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
         lam_worst = max(lam_worst, abs(report.lambda_min_pt - oracle_min))
         if report.separable != (oracle_min >= 0.0):
@@ -110,7 +110,7 @@ def test_criterion_3_verdict_equivalence_and_werner_threshold():
             )
 
     def lam_min(p):
-        return peres_test(werner_state(p), check=False).lambda_min_pt
+        return peres_test(werner_state(p)).lambda_min_pt
 
     lo, hi = 0.0, 1.0
     for _ in range(60):
@@ -140,12 +140,12 @@ def test_criterion_4_pure_state_pt_spectrum():
         a, b, c, d = v
         q = abs(a * d - b * c)
         assert pure_separable(v) == (q <= 1e-10)
-        assert peres_test(pure_density(v), check=False).separable == (q <= 1e-10)
+        assert peres_test(pure_density(v)).separable == (q <= 1e-10)
     # exercise the separable side of the equivalence as well
     for _ in range(1_000):
         v = random_product_pure(rng)
         assert pure_separable(v)
-        assert peres_test(pure_density(v), check=False).separable
+        assert peres_test(pure_density(v)).separable
     assert worst <= 1e-12
     print(
         f"PASS criterion 4: pure-state PT spectrum, max |closed - oracle| = "
@@ -272,7 +272,7 @@ def test_criterion_8_entanglement_measures():
     worst_bridge = 0.0
     for _ in range(10_000):
         v = haar_pure(rng)
-        got = concurrence(pure_density(v), check=False)
+        got = concurrence(pure_density(v))
         worst_bridge = max(worst_bridge, abs(got - concurrence_pure(v)))
     assert worst_bridge <= 1e-10
 
@@ -283,20 +283,20 @@ def test_criterion_8_entanglement_measures():
     bound_checked = 0
     for i in range(5_000):
         rho = ginibre_density(rng)
-        report = peres_test(rho, check=False)
-        c = concurrence(rho, check=False)
-        n = negativity(rho, check=False)
+        report = peres_test(rho)
+        c = concurrence(rho)
+        n = negativity(rho)
         if abs(report.lambda_min_pt) > 1e-8:
             agreement_checked += 1
             entangled = not report.separable
             assert (c > 1e-10) == entangled
             assert (n > 1e-10) == entangled
         try:
-            bound = eof_upper_bound(rho, check=False)
+            bound = eof_upper_bound(rho)
         except NotApplicableError:
             continue
         bound_checked += 1
-        e = eof(rho, check=False)
+        e = eof(rho)
         if e > bound + 1e-9:
             violations.append((i, e, bound))
     for i, e, bound in violations:
@@ -336,9 +336,9 @@ def test_criterion_9_four_qubit_swap_transfer():
     for c, d in cases:
         before = embed_four_qubit(c, bell_state(), d)
         # qubits 1 and 4 start in a product state across the chain
-        assert concurrence(outer_pair_state(before), check=False) == 0.0
+        assert concurrence(outer_pair_state(before)) == 0.0
         after = ss @ before
-        got = concurrence(outer_pair_state(after), check=False)
+        got = concurrence(outer_pair_state(after))
         worst = max(worst, abs(got - 1.0))
     assert worst <= 1e-12
     print(

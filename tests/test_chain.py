@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from twoqubit import chain
 from twoqubit.bloch import partial_transpose
 from twoqubit.chain import (
     chain_lambda_min,
@@ -18,6 +19,7 @@ from twoqubit.chain import (
 )
 from twoqubit.linalg import eig_hermitian_oracle, kron
 from twoqubit.sampling import bell_state, pure_density
+from twoqubit.separability import TAU_SEP
 
 
 def initial_pair(q):
@@ -100,6 +102,53 @@ def test_max_transfer_distance_is_the_boundary_integer():
             assert chain_lambda_min(q, eps, n + 1) >= 0.0
 
 
+def _stepping_distance(q, eps):
+    """The distance as the estimate refined by steps of one: the search
+    max_transfer_distance replaces, whose step count grows like 1e-16 /
+    eps * n, so it is only run where eps >= 1e-9 keeps that small."""
+    n = max(math.floor(-math.log1p(4.0 * q) / math.log1p(-eps)), 0)
+    while chain_lambda_min(q, eps, n + 1) < -TAU_SEP:
+        n += 1
+    while n > 0 and chain_lambda_min(q, eps, n) >= -TAU_SEP:
+        n -= 1
+    return n
+
+
+def test_max_transfer_distance_matches_stepping():
+    """Galloping and bisecting from the estimate finds the integer that
+    stepping by one finds, on a grid of q and eps >= 1e-9."""
+    rng = np.random.default_rng(62)
+    qs = np.concatenate([rng.uniform(2e-10, 0.5, 40), 10.0 ** rng.uniform(-9.6, -0.3, 40), [0.5]])
+    epss = np.concatenate([rng.uniform(1e-9, 1.0, 20), 10.0 ** rng.uniform(-9.0, 0.0, 20)])
+    for q in qs:
+        for eps in epss:
+            assert max_transfer_distance(float(q), float(eps)) == _stepping_distance(float(q), float(eps))
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-15, 2.0**-53, 1e-17, 5e-324])
+def test_max_transfer_distance_is_bounded_for_tiny_epsilon(monkeypatch, eps):
+    """A tiny eps puts the boundary of the rounded base 1 - eps far from
+    the estimate: the search still evaluates lambda_min at most 200 times,
+    and the answer is the boundary integer. Where 1 - eps rounds to 1 the
+    evaluated lambda_min never changes, and the distance is unbounded."""
+    calls = [0]
+    real = chain.chain_lambda_min
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(chain, "chain_lambda_min", counted)
+    for q in (1e-9, 1e-3, 0.3, 0.5):
+        calls[0] = 0
+        n = max_transfer_distance(q, eps)
+        assert calls[0] <= 200, (q, calls[0])
+        if 1.0 - eps == 1.0:
+            assert n is math.inf
+        else:
+            assert real(q, eps, n) < -TAU_SEP <= real(q, eps, n + 1)
+
+
 def test_critical_noise_closed_form():
     # lambda_min at the threshold is zero up to n-fold rounding in the
     # power; a relative nudge of 1e-6 in epsilon clears the separability
@@ -117,6 +166,12 @@ def test_critical_noise_validation():
         critical_noise(0.0, 5)
     with pytest.raises(ValueError):
         critical_noise(0.5, 0)
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 2.5])
+def test_critical_noise_refuses_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        critical_noise(0.3, n)
 
 
 def test_chain_report_default_rows():

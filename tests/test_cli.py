@@ -348,6 +348,21 @@ def test_chain_validation_failures(capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_chain_tiny_epsilon_answers(capsys):
+    """An eps so small that 1 - eps rounds to 1 has an unbounded distance:
+    the table needs --n, a sweep reads null, and nothing hangs or raises."""
+    for eps in ("1e-17", "5e-324"):
+        code, out, err = run(capsys, "chain", "--q", "0.3", "--epsilon", eps)
+        assert code == EXIT_VALIDATION and out == "" and err.startswith("error: "), eps
+    code, out, _ = run(capsys, "chain", "--q", "0.3", "--epsilon", "1e-17", "--n", "3")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["n_max"] is None and len(doc["rows"]) == 4
+    code, out, _ = run(capsys, "chain", "--q", "0.3", "--sweep", "0:1e-17:1e-17")
+    assert code == EXIT_OK
+    assert json.loads(out) == [{"epsilon": 0.0, "n_max": None}, {"epsilon": 1e-17, "n_max": None}]
+
+
 def test_chain_epsilon_table_is_bounded(capsys):
     """An --epsilon table is refused past the --sweep bound, before any row
     is built: q = 0.3 at eps = 1e-9 has n_max = 788457381, and --n sets the

@@ -1,7 +1,7 @@
 """Concurrence, entanglement of formation, negativity, and the full-rank
 upper bound, checked against structure and against numpy where independent."""
 
-import functools
+import inspect
 import math
 import statistics
 
@@ -59,12 +59,12 @@ def test_spin_flip_fixes_bell_projector():
 
 
 def test_concurrence_extremes():
-    assert abs(concurrence(pure_density(bell_state()), check=False) - 1.0) <= 1e-12
+    assert abs(concurrence(pure_density(bell_state())) - 1.0) <= 1e-12
     rng = np.random.default_rng(52)
     for _ in range(50):
         rho = pure_density(random_product_pure(rng))
-        assert concurrence(rho, check=False) == 0.0
-    assert concurrence(np.eye(4, dtype=complex) / 4.0, check=False) == 0.0
+        assert concurrence(rho) == 0.0
+    assert concurrence(np.eye(4, dtype=complex) / 4.0) == 0.0
 
 
 def test_concurrence_pure_bridge():
@@ -72,7 +72,7 @@ def test_concurrence_pure_bridge():
     worst = 0.0
     for _ in range(1000):
         v = haar_pure(rng)
-        got = concurrence(pure_density(v), check=False)
+        got = concurrence(pure_density(v))
         worst = max(worst, abs(got - concurrence_pure(v)))
     assert worst <= 1e-10
 
@@ -80,7 +80,7 @@ def test_concurrence_pure_bridge():
 def test_concurrence_werner_formula():
     for p in np.linspace(-1.0 / 3.0, 1.0, 29):
         want = max(0.0, (3.0 * p - 1.0) / 2.0)
-        got = concurrence(werner_state(p), check=False)
+        got = concurrence(werner_state(p))
         assert abs(got - want) <= 1e-10, f"p={p}"
 
 
@@ -89,7 +89,7 @@ def test_concurrence_vs_numpy_on_mixed_states():
     worst = 0.0
     for _ in range(500):
         rho = ginibre_density(rng)
-        worst = max(worst, abs(concurrence(rho, check=False) - concurrence_reference(rho)))
+        worst = max(worst, abs(concurrence(rho) - concurrence_reference(rho)))
     assert worst <= 1e-9
 
 
@@ -104,35 +104,35 @@ def test_concurrence_vs_numpy_on_rank_deficient():
         for _ in range(300):
             rho = rank_deficient_density(rng, rank)
             worst = max(
-                worst, abs(concurrence(rho, check=False) - concurrence_reference(rho))
+                worst, abs(concurrence(rho) - concurrence_reference(rho))
             )
     assert worst <= 5e-8
 
 
 def test_eof_extremes_and_formula():
-    assert abs(eof(pure_density(bell_state()), check=False) - 1.0) <= 1e-12
+    assert abs(eof(pure_density(bell_state())) - 1.0) <= 1e-12
     rng = np.random.default_rng(56)
-    assert eof(pure_density(random_product_pure(rng)), check=False) == 0.0
+    assert eof(pure_density(random_product_pure(rng))) == 0.0
     # spot-check the binary-entropy formula at a known concurrence
     rho = werner_state(0.8)
-    c = concurrence(rho, check=False)
+    c = concurrence(rho)
     x = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
     want = -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
-    assert abs(eof(rho, check=False) - want) <= 1e-12
+    assert abs(eof(rho) - want) <= 1e-12
 
 
 def test_eof_monotone_in_werner_p():
-    values = [eof(werner_state(p), check=False) for p in (0.4, 0.6, 0.8, 1.0)]
+    values = [eof(werner_state(p)) for p in (0.4, 0.6, 0.8, 1.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_negativity_known_values():
-    assert abs(negativity(pure_density(bell_state()), check=False) - 0.5) <= 1e-12
+    assert abs(negativity(pure_density(bell_state())) - 0.5) <= 1e-12
     # werner: single negative PT eigenvalue (1 - 3p)/4 once p > 1/3
     for p in (0.4, 0.5, 0.8, 1.0):
         want = (3.0 * p - 1.0) / 4.0
-        assert abs(negativity(werner_state(p), check=False) - want) <= 1e-10
-    assert negativity(werner_state(0.2), check=False) == 0.0
+        assert abs(negativity(werner_state(p)) - want) <= 1e-10
+    assert negativity(werner_state(0.2)) == 0.0
 
 
 def test_negativity_equals_half_concurrence_for_pure():
@@ -140,12 +140,12 @@ def test_negativity_equals_half_concurrence_for_pure():
     for _ in range(200):
         v = haar_pure(rng)
         rho = pure_density(v)
-        assert abs(negativity(rho, check=False) - concurrence_pure(v) / 2.0) <= 1e-10
+        assert abs(negativity(rho) - concurrence_pure(v) / 2.0) <= 1e-10
 
 
 def test_eof_upper_bound_requires_full_rank():
     with pytest.raises(NotApplicableError):
-        eof_upper_bound(pure_density(bell_state()), check=False)
+        eof_upper_bound(pure_density(bell_state()))
 
 
 @pytest.mark.parametrize("p", [1e-6, 1e-8], ids=lambda p: f"p{p:g}")
@@ -160,8 +160,8 @@ def test_eof_upper_bound_refuses_rank2_mixtures(p):
     for _ in range(200):
         rho = draw(rng)
         with pytest.raises(NotApplicableError, match="factor rank 2"):
-            eof_upper_bound(rho, check=False)
-        assert entanglement_report(rho, check=False).eof_upper_bound is None
+            eof_upper_bound(rho)
+        assert entanglement_report(rho).eof_upper_bound is None
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
@@ -179,11 +179,11 @@ def test_eof_upper_bound_gate_is_lambda_min_at_tau_branch(side):
         rho = (rho + rho.conj().T) / 2.0
         assert (np.linalg.eigvalsh(rho)[0] > TAU_BRANCH) == (side > 0)
         if side > 0:
-            lam_pt = peres_test(rho, check=False).lambda_min_pt
-            assert eof_upper_bound(rho, check=False) == min(max(1.0 - 4.0 * lam_pt, 0.0), 1.0)
+            lam_pt = peres_test(rho).lambda_min_pt
+            assert eof_upper_bound(rho) == min(max(1.0 - 4.0 * lam_pt, 0.0), 1.0)
         else:
             with pytest.raises(NotApplicableError, match="factor rank 4"):
-                eof_upper_bound(rho, check=False)
+                eof_upper_bound(rho)
 
 
 def test_eof_upper_bound_dominates_eof():
@@ -192,12 +192,12 @@ def test_eof_upper_bound_dominates_eof():
     for _ in range(500):
         rho = ginibre_density(rng)
         try:
-            bound = eof_upper_bound(rho, check=False)
+            bound = eof_upper_bound(rho)
         except NotApplicableError:
             continue
         checked += 1
         assert 0.0 <= bound <= 1.0
-        assert eof(rho, check=False) <= bound + 1e-9
+        assert eof(rho) <= bound + 1e-9
     assert checked > 450
 
 
@@ -210,7 +210,7 @@ def test_eof_upper_bound_on_werner_states():
         rho = werner_state(rng.uniform(-1.0 / 3.0, 1.0))
         lam_min = np.linalg.eigvalsh(partial_transpose(rho))[0]
         want = min(max(1.0 - 4.0 * lam_min, 0.0), 1.0)
-        worst = max(worst, abs(eof_upper_bound(rho, check=False) - want))
+        worst = max(worst, abs(eof_upper_bound(rho) - want))
     assert worst <= 1e-14
 
 
@@ -219,8 +219,8 @@ def test_eof_upper_bound_near_pure():
     # entangled, and the bound must still dominate while staying in range
     delta = 0.01
     rho = (1.0 - delta) * pure_density(bell_state()) + delta * np.eye(4) / 4.0
-    bound = eof_upper_bound(rho, check=False)
-    assert eof(rho, check=False) <= bound
+    bound = eof_upper_bound(rho)
+    assert eof(rho) <= bound
     assert bound <= 1.0
 
 
@@ -240,12 +240,12 @@ def test_report_is_consistent():
         ]
     bounded = 0
     for rho in states:
-        report = entanglement_report(rho, check=False)
-        assert report.concurrence == concurrence(rho, check=False)
-        assert report.eof == eof(rho, check=False)
-        assert report.negativity == negativity(rho, check=False)
+        report = entanglement_report(rho)
+        assert report.concurrence == concurrence(rho)
+        assert report.eof == eof(rho)
+        assert report.negativity == negativity(rho)
         try:
-            bound = eof_upper_bound(rho, check=False)
+            bound = eof_upper_bound(rho)
         except NotApplicableError:
             bound = None
         assert report.eof_upper_bound == bound
@@ -254,7 +254,7 @@ def test_report_is_consistent():
 
 
 def test_report_bound_is_none_for_pure():
-    report = entanglement_report(pure_density(bell_state()), check=False)
+    report = entanglement_report(pure_density(bell_state()))
     assert report.eof_upper_bound is None
     assert abs(report.concurrence - 1.0) <= 1e-12
 
@@ -284,18 +284,24 @@ def test_measures_agree_with_verdict():
     for family, draw in AGREEMENT_FAMILIES.items():
         for _ in range(500):
             rho = draw(rng)
-            report = peres_test(rho, check=False)
+            report = peres_test(rho)
             if abs(report.lambda_min_pt) <= 1e-8:
                 continue
             entangled = not report.separable
-            assert (concurrence(rho, check=False) > 1e-10) == entangled, family
-            assert (negativity(rho, check=False) > 1e-10) == entangled, family
+            assert (concurrence(rho) > 1e-10) == entangled, family
+            assert (negativity(rho) > 1e-10) == entangled, family
 
 
 def test_validation_is_on_by_default():
     not_a_state = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         concurrence(not_a_state)
+
+
+def test_measures_take_only_the_state():
+    """Every measure validates its input: none has an option to skip it."""
+    for measure in (peres_test, concurrence, eof, negativity, eof_upper_bound, entanglement_report):
+        assert list(inspect.signature(measure).parameters) == ["rho"], measure.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +313,9 @@ MEASURES = (concurrence, eof, entanglement_report)
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_unchecked_wrong_shape_is_a_typed_error(measure):
+    """Validation reads the shape before anything else."""
     with pytest.raises(ValueError, match="expected a 4x4 matrix"):
-        measure(np.eye(3, dtype=complex) / 3.0, check=False)
+        measure(np.eye(3, dtype=complex) / 3.0)
 
 
 @pytest.mark.parametrize("measure", MEASURES)
@@ -319,7 +326,7 @@ def test_unchecked_non_finite_is_a_typed_error(measure, bad):
     rho = pure_density(bell_state())
     rho[0, 3] = bad
     with pytest.raises(ValueError, match="matrix contains non-finite entries"):
-        measure(rho, check=False)
+        measure(rho)
 
 
 def _overflowing_off_diagonal():
@@ -338,51 +345,44 @@ def _overflowing_hermitian():
     return rho
 
 
+# Each input, and the validation message that refuses it.
 OVERFLOWING = {
-    "scaled_identity": 1e200 * np.eye(4, dtype=complex) / 4.0,
-    "off_diagonal": _overflowing_off_diagonal(),
-    "hermitian": _overflowing_hermitian(),
+    "scaled_identity": (1e200 * np.eye(4, dtype=complex) / 4.0, "trace must be one"),
+    "off_diagonal": (_overflowing_off_diagonal(), "not Hermitian"),
+    "hermitian": (_overflowing_hermitian(), "not positive semidefinite"),
 }
-NON_FINITE = "matrix contains non-finite entries"
-# (measure, input, the error it raises and its message)
-OVERFLOW_CASES = [(m, name, ValueError, NON_FINITE) for m in MEASURES for name in OVERFLOWING] + [
-    (peres_test, "hermitian", ValueError, NON_FINITE),
-    (negativity, "hermitian", ValueError, NON_FINITE),
-    (eof_upper_bound, "hermitian", NotApplicableError, "factor rank 3"),
+# (measure, input)
+OVERFLOW_CASES = [(m, name) for m in MEASURES for name in OVERFLOWING] + [
+    (peres_test, "hermitian"),
+    (negativity, "hermitian"),
+    (eof_upper_bound, "hermitian"),
 ]
 
 
 @pytest.mark.parametrize(
-    "measure, name, error, message",
-    OVERFLOW_CASES,
-    ids=[f"{name}-{m.__name__}" for m, name, _, _ in OVERFLOW_CASES],
+    "measure, name", OVERFLOW_CASES, ids=[f"{name}-{m.__name__}" for m, name in OVERFLOW_CASES]
 )
-def test_unchecked_overflowing_product_is_a_typed_error(measure, name, error, message):
-    """A product that overflows is not solved: the pass raises, with no
-    RuntimeWarning first, even where the trace is finite. Nor is a partial
-    transpose whose scale s overflows, which would read lambda_min_pt =
-    -inf and a negativity of inf; the bound's gate refuses that indefinite
-    matrix before any spectrum."""
-    with pytest.raises(error, match=message):
-        measure(OVERFLOWING[name], check=False)
+def test_unchecked_overflowing_product_is_a_typed_error(measure, name):
+    """Finite matrices whose flip product, or whose partial transpose's
+    scale s, would overflow are not states: validation refuses them with
+    its own ValueError before any arithmetic that could overflow, so no
+    RuntimeWarning comes first (RuntimeWarnings are errors in this
+    suite)."""
+    rho, message = OVERFLOWING[name]
+    with pytest.raises(ValueError, match=message):
+        measure(rho)
 
 
 @pytest.mark.parametrize(
     "call",
-    [
-        functools.partial(peres_test, check=False),
-        functools.partial(negativity, check=False),
-        functools.partial(eof_upper_bound, check=False),
-        functools.partial(concurrence, check=False),
-        functools.partial(entanglement_report, check=False),
-        to_bloch,
-    ],
+    [peres_test, negativity, eof_upper_bound, concurrence, entanglement_report, to_bloch],
     ids=["peres_test", "negativity", "eof_upper_bound", "concurrence", "entanglement_report", "to_bloch"],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_unchecked_non_finite_has_one_message(call, bad):
-    """Every entry point reads rho once, so a NaN or inf entry is named the
-    same way whichever measure is asked for."""
+    """Every entry point reads rho once, before validation's other checks,
+    so a NaN or inf entry is named the same way whichever measure is asked
+    for."""
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 3] = bad
     with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
@@ -500,34 +500,34 @@ GATE_DRAWS = {
 
 @pytest.mark.parametrize("name", list(GATE_DRAWS))
 def test_eof_gate_skip_agrees_with_the_shifted_factor(name):
-    """A record that keeps rho's factor, as validation leaves it, answers
-    as a fresh one that runs the shifted gate, in repr or message. Where
-    the kept factor stops below rank 4, so does the factor of rho -
-    TAU_BRANCH I; where its last pivot certifies the gate, that factor
-    reaches rank 4. A fresh record that answers factors rho only shifted."""
+    """The gate reads rho's own factor, as validation leaves it, and
+    answers as the factor of rho - TAU_BRANCH I alone would, in repr or
+    refusal. Where the own factor stops below rank 4, so does the shifted
+    one; where its last pivot certifies the gate, the shifted one reaches
+    rank 4."""
     draw, paths = GATE_DRAWS[name]
     rng = np.random.default_rng(72)
     seen = set()
     for _ in range(500):
         rho = draw(rng)
-        kept, fresh = _State(rho), _State(rho)
-        shifted = _factor(kept.rows, -TAU_BRANCH)[0]
-        if kept.factor[0] < 4:
+        s = _State(rho)
+        shifted = _factor(s.rows, -TAU_BRANCH)[0]
+        if s.factor[0] < 4:
             assert shifted < 4
             seen.add("short")
-        elif _last_pivot(kept.factor) ** 2 > 32.0 * TAU_BRANCH:
+        elif _last_pivot(s.factor) ** 2 > 32.0 * TAU_BRANCH:
             assert shifted == 4
             seen.add("certified")
         else:
             seen.add("shifted")
-        outcomes = []
-        for s in (kept, fresh):
-            try:
-                outcomes.append(repr(entanglement._eof_bound(s)))
-            except NotApplicableError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        assert fresh._factor is None or outcomes[0].startswith("bound requires")
+        try:
+            got = repr(entanglement._eof_bound(s))
+        except NotApplicableError as exc:
+            got = str(exc)
+        if shifted == 4:
+            assert got == repr(min(max(1.0 - 4.0 * s.pt.eigenvalues[-1], 0.0), 1.0))
+        else:
+            assert got.startswith("bound requires") and got.endswith(f"(factor rank {s.factor[0]})")
     assert paths <= seen
 
 
@@ -653,7 +653,7 @@ def test_weakly_entangled_pure_concurrence(q):
     psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
     for _ in range(50):
         v = _local(rng) @ psi
-        assert abs(concurrence(np.outer(v, v.conj()), check=False) - 2.0 * q) <= 1e-15
+        assert abs(concurrence(np.outer(v, v.conj())) - 2.0 * q) <= 1e-15
 
 
 def test_product_states_sit_below_the_tau_floor():
@@ -667,7 +667,7 @@ def test_product_states_sit_below_the_tau_floor():
         mu = _flip_product_eigs(_State(rho).factor)
         assert mu[1:] == (0.0, 0.0, 0.0)
         worst = max(worst, math.sqrt(mu[0]))
-        assert concurrence(rho, check=False) == 0.0
+        assert concurrence(rho) == 0.0
     assert worst <= _TAU_FLOOR / 2.0
 
 
@@ -683,7 +683,7 @@ def test_rank2_form_has_no_square_root_floor():
         mu = _flip_product_eigs(_State(rho).factor)
         assert abs(math.sqrt(mu[0]) - 0.5) <= 1e-15 and mu[2:] == (0.0, 0.0)
         assert abs(_wootters(mu)) <= _TAU_FLOOR / 2.0
-        assert concurrence(rho, check=False) == 0.0
+        assert concurrence(rho) == 0.0
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])

@@ -168,7 +168,7 @@ def test_verdict_matches_oracle_sign():
     lam_worst = 0.0
     for _ in range(2000):
         rho = ginibre_density(rng)
-        report = peres_test(rho, check=False)
+        report = peres_test(rho)
         oracle_min = pt_oracle_min(rho)
         lam_worst = max(lam_worst, abs(report.lambda_min_pt - oracle_min))
         if abs(oracle_min) > TAU_SEP:
@@ -178,7 +178,7 @@ def test_verdict_matches_oracle_sign():
 
 def test_werner_threshold_by_bisection():
     def lam_min(p):
-        return peres_test(werner_state(p), check=False).lambda_min_pt
+        return peres_test(werner_state(p)).lambda_min_pt
 
     lo, hi = 0.0, 1.0
     assert lam_min(lo) > 0.0 > lam_min(hi)
@@ -193,9 +193,9 @@ def test_werner_threshold_by_bisection():
 
 
 def test_werner_marginal_flag():
-    report = peres_test(werner_state(1.0 / 3.0), check=False)
+    report = peres_test(werner_state(1.0 / 3.0))
     assert report.separable and report.marginal
-    report = peres_test(werner_state(0.5), check=False)
+    report = peres_test(werner_state(0.5))
     assert not report.separable and not report.marginal
     assert abs(report.lambda_min_pt + 0.125) <= 1e-12
 
@@ -259,7 +259,7 @@ def test_pure_separability_split():
         assert pure_separable(random_product_pure(rng))
         v = haar_pure(rng)
         # Haar states are entangled almost surely; verify against the verdict
-        assert pure_separable(v) == peres_test(pure_density(v), check=False).separable
+        assert pure_separable(v) == peres_test(pure_density(v)).separable
     assert not pure_separable(bell_state())
 
 
@@ -293,7 +293,7 @@ def test_inequality_agreement_flag():
     for k, family in enumerate(families):
         rng = np.random.default_rng(46 + k)
         for _ in range(300):
-            report = peres_test(make[family](rng), check=False)
+            report = peres_test(make[family](rng))
             rhs = inequality_rhs(report.pt_coeffs)
             if family in ("product", "werner"):
                 assert rhs is None, family
@@ -306,7 +306,7 @@ def test_inequality_agreement_flag():
 def test_peres_product_pure_is_separable():
     rng = np.random.default_rng(47)
     for _ in range(50):
-        report = peres_test(pure_density(random_product_pure(rng)), check=False)
+        report = peres_test(pure_density(random_product_pure(rng)))
         assert report.separable
         assert report.lambda_min_pt >= -TAU_SEP
 
@@ -316,7 +316,7 @@ def test_rank_shortcut_single_zero():
     # diagonal leaves one vanishing PT eigenvalue. The general quartic
     # path must land it exactly on zero: separable and marginal.
     rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
-    report = peres_test(rho, check=False)
+    report = peres_test(rho)
     assert report.separable
     assert report.marginal
     assert abs(report.lambda_min_pt - pt_oracle_min(rho)) <= 1e-12
@@ -330,7 +330,7 @@ def test_rank_shortcut_agrees_with_peres():
     for _ in range(200):
         w = rng.dirichlet(np.ones(3))
         rho = np.diag([w[0], w[1], w[2], 0.0]).astype(complex)
-        report = peres_test(rho, check=False)
+        report = peres_test(rho)
         assert report.separable
         assert report.lambda_min_pt >= -TAU_SEP
         assert abs(report.lambda_min_pt - pt_oracle_min(rho)) <= 1e-12
@@ -440,7 +440,7 @@ def test_pt_cross_check_rejects_wrong_odd_terms(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_pt_odd_terms", off_by_delta)
     with pytest.raises(InternalInconsistencyError, match=r"drifted 3\.12\de-08"):
-        peres_test(ginibre_density(np.random.default_rng(98)), check=False)
+        peres_test(ginibre_density(np.random.default_rng(98)))
 
 
 REFERENCE_FAMILIES = ("ginibre", "near_quarter", "rank2", "rank3", "pure", "werner")
@@ -473,8 +473,8 @@ def answers(s):
     return repr(_verdict(s)), repr(_report(s))
 
 
-def public_answers(rho, check=True):
-    return repr(peres_test(rho, check=check)), repr(entanglement_report(rho, check=check))
+def public_answers(rho):
+    return repr(peres_test(rho)), repr(entanglement_report(rho))
 
 
 def test_consecutive_calls_share_one_record(monkeypatch):
@@ -554,7 +554,7 @@ def test_record_is_not_shared_with_a_mutated_array():
     # judged on its own entries, not on the changed array's.
     edge = np.diag([0.5, 0.3, 0.2 + 7e-11, -7e-11]).astype(complex)
     same = edge.copy()
-    peres_test(edge, check=False)
+    peres_test(edge)
     edge[...] = np.diag([1.2, -0.2, 0.0, 0.0])
     assert public_answers(same) == answers(_State(same))
 
@@ -567,19 +567,18 @@ def test_record_is_not_shared_with_a_mutated_array():
     ],
     ids=["non_psd", "non_hermitian"],
 )
-def test_unchecked_call_does_not_validate_the_record(bad, message):
-    """check=False leaves the record unvalidated, so a checked call on the
-    same matrix still raises, every time; a failed check leaves the slot
-    usable by the next state. (The unchecked call is the concurrence: the
-    Bloch tensor of peres_test rejects a non-Hermitian matrix itself.)"""
+def test_refused_matrix_keeps_no_record(bad, message):
+    """A matrix validation refuses raises on every call, whichever measure
+    is asked for, and leaves the last valid state's record in the slot,
+    whose answers are still a fresh record's."""
     bad = bad.astype(complex)
-    concurrence(bad, check=False)
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            peres_test(bad)
-        with pytest.raises(ValueError, match=message):
-            entanglement_report(bad)
     rho = ginibre_density(np.random.default_rng(152))
+    public_answers(rho)
+    kept = separability._last[0]
+    for call in (peres_test, concurrence, entanglement_report, peres_test, negativity):
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+        assert separability._last[0] is kept
     assert public_answers(rho) == answers(_State(rho))
 
 
@@ -619,7 +618,7 @@ def test_signed_zeros_get_their_own_record():
     for first, second in ((rho, neg), (neg, rho)):
         public_answers(first)
         assert public_answers(second) == answers(_State(second))
-        assert repr(separability._checked_state(second, True).rows) == repr(second.tolist())
+        assert repr(separability._checked_state(second).rows) == repr(second.tolist())
 
 
 def test_threads_alternating_states_get_serial_answers():

@@ -447,6 +447,12 @@ def test_rank2():
         rank2_eigs(1.1)
 
 
+@pytest.mark.parametrize("tr2", [math.nan, math.inf, -math.inf])
+def test_rank2_refuses_non_finite_purity(tr2):
+    with pytest.raises(ValueError, match="rank-2 purity must lie in"):
+        rank2_eigs(tr2)
+
+
 def test_purity_bounds():
     rng = np.random.default_rng(35)
     for _ in range(200):

@@ -59,24 +59,24 @@ def test_answer_diff_flattens_named_tuples_by_field():
 
 
 def test_layer_us_prints_one_row_per_call():
-    """Two tiny repeats on this checkout: every row has a number, and a row
-    the tree cannot run would print as "-"."""
+    """Two tiny repeats on this checkout, given twice: every row has a
+    number in each tree's column and an A/A floor, the second tree's cells
+    carry their move against the first or "(=)" inside the floor, and a
+    row a tree cannot run would print as "-"."""
     import layer_us
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    best = layer_us.measure([root], calls=2, repeats=2, n_states=2, seed=0)
-    lines = layer_us.table(["here"], best)
-    assert lines[0] == "| call | µs, here |"
+    sets = layer_us.measure([root, root], calls=2, repeats=2, n_states=2, seed=0)
+    assert [len(workers) for workers in sets] == [layer_us.WORKERS] * 3
+    lines = layer_us.table(["here", "again"], sets)
+    assert lines[0] == "| call | µs, here | µs, again | A/A |"
     cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
-    rows = dict(cells)
+    rows = {label: rest for label, *rest in cells}
     assert list(rows) == [
         "`peres_test`",
-        "`peres_test`, check=False",
         "`entanglement_report`",
-        "`entanglement_report`, check=False",
         "`entanglement_report`, rank 2",
         "`eof_upper_bound`",
-        "`eof_upper_bound`, check=False",
         "`peres_test + entanglement_report`",
         "`validate_density_matrix`",
         "`to_bloch`",
@@ -95,5 +95,12 @@ def test_layer_us_prints_one_row_per_call():
         "`twoqubit fuzz`, per sample",
         "machine-speed probe",
     ]
-    assert all(float(v) > 0.0 for v in rows.values())
-    assert layer_us.table(["x"], [{}])[2].endswith("| - |")
+    for label, (here, again, floor) in rows.items():
+        assert float(here) > 0.0, label
+        us, mark = again.split(" ")
+        assert float(us) > 0.0, label
+        assert floor.endswith("%") and float(floor[:-1]) >= 0.0, label
+        if mark != "(=)":
+            move = float(mark.strip("()%"))
+            assert abs(move) >= float(floor[:-1]), label
+    assert layer_us.table(["x"], [[{}], [{}]])[2].endswith("| - | - |")

@@ -9,16 +9,14 @@ sample runs (``charpoly_flv``, and the Jacobi oracle on a state and on
 its partial transpose), or LAPACK's ``eigvalsh`` as the yardstick. Its
 inputs come from 30 Ginibre states of seed 0 (drawn here with numpy, so
 every tree sees the same ones); one repeat makes 300 calls, cycling over
-the states, and the row shows the fastest of 9 repeats' microseconds per
+the states. Each tree runs in 3 workers, and the row shows the median
+over them of each worker's fastest of 9 repeats, in microseconds per
 call. The two "stacked" rows are one call on all states, shown per state:
 LAPACK's ``eigvalsh``, and ``coeffs_from_traces``' Faddeev-LeVerrier
 reference as fuzz runs it on a block of samples (``spectrum``'s private
 stack entry).
 The row "entanglement_report, rank 2" runs on 30 rank-2 states of seed 0
-instead, G G† / tr(G G†) with complex Gaussian 4x2 G. The row
-"eof_upper_bound" validates, so its record holds rho's factor and the gate
-reads that factor's last pivot; with check=False the record holds no
-factor and the gate factors rho - TAU_BRANCH I.
+instead, G G† / tr(G G†) with complex Gaussian 4x2 G.
 The last row is the benchmark's fuzz_cli unit, one in-process ``twoqubit
 fuzz`` call of 10 samples, on the tree's own first 30 units of seed 0,
 shown per sample: a million over it is fuzz samples per second. Cyclic
@@ -33,11 +31,16 @@ state, so no call follows one on the same matrix and the memo never serves
 them. The row "peres_test + entanglement_report" is the benchmark's unit:
 both calls on one state, which share its record.
 
-Every tree (default: the checkout holding this script) runs in a fresh
-interpreter of its own that imports ``twoqubit`` from ``ROOT/src`` with
-``answer_digest.load``, and the trees take turns repeat by repeat, so a
-change in host load hits them alike. A row a tree cannot run, such as a layer it does not have, prints
-as "-".
+Every worker of a tree (default: the checkout holding this script) is a
+fresh spawned interpreter that imports ``twoqubit`` from ``ROOT/src`` with
+``answer_digest.load``, and all workers take turns repeat by repeat, so a
+change in host load hits them alike. A second set of workers of the first
+tree gives the last column, "A/A": the spread (largest less smallest) of
+the first tree's workers over both its sets, relative to its row, the
+noise floor of a comparison between two worker sets. A later tree's row
+that differs from the first tree's by no more than that floor prints
+"(=)" after its time, and otherwise its relative change. A row a tree
+cannot run, such as a layer it does not have, prints as "-".
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import importlib
 import itertools
 import multiprocessing
 import os
+import statistics
 import sys
 import time
 
@@ -57,6 +61,8 @@ import numpy as np
 from answer_digest import load
 
 CALLS, REPEATS, STATES, SEED = 300, 9, 30, 0
+# Spawned workers per tree, and in the first tree's A/A set.
+WORKERS = 3
 
 
 def _bloch(tq, rho):
@@ -80,20 +86,9 @@ def _unit(tq, rho):
 # (row, the function to time, its arguments for one state)
 ROWS = (
     ("peres_test", lambda tq: tq.peres_test, lambda tq, r: (r,)),
-    ("peres_test, check=False", lambda tq: functools.partial(tq.peres_test, check=False), lambda tq, r: (r,)),
     ("entanglement_report", lambda tq: tq.entanglement_report, lambda tq, r: (r,)),
-    (
-        "entanglement_report, check=False",
-        lambda tq: functools.partial(tq.entanglement_report, check=False),
-        lambda tq, r: (r,),
-    ),
     ("entanglement_report, rank 2", lambda tq: tq.entanglement_report, lambda tq, r: (r,)),
     ("eof_upper_bound", lambda tq: tq.eof_upper_bound, lambda tq, r: (r,)),
-    (
-        "eof_upper_bound, check=False",
-        lambda tq: functools.partial(tq.eof_upper_bound, check=False),
-        lambda tq, r: (r,),
-    ),
     ("peres_test + entanglement_report", lambda tq: functools.partial(_unit, tq), lambda tq, r: (r,)),
     ("validate_density_matrix", lambda tq: tq.bloch.validate_density_matrix, lambda tq, r: (r,)),
     ("to_bloch", lambda tq: tq.bloch.to_bloch, lambda tq, r: (r,)),
@@ -199,18 +194,23 @@ def _round(calls: int) -> dict:
     return out
 
 
-def measure(roots: list[str], calls: int, repeats: int, n_states: int, seed: int) -> list[dict]:
-    """Per tree, {row: fastest µs per state over the repeats}."""
+def measure(roots: list[str], calls: int, repeats: int, n_states: int, seed: int) -> list[list[dict]]:
+    """Per worker set (one per tree, then the first tree's A/A set), per
+    worker, {row: fastest µs per state over the repeats}."""
     ctx = multiprocessing.get_context("spawn")
-    pools = [ctx.Pool(1, initializer=_load, initargs=(root, n_states, seed)) for root in roots]
-    best: list[dict] = [{} for _ in roots]
+    sets = [
+        [ctx.Pool(1, initializer=_load, initargs=(root, n_states, seed)) for _ in range(WORKERS)]
+        for root in roots + roots[:1]
+    ]
+    best: list[list[dict]] = [[{} for _ in range(WORKERS)] for _ in sets]
     try:
         for _ in range(repeats):
-            for pool, tree in zip(pools, best):
-                for name, us in pool.apply(_round, (calls,)).items():
-                    tree[name] = min(us, tree.get(name, us))
+            for k in range(WORKERS):
+                for pools, fastest in zip(sets, best):
+                    for name, us in pools[k].apply(_round, (calls,)).items():
+                        fastest[k][name] = min(us, fastest[k].get(name, us))
     finally:
-        for pool in pools:
+        for pool in itertools.chain.from_iterable(sets):
             pool.terminate()
             pool.join()
     return best
@@ -222,14 +222,30 @@ def _fmt(us: float | None) -> str:
     return f"{us:.0f}" if us >= 10.0 else f"{us:.1f}"
 
 
-def table(roots: list[str], best: list[dict]) -> list[str]:
-    """Markdown rows, one per call and one column per tree."""
-    lines = ["| call | " + " | ".join(f"µs, {r}" for r in roots) + " |"]
-    lines.append("|---|" + "---|" * len(roots))
+def table(roots: list[str], sets: list[list[dict]]) -> list[str]:
+    """Markdown rows, one per call: a column per tree, the median of its
+    workers, each after the first marked "(=)" where it lies within the
+    A/A floor of the first tree's and with its relative change elsewhere;
+    then the floor, the spread of the first tree's workers over both its
+    sets, as a fraction of the first tree's median."""
+    lines = ["| call | " + " | ".join(f"µs, {r}" for r in roots) + " | A/A |"]
+    lines.append("|---|" + "---|" * (len(roots) + 1))
     for name in [row[0] for row in ROWS + STACKED] + [FUZZ, PROBE]:
         func, _, variant = name.partition(", ")
         label = name if name == PROBE else f"`{func}`" + (f", {variant}" if variant else "")
-        lines.append(f"| {label} | " + " | ".join(_fmt(b.get(name)) for b in best) + " |")
+        med = [statistics.median(w[name] for w in ws) if name in ws[0] else None for ws in sets]
+        own = [w[name] for w in sets[0] + sets[-1] if name in w]
+        ref = med[0]
+        floor = (max(own) - min(own)) / ref if ref else None
+        cells = [_fmt(ref)]
+        for us in med[1:-1]:
+            cell = _fmt(us)
+            if us is not None and floor is not None:
+                move = us / ref - 1.0
+                cell += " (=)" if abs(move) <= floor else f" ({move:+.0%})"
+            cells.append(cell)
+        cells.append("-" if floor is None else f"{floor:.0%}")
+        lines.append(f"| {label} | " + " | ".join(cells) + " |")
     return lines
 
 
