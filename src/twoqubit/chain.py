@@ -34,6 +34,8 @@ def depolarize(rho, epsilon: float) -> np.ndarray:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):  # a smaller array would broadcast against I/4
+        raise ValueError("expected a 4x4 matrix")
     return (1.0 - epsilon) * rho + epsilon * np.eye(4) / 4.0
 
 
@@ -138,8 +140,9 @@ def chain_report(q: float, epsilon: float, n: int | None = None) -> ChainReport:
         last = int(n_max) + 1
         crit_n = int(n_max)
     else:
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+        # Written so that NaN fails it, and an infinite n before int() sees it.
+        if not 0 <= n < math.inf or n != int(n):
+            raise ValueError(f"n must be a nonnegative integer, got {n}")
         last = int(n)
         crit_n = int(n)
     steps = tuple(chain_lambda_min(q, epsilon, k) for k in range(last + 1))

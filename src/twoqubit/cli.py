@@ -405,6 +405,8 @@ def _fuzz_check(family: str, rho, extra, ref, idx: int, tally: _FuzzTally):
 def cmd_fuzz(args) -> int:
     if args.samples < 1:
         raise _ValidationFailure(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise _ValidationFailure(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     tally = _FuzzTally()
     for start in range(0, args.samples, _FUZZ_BLOCK):

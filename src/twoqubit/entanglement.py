@@ -129,7 +129,9 @@ def concurrence_pure(state) -> float:
 
 
 def _negativity(s: _State) -> float:
-    return sum(max(0.0, -lam) for lam in s.pt.eigenvalues)
+    # The terms of sum() over a generator, in its order, without its frame.
+    l0, l1, l2, l3 = s.pt.eigenvalues
+    return 0 + max(0.0, -l0) + max(0.0, -l1) + max(0.0, -l2) + max(0.0, -l3)
 
 
 def negativity(rho) -> float:
@@ -138,21 +140,29 @@ def negativity(rho) -> float:
     return _negativity(_checked_state(rho))
 
 
-def _eof_bound(s: _State) -> float:
+def _eof_gate(s: _State) -> float | None:
     # rho's own factor, which validation made. Short of rank 4 it puts
     # lambda_min(rho) within its pivot tolerance of zero or below, so
     # rho - TAU_BRANCH I cannot reach rank 4. At rank 4 its last pivot r,
     # the one nonzero entry of W's fourth column (all zero short of rank
     # 4), certifies the gate where r^2 > 32 TAU_BRANCH (see eof_upper_bound).
+    # None where the gate refuses, so the report pays for no exception.
     rank, w = s.factor
     (_, _, _, r0), (_, _, _, r1), (_, _, _, r2), (_, _, _, r3) = w
     r = r0 + r1 + r2 + r3
     if rank < 4 or (r * r <= 32.0 * TAU_BRANCH and _factor(s.rows, -TAU_BRANCH)[0] < 4):
+        return None
+    return min(max(1.0 - 4.0 * s.pt.eigenvalues[-1], 0.0), 1.0)
+
+
+def _eof_bound(s: _State) -> float:
+    bound = _eof_gate(s)
+    if bound is None:
         raise NotApplicableError(
             f"bound requires a full-rank state with lambda_min > {TAU_BRANCH:g} "
-            f"(factor rank {rank})"
+            f"(factor rank {s.factor[0]})"
         )
-    return min(max(1.0 - 4.0 * s.pt.eigenvalues[-1], 0.0), 1.0)
+    return bound
 
 
 def eof_upper_bound(rho) -> float:
@@ -193,15 +203,11 @@ class EntanglementReport:
 def _report(s: _State) -> EntanglementReport:
     c = _concurrence(s)
     neg = _negativity(s)
-    try:
-        bound = _eof_bound(s)
-    except NotApplicableError:
-        bound = None
     return EntanglementReport(
         concurrence=c,
         eof=_eof_from_concurrence(c),
         negativity=neg,
-        eof_upper_bound=bound,
+        eof_upper_bound=_eof_gate(s),
     )
 
 

@@ -31,10 +31,9 @@ from .spectrum import (
     _DEGEN_COEFF_TOL,
     _bloch_pass,
     _clamped_sqrt,
+    _resolvent,
     _resolvent_terms,
-    _single_triple,
     quartic_eigs,
-    trig_params,
 )
 
 # A PT eigenvalue this close to zero no longer carries a reliable sign.
@@ -80,15 +79,16 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     1 - 4 lambda_min of the quartic with coefficients c: s times
     (sqrt(x)/sqrt(3) + 2 inner/sqrt(6)) on the unit shape. It is only
     defined away from the doubly degenerate branches, so c that quartic_eigs
-    solves as s = 0 or as a single+triple shape returns None, and a
-    non-finite coefficient raises ValueError from trig_params. No call path
-    evaluates it; the verdict reads lambda_min_pt."""
-    c1, _, phi = trig_params(c)
-    if c.s == 0.0 or _single_triple(c, phi) is not None:
+    solves as s = 0 or as a single+triple shape returns None, and c that
+    trig_params refuses raises its error. No call path evaluates it; the
+    verdict reads lambda_min_pt."""
+    s, k3, k4 = c
+    c1, _, phi, sgn = _resolvent(c, s, k3, k4)
+    if s == 0.0 or sgn:
         return None
-    sx, u, w = _resolvent_terms(c, c1, math.cos(phi))
-    inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL / c.s)
-    return c.s * (sx / SQRT3 + 2.0 * inner / SQRT6)
+    sx, u, w = _resolvent_terms(k3, c1, math.cos(phi))
+    inner = _clamped_sqrt(u + w, "inequality inner", flush=30.0 * _DEGEN_COEFF_TOL / s)
+    return s * (sx / SQRT3 + 2.0 * inner / SQRT6)
 
 
 class _State:

@@ -26,6 +26,14 @@ also evaluated on the middle root (cos theta = 0), and the candidate with
 the smaller residual wins. Single+triple spectra (and with them
 c1 = c2 = 0) are two fixed shapes; this module also carries the
 rank-reduced cubic and quadratic solvers for spectra with known zeros.
+
+A solve (quartic_eigs) runs in one frame: one call for c1, c2, phi and
+the single+triple decision (_resolvent, shared with trig_params and
+separability.inequality_rhs), then one loop over the resolvent roots its
+branch tries, each candidate scored by its residual in place; per root it
+calls only the helpers inequality_rhs also uses. At a few microseconds a
+solve, a Python call or a keyword-built record costs about a line of its
+arithmetic, so the per-state path builds its records positionally.
 """
 
 from __future__ import annotations
@@ -154,10 +162,10 @@ def _coeffs_from_traces(ms: np.ndarray) -> list[CharCoeffs]:
             raise ValueError(f"matrix trace must be one (1 - tr m = {q.c3})")
         s2 = -2.0 * q.c2
         if s2 <= 0.0:
-            out.append(CharCoeffs(s=0.0, k3=0.0, k4=0.0))
+            out.append(CharCoeffs(0.0, 0.0, 0.0))
             continue
         s = math.sqrt(s2)
-        out.append(CharCoeffs(s=s, k3=-q.c1 / (s2 * s), k4=q.c0 / (s2 * s2)))
+        out.append(CharCoeffs(s, -q.c1 / (s2 * s), q.c0 / (s2 * s2)))
     return out
 
 
@@ -250,7 +258,7 @@ def _own_pass(t):
         )
     )
     if s == 0.0:
-        return CharCoeffs(s=0.0, k3=0.0, k4=0.0), None
+        return CharCoeffs(0.0, 0.0, 0.0), None
     if s == math.inf:  # finite entries whose squares overflow
         raise ValueError("matrix contains non-finite entries")
     xa = (a1 / s, a2 / s, a3 / s)
@@ -258,7 +266,7 @@ def _own_pass(t):
     corr = ((p11 / s, p12 / s, p13 / s), (p21 / s, p22 / s, p23 / s), (p31 / s, p32 / s, p33 / s))
     bilin, rest, cross_sq = _even_terms(xa, xb, corr)
     odd, det_corr = _pt_odd_terms(xa, xb, corr)
-    c = CharCoeffs(s=s, k3=(bilin - det_corr) / 8.0, k4=(rest + odd - cross_sq) / 64.0)
+    c = CharCoeffs(s, (bilin - det_corr) / 8.0, (rest + odd - cross_sq) / 64.0)
     return c, (xa, xb, corr, odd, det_corr)
 
 
@@ -269,15 +277,16 @@ def _bloch_pass(t) -> tuple[CharCoeffs, CharCoeffs]:
     c, parts = _own_pass(t)
     if parts is None:
         return c, c
-    xa, xb, corr, odd, det_corr = parts
-    odd_f, det_f = _pt_odd_terms(xa, (xb[0], -xb[1], xb[2]), [(p, -q, r) for p, q, r in corr])
+    xa, (y1, y2, y3), ((a11, a12, a13), (a21, a22, a23), (a31, a32, a33)), odd, det_corr = parts
+    flipped = ((a11, -a12, a13), (a21, -a22, a23), (a31, -a32, a33))
+    odd_f, det_f = _pt_odd_terms(xa, (y1, -y2, y3), flipped)
     drift = max(abs(det_corr + det_f) / 8.0, abs(odd + odd_f) / 64.0)
     if drift > 1e-9:
         raise InternalInconsistencyError(
             f"PT coefficient map drifted {drift:.3e} from the Bloch route "
             f"(input coefficients {c})"
         )
-    return c, CharCoeffs(s=c.s, k3=c.k3 + det_corr / 4.0, k4=c.k4 - odd / 32.0)
+    return c, CharCoeffs(c.s, c.k3 + det_corr / 4.0, c.k4 - odd / 32.0)
 
 
 def coeffs_from_bloch(t) -> CharCoeffs:
@@ -304,6 +313,59 @@ def coeffs_from_bloch(t) -> CharCoeffs:
     return _bloch_pass(_read_tensor(t)[1])[0]
 
 
+def _resolvent(c: CharCoeffs, s: float, k3: float, k4: float):
+    """(c1, c2, phi, sgn) of c, which the caller has unpacked into s, k3
+    and k4: trig_params' three values (see there for the checks, which
+    are made here), and quartic_eigs' single+triple decision, sgn = +1 (case
+    1) or -1 (case 2) where it solves c as a single+triple shape, else 0.0
+    (always 0.0 at s = 0).
+
+    That decision is taken where phi is None, or where c's shape is within
+    _DEGEN_COEFF_TOL / s of one of the two single+triple shapes, the
+    distance being the sum of the k3 and k4 distances. The shapes are
+    (k3, k4) = (+/-1/(3 sqrt 3), -1/48), so the sign of k3 picks the case:
+    case 1 is a single eigenvalue above a low triple, case 2 the mirror
+    image. A max below is written as a comparison where no NaN reaches it.
+    """
+    # x - x is 0.0 for a finite x and NaN otherwise: one test for all three.
+    if (s - s) + (k3 - k3) + (k4 - k4) != 0.0:
+        raise ValueError(f"coefficients must be finite, got {c}")
+    if s:
+        band = 30.0 * _DEGEN_COEFF_TOL / s
+    else:
+        k3 = k4 = band = 0.0
+    disc = 0.25 + 12.0 * k4
+    if disc < -(band if band > 1e-12 else 1e-12):
+        raise ValueError(f"1/4 + 12 k4 = {disc:.3e} < 0: spectrum is not real")
+    c1 = math.sqrt(disc) if disc > 0.0 else 0.0
+    c2 = -0.25 + 27.0 * k3 * k3 + 36.0 * k4
+    if c1 <= TAU_BRANCH:
+        if abs(c2) > (band if band > TAU_BRANCH else TAU_BRANCH):
+            raise InternalInconsistencyError(
+                f"c1 = {c1:.3e} vanishes but c2 = {c2:.3e} does not; "
+                f"impossible for a real spectrum (coeffs {c})"
+            )
+        return c1, c2, None, 1.0 if k3 >= 0.0 else -1.0
+    try:
+        gap = c2 * c2 - 4.0 * c1 ** 6
+    except OverflowError:
+        # A real shape has c1 <= 1; no state's record comes near this.
+        raise ValueError(f"c1^6 overflows at c1 = {c1:.3e}: spectrum is not real") from None
+    cube = c1 ** 3
+    top = abs(c2)
+    lim = 2.0 * band * (cube if cube > top else top)
+    # An infinite c2 (a finite k3 whose square overflows) makes lim infinite.
+    if gap > (lim if lim > 1e-9 else 1e-9) or top == math.inf:
+        raise ValueError(f"c2^2 - 4 c1^6 = {gap:.3e} > 0: spectrum is not real")
+    phi = math.acos(min(1.0, max(-1.0, c2 / (2.0 * cube)))) / 3.0
+    if not s:
+        return c1, c2, phi, 0.0
+    sgn = 1.0 if k3 >= 0.0 else -1.0
+    if abs(k3 - sgn / (3.0 * SQRT3)) + abs(k4 + 1.0 / 48.0) <= _DEGEN_COEFF_TOL / s:
+        return c1, c2, phi, sgn
+    return c1, c2, phi, 0.0
+
+
 def trig_params(c: CharCoeffs) -> TrigParams:
     """Resolvent parameters (c1, c2, phi) of a real-spectrum unit shape:
     the monic quartic's c1 and c2 over s^2 and s^6, with the same phi.
@@ -314,33 +376,15 @@ def trig_params(c: CharCoeffs) -> TrigParams:
     (the discriminant identity leaves no room for anything else), so
     c1 <= TAU_BRANCH with |c2| materially nonzero raises
     InternalInconsistencyError instead of guessing. A non-finite s, k3 or
-    k4 raises ValueError first, the one gate on coefficients. At s = 0 the
-    matrix is I/4 whatever k3 and k4 say, so they are read as 0 there, as
-    the library builds them.
+    k4 raises ValueError first, the one gate on coefficients; so do
+    1/4 + 12 k4 < 0, c2^2 > 4 c1^6, an infinite c2 and a c1 whose sixth
+    power overflows (a real shape has c1 <= 1), each as "spectrum is not
+    real". At s = 0 the matrix is I/4 whatever k3 and k4 say, so they are
+    read as 0 there, as the library builds them.
     """
-    # x - x is 0.0 for a finite x and NaN otherwise: one test for all three.
-    if (c.s - c.s) + (c.k3 - c.k3) + (c.k4 - c.k4) != 0.0:
-        raise ValueError(f"coefficients must be finite, got {c}")
-    k3, k4 = (c.k3, c.k4) if c.s else (0.0, 0.0)
-    band = 30.0 * _DEGEN_COEFF_TOL / c.s if c.s else 0.0
-    disc = 0.25 + 12.0 * k4
-    if disc < -max(1e-12, band):
-        raise ValueError(f"1/4 + 12 k4 = {disc:.3e} < 0: spectrum is not real")
-    c1 = math.sqrt(disc) if disc > 0.0 else 0.0
-    c2 = -0.25 + 27.0 * k3 * k3 + 36.0 * k4
-    if c1 <= TAU_BRANCH:
-        if abs(c2) > max(TAU_BRANCH, band):
-            raise InternalInconsistencyError(
-                f"c1 = {c1:.3e} vanishes but c2 = {c2:.3e} does not; "
-                f"impossible for a real spectrum (coeffs {c})"
-            )
-        return TrigParams(c1, c2, None)
-    gap = c2 * c2 - 4.0 * c1 ** 6
-    if gap > max(1e-9, 2.0 * band * max(abs(c2), c1 ** 3)):
-        raise ValueError(f"c2^2 - 4 c1^6 = {gap:.3e} > 0: spectrum is not real")
-    ratio = c2 / (2.0 * c1 ** 3)
-    ratio = min(1.0, max(-1.0, ratio))
-    return TrigParams(c1, c2, math.acos(ratio) / 3.0)
+    s, k3, k4 = c
+    c1, c2, phi, _ = _resolvent(c, s, k3, k4)
+    return TrigParams(c1, c2, phi)
 
 
 def _clamped_sqrt(
@@ -358,74 +402,28 @@ def _clamped_sqrt(
     return math.sqrt(x) if x > flush else 0.0
 
 
-def _poly_residual(c: CharCoeffs, eigs) -> float:
-    """Largest |p(mu)| of the unit quartic over mu = (lambda - 1/4) / s."""
-    s, k3, k4 = c.s, c.k3, c.k4
-    worst = 0.0
-    for lam in eigs:
-        mu = (lam - 0.25) / s
-        r = abs(((mu * mu - 0.5) * mu - k3) * mu + k4)
-        if r > worst:
-            worst = r
-    return worst
-
-
-def _resolvent_terms(c: CharCoeffs, c1: float, cos_theta: float):
+def _resolvent_terms(k3: float, c1: float, cos_theta: float):
     """(sqrt(x), u, w) on the unit shape for the resolvent root
     x = 4 + 8 c1 cos_theta: the largest root at cos_theta = cos(phi), the
     middle one at cos_theta = 0 when c2 = 0 (where u = x). The unit
     quartic's roots are sgn sqrt(x)/(4 sqrt 3) +/- sqrt(u - sgn w)/(2 sqrt 6)
     for sgn = +/-1. Since c1 and cos_theta are nonnegative, x >= 4."""
     sx = math.sqrt(4.0 + 8.0 * c1 * cos_theta)
-    return sx, 4.0 - 4.0 * c1 * cos_theta, -24.0 * SQRT3 * c.k3 / sx
-
-
-def _generic_eigs(c: CharCoeffs, c1: float, cos_theta: float, band: float, flush: float):
-    """Four eigenvalues from the resolvent root at cos_theta."""
-    sx, u, w = _resolvent_terms(c, c1, cos_theta)
-    shift = sx / (4.0 * SQRT3)
-    half_low = _clamped_sqrt(u + w, "inner(-)", band, flush) / (2.0 * SQRT6)
-    half_high = _clamped_sqrt(u - w, "inner(+)", band, flush) / (2.0 * SQRT6)
-    s = c.s
-    return (
-        0.25 + s * (shift + half_high),
-        0.25 + s * (shift - half_high),
-        0.25 - s * (shift - half_low),
-        0.25 - s * (shift + half_low),
-    )
-
-
-def _single_triple(c: CharCoeffs, phi: float | None):
-    """The single+triple spectrum quartic_eigs gives c (s > 0, phi that
-    of trig_params(c)), as (eigenvalues, branch), or None where it takes
-    another branch. It does so where phi is None, or where c's shape is
-    within _DEGEN_COEFF_TOL / s of one of the two single+triple shapes, the
-    distance being the sum of the k3 and k4 distances. The shapes are
-    (k3, k4) = (+/-1/(3 sqrt 3), -1/48), so the sign of k3 picks the case:
-    case 1 is a single eigenvalue above a low triple, case 2 the mirror
-    image."""
-    sgn = 1.0 if c.k3 >= 0.0 else -1.0
-    mismatch = abs(c.k3 - sgn / (3.0 * SQRT3)) + abs(c.k4 + 1.0 / 48.0)
-    if phi is not None and not mismatch <= _DEGEN_COEFF_TOL / c.s:
-        return None
-    single = 0.25 + sgn * SQRT3 * c.s / 2.0
-    triple = 0.25 - sgn * c.s / (2.0 * SQRT3)
-    branch = Branch.DOUBLE_ZERO_CASE1 if sgn > 0.0 else Branch.DOUBLE_ZERO_CASE2
-    return (single, triple, triple, triple), branch
+    return sx, 4.0 - 4.0 * c1 * cos_theta, -24.0 * SQRT3 * k3 / sx
 
 
 def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     """All four eigenvalues of the trace-one quartic, sorted descending.
 
     Dispatch, first match wins: the all-quarter point s = 0, single+triple
-    shapes by proximity (see below) together with the c1 = c2 = 0 family,
-    the double root at the origin (b0 = b1 = 0), a single root there
-    (b0 = 0), c2 = 0, and finally the generic trigonometric formula. The
-    c2 = 0 branch evaluates that same formula on the middle resolvent root
-    and on the largest one, and the candidate with the smaller residual
-    wins. The spectrum a branch gives is gated by its residual: beyond
-    tolerance raises InternalInconsistencyError. A non-finite s, k3 or k4
-    raises ValueError first, from trig_params.
+    shapes by proximity (see _resolvent) together with the c1 = c2 = 0
+    family, the double root at the origin (b0 = b1 = 0), a single root
+    there (b0 = 0), c2 = 0, and finally the generic trigonometric formula.
+    The c2 = 0 branch evaluates that same formula on the middle resolvent
+    root and then on the largest one, and the largest is taken only on a
+    strictly smaller residual. The spectrum a branch gives is gated by its
+    residual: beyond tolerance raises InternalInconsistencyError. A
+    non-finite s, k3 or k4 raises ValueError first, as trig_params does.
 
     The proximity pre-gate exists because a triple root is exactly where
     the trigonometric route is worst (it splits the root with an error of
@@ -438,18 +436,25 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
     b1 at _RANK_TOL: b0 is the product of the eigenvalues, and 5e-13 read
     lambda4 = 4.0e-5 of diag(0.9997, 2.02e-4, 6.06e-5, 4.04e-5) as 0.0.
     """
-    c1, c2, phi = trig_params(c)
-    s = c.s
+    s, k3, k4 = c
+    c1, c2, phi, sgn = _resolvent(c, s, k3, k4)
     if s == 0.0:
-        return QuarticSpectrum(eigenvalues=(0.25, 0.25, 0.25, 0.25), branch=Branch.ALL_QUARTER)
+        return QuarticSpectrum((0.25, 0.25, 0.25, 0.25), Branch.ALL_QUARTER)
     tol = _DEGEN_COEFF_TOL / s
-    band = max(_CLAMP_BAND, 300.0 * tol)
+    band = 300.0 * tol
+    if band < _CLAMP_BAND:
+        band = _CLAMP_BAND
     flush = 30.0 * tol
     b0 = c.b0
 
-    near = _single_triple(c, phi)
-    if near is not None:
-        eigs, branch = near
+    # Each branch names the resolvent roots it tries (cos theta; None for
+    # a branch whose spectrum is fixed before the loop).
+    roots = (None,)
+    if sgn:
+        single = 0.25 + sgn * SQRT3 * s / 2.0
+        triple = 0.25 - sgn * s / (2.0 * SQRT3)
+        fixed = (single, triple, triple, triple)
+        branch = Branch.DOUBLE_ZERO_CASE1 if sgn > 0.0 else Branch.DOUBLE_ZERO_CASE2
     elif abs(b0) <= _RANK_TOL and abs(c.b1) <= _RANK_TOL:
         # Vanishing b0 and b1 factor the quartic as lambda^2 times
         # (lambda^2 - lambda + b2): a double root at the origin beside a
@@ -458,30 +463,50 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
         # eigenvalue sits nearby, so the factored form takes precedence.
         # It is still the generic stratum, just evaluated differently.
         r = _clamped_sqrt(1.0 - 4.0 * c.b2, "origin-pair factor", band, flush)
-        eigs, branch = ((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC
+        fixed, branch = ((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC
     elif abs(b0) <= _RANK_TOL:
         # A vanishing constant term factors one root out at the origin
         # exactly. The residual cubic keeps a neighbor of that root well
         # conditioned, where the resolvent route would smear both.
         three, _ = cubic_eigs(cubic_coeffs(c))
-        eigs, branch = (three[0], three[1], three[2], 0.0), Branch.GENERIC
+        fixed, branch = (three[0], three[1], three[2], 0.0), Branch.GENERIC
     elif abs(c2) <= TAU_BRANCH:
         # Middle resolvent root first, then the largest; a residual tie
         # goes to the middle root.
-        eigs = _generic_eigs(c, c1, 0.0, band, flush)
-        top = _generic_eigs(c, c1, math.cos(phi), band, flush)
-        if _poly_residual(c, top) < _poly_residual(c, eigs):
-            eigs = top
-        branch = Branch.C2_ZERO
+        roots, branch = (0.0, math.cos(phi)), Branch.C2_ZERO
     else:
-        eigs, branch = _generic_eigs(c, c1, math.cos(phi), band, flush), Branch.GENERIC
+        roots, branch = (math.cos(phi),), Branch.GENERIC
 
-    residual = _poly_residual(c, eigs)
-    if residual > max(_RESIDUAL_TOL, 30.0 * tol):
+    eigs = residual = None
+    for cos_theta in roots:
+        if cos_theta is None:
+            cand = fixed
+        else:
+            sx, u, w = _resolvent_terms(k3, c1, cos_theta)
+            shift = sx / (4.0 * SQRT3)
+            half_low = _clamped_sqrt(u + w, "inner(-)", band, flush) / (2.0 * SQRT6)
+            half_high = _clamped_sqrt(u - w, "inner(+)", band, flush) / (2.0 * SQRT6)
+            cand = (
+                0.25 + s * (shift + half_high),
+                0.25 + s * (shift - half_high),
+                0.25 - s * (shift - half_low),
+                0.25 - s * (shift + half_low),
+            )
+        # The largest |p(mu)| of the unit quartic over mu = (lambda - 1/4) / s.
+        worst = 0.0
+        for lam in cand:
+            mu = (lam - 0.25) / s
+            r = abs(((mu * mu - 0.5) * mu - k3) * mu + k4)
+            if r > worst:
+                worst = r
+        if eigs is None or worst < residual:
+            eigs, residual = cand, worst
+
+    if residual > (flush if flush > _RESIDUAL_TOL else _RESIDUAL_TOL):
         raise InternalInconsistencyError(
             f"closed-form spectrum residual {residual:.3e} for coefficients {c}"
         )
-    return QuarticSpectrum(eigenvalues=tuple(sorted(eigs, reverse=True)), branch=branch)
+    return QuarticSpectrum(tuple(sorted(eigs, reverse=True)), branch)
 
 
 def cubic_coeffs(c: CharCoeffs) -> CubicCoeffs:

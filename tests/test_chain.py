@@ -49,6 +49,14 @@ def test_depolarize_basics():
         depolarize(rho, 1.5)
 
 
+def test_depolarize_refuses_a_matrix_that_is_not_4x4():
+    """A 1x1 input would broadcast against I/4 into a 4x4 result."""
+    with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+        depolarize([[1.0]], 0.1)
+    with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+        evolve_chain(np.eye(2) / 2.0, 0.1, 3)
+
+
 def test_evolve_matches_closed_form():
     rho0 = initial_pair(0.5)
     for eps, n in ((0.1, 7), (0.3, 20), (0.05, 0)):
@@ -172,6 +180,13 @@ def test_critical_noise_validation():
 def test_critical_noise_refuses_non_integer_n(n):
     with pytest.raises(ValueError, match="n must be a positive integer"):
         critical_noise(0.3, n)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, -1])
+def test_chain_report_refuses_n_that_is_not_a_nonnegative_integer(n):
+    """NaN used to fail in int(), inf overflowed it and 2.5 gave 3 rows."""
+    with pytest.raises(ValueError, match=f"^n must be a nonnegative integer, got {n}$"):
+        chain_report(0.5, 0.1, n=n)
 
 
 def test_chain_report_default_rows():

@@ -523,6 +523,14 @@ def test_fuzz_rejects_bad_sample_count(capsys):
     assert code == EXIT_VALIDATION and "error:" in err
 
 
+def test_fuzz_rejects_negative_seed(capsys):
+    """numpy refuses a negative seed with a traceback; the CLI refuses it
+    first, as a validation error with one error line."""
+    code, out, err = run(capsys, "fuzz", "--samples", "3", "--seed", "-1", "--family", "ginibre")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_unknown_family_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "--samples", "5", "--seed", "1", "--family", "unknown"])

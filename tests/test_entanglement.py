@@ -135,6 +135,15 @@ def test_negativity_known_values():
     assert negativity(werner_state(0.2)) == 0.0
 
 
+def test_negativity_sums_in_the_order_of_sum_over_the_spectrum():
+    """The written-out sum gives sum()'s bits over the PT spectrum."""
+    rng = np.random.default_rng(58)
+    for _ in range(200):
+        rho = ginibre_density(rng) if rng.uniform() < 0.5 else pure_density(haar_pure(rng))
+        want = sum(max(0.0, -lam) for lam in _State(rho).pt.eigenvalues)
+        assert repr(negativity(rho)) == repr(want)
+
+
 def test_negativity_equals_half_concurrence_for_pure():
     rng = np.random.default_rng(57)
     for _ in range(200):

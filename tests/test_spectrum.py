@@ -243,6 +243,30 @@ def test_coefficient_routes_read_s0_as_quarter(k3, k4):
     assert inequality_rhs(c) is None
 
 
+@pytest.mark.parametrize(
+    "c",
+    [
+        CharCoeffs(1.0, 1e200, 1e200),
+        CharCoeffs(1.0, -1e200, 1e300),
+        CharCoeffs(0.5, 0.0, 1e150),
+        CharCoeffs(1.0, 1e160, 0.0),
+    ],
+    ids=["k3=k4=1e200", "k4=1e300", "k4=1e150", "k3=1e160"],
+)
+def test_coefficient_routes_refuse_records_past_any_real_shape(c):
+    """A real shape has c1 <= 1 and |k3| <= 1/(3 sqrt 3). A finite record
+    whose c1^6 (or c1^3) overflows, or whose c2 does, is refused by all
+    three entry points with the same ValueError: not Python's bare
+    OverflowError from the power, nor an internal inconsistency from a
+    radicand after an infinite c2 passed the realness gate."""
+    raised = []
+    for route in (trig_params, quartic_eigs, inequality_rhs):
+        with pytest.raises(ValueError, match="spectrum is not real$") as info:
+            route(c)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == raised[2]
+
+
 # ---------------------------------------------------------------------------
 # branch dispatch
 # ---------------------------------------------------------------------------
