@@ -14,7 +14,10 @@ A public call reads its matrix once (linalg._read): one conversion to a
 complex array, the shape and finiteness checks, and its 16 entries as
 plain Python complex numbers. Validation and the Bloch tensor are
 written out on those numbers, the style of the coefficient passes: at 4x4
-a numpy call costs more in dispatch than the arithmetic it does. _factor,
+a numpy call costs more in dispatch than the arithmetic it does. One rule,
+_check_form, decides hermiticity and unit trace for validation and
+to_bloch alike, and one body, _hermitian_tensor_rows, holds the Bloch
+sums, which read a matrix's diagonal and upper triangle only. _factor,
 a pivoted Cholesky factor, is the package's one factorization: a state
 record computes it once for validation's certificate and the concurrence.
 LAPACK's eigvalsh still decides every positivity rejection.
@@ -92,10 +95,10 @@ def _factor(r, shift: float = 0.0) -> tuple[int, tuple]:
     return rank, (w[0], w[1], w[2], w[3])
 
 
-def _check_rows(m: np.ndarray, rows, rank: int) -> None:
-    """Hermiticity, unit trace and positive semidefiniteness of a matrix
-    read by _read, in validate_density_matrix's order and words; ``rank``
-    is what _factor(rows) found, which a state record keeps."""
+def _check_form(rows) -> None:
+    """The hermiticity and trace rule of every matrix input, on rows read
+    by _read: each |m_ij - conj(m_ji)| at most HERMITIAN_TOL, then
+    |tr m - 1| at most TRACE_TOL. Validation and to_bloch both run it."""
     if not _asymmetry(rows) <= HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian")
     # Summed as numpy's trace sums the diagonal, in pairs onto a zero, so
@@ -103,6 +106,13 @@ def _check_rows(m: np.ndarray, rows, rank: int) -> None:
     tr = 0.0 + ((rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3]))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be one, got {tr}")
+
+
+def _check_rows(m: np.ndarray, rows, rank: int) -> None:
+    """_check_form, then positive semidefiniteness, of a matrix read by
+    _read, in validate_density_matrix's order and words; ``rank`` is what
+    _factor(rows) found, which a state record keeps."""
+    _check_form(rows)
     # Certified by the factor of m, or of m + (PSD_TOL / 2) I past its zeros.
     if rank == 4 or _factor(rows, 0.5 * PSD_TOL)[0] == 4:
         return
@@ -128,70 +138,22 @@ def validate_density_matrix(m):
     return m
 
 
-def _tensor_rows(rows) -> tuple:
-    """The Bloch tensor of a matrix read by _read, as four tuples of floats.
-
-    Each a[mu, nu] is a signed sum of four entries, the nonzero terms of
-    np.einsum("mnij,ji->mn", _BASIS, rho) added in its order (row-major
-    over (i, j)), so the tensor is that einsum's real part bit for bit;
-    "+ 0.0" turns a sum of negative zeros into einsum's +0.0. For the
-    coefficients with one sigma_y the einsum terms are +-i times the
-    entries, so their real parts are the imaginary parts of the signed sum
-    (one sum, a22's, is kept negated to share its first pair). The trace
-    a00, which the tensor holds as 1.0, is summed as validation sums it.
-    """
-    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
-    p0, n0 = r00 + r11, r00 - r11
-    p1, n1 = r10 + r01, r10 - r01
-    p2, n2 = r20 + r31, r20 - r31
-    p3, n3 = r30 + r21, r30 - r21
-    a00 = p0 + (r22 + r33)  # so every trace validation accepts passes here
-    a01 = p1 + r32 + r23
-    a02 = n1 + r32 - r23
-    a03 = n0 + r22 - r33
-    a10 = p2 + r02 + r13
-    a11 = p3 + r12 + r03
-    a12 = n3 + r12 - r03
-    a13 = n2 + r02 - r13
-    a20 = p2 - r02 - r13
-    a21 = p3 - r12 - r03
-    a22 = n3 - r12 + r03
-    a23 = n2 - r02 + r13
-    a30 = p0 - r22 - r33
-    a31 = p1 - r32 - r23
-    a32 = n1 - r32 + r23
-    a33 = n0 - r22 + r33
-    # The imaginary parts of the traces must vanish, which checks
-    # hermiticity (for rho = H + iK, each |K_ij| <= max |Im a| with
-    # Im a = Tr(K sigma_mu (x) sigma_nu)). Each Im a is a sum of two pair
-    # differences m_ij - conj(m_ji), or of four diagonal Im m_ii, so a
-    # matrix validation accepts reaches 2 HERMITIAN_TOL here.
-    imag = (
-        a00.imag, a01.imag, a02.real, a03.imag, a10.imag, a11.imag, a12.real, a13.imag,
-        a20.real, a21.real, a22.imag, a23.real, a30.imag, a31.imag, a32.real, a33.imag,
-    )
-    if not max(map(abs, imag)) <= 2.0 * HERMITIAN_TOL:
-        raise ValueError("Bloch coefficients are not real")
-    tr = a00.real + 0.0
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace must be one, got {tr}")
-    return (
-        (1.0, a01.real + 0.0, a02.imag + 0.0, a03.real + 0.0),
-        (a10.real + 0.0, a11.real + 0.0, a12.imag + 0.0, a13.real + 0.0),
-        (a20.imag + 0.0, a21.imag + 0.0, 0.0 - a22.real, a23.imag + 0.0),
-        (a30.real + 0.0, a31.real + 0.0, a32.imag + 0.0, a33.real + 0.0),
-    )
-
-
 def _hermitian_tensor_rows(diag, upper) -> tuple:
-    """_tensor_rows of the Hermitian matrix with real diagonal ``diag``
-    (d0, d1, d2, d3) and upper triangle ``upper`` (u01, u02, u03, u12, u13,
-    u23), its lower triangle their conjugates, bit for bit: each entry is
-    _tensor_rows' expression in its order on the real or imaginary parts
-    (an entry conj(u) reads u.real and -u.imag), with its "+ 0.0" and its
-    "0.0 - a22". Its checks are identities here and are skipped: each
-    imaginary part it tests is a +- pair of one number, and the trace must
-    be one by the caller's scaling (a Gram matrix over its trace)."""
+    """The Bloch tensor, as four tuples of floats, of the Hermitian matrix
+    with real diagonal ``diag`` (d0, d1, d2, d3) and upper triangle
+    ``upper`` (u01, u02, u03, u12, u13, u23), its lower triangle their
+    conjugates: the package's one body of the Bloch sums.
+
+    Each a[mu, nu] adds the nonzero terms of np.einsum("mnij,ji->mn",
+    _BASIS, m) in its order (row-major over (i, j)), on the real or
+    imaginary parts of the entries (an entry conj(u) reads u.real and
+    -u.imag), so the tensor is that einsum's real part bit for bit; "+ 0.0"
+    turns a sum of negative zeros into einsum's +0.0. For the coefficients
+    with one sigma_y the einsum terms are +-i times the entries, so their
+    real parts are sums of imaginary parts (a22's is kept negated to share
+    its first pair). a00 is held as 1.0: a caller's matrix has unit trace,
+    checked by _check_form or by its scaling (a Gram matrix over its trace).
+    """
     d0, d1, d2, d3 = diag
     u01, u02, u03, u12, u13, u23 = upper
     x01, x02, x03, x12, x13, x23 = u01.real, u02.real, u03.real, u12.real, u13.real, u23.real
@@ -208,13 +170,35 @@ def _hermitian_tensor_rows(diag, upper) -> tuple:
     )
 
 
+def _tensor_rows(rows) -> tuple:
+    """The Bloch tensor of a matrix read by _read, as four tuples of floats:
+    that of its Hermitian part (m + m^dagger) / 2, which is m itself, bit
+    for bit, when m is exactly Hermitian. It checks nothing: a public call's
+    matrix has passed _check_form, and fuzz draws Hermitian trace-one ones."""
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
+    return _hermitian_tensor_rows(
+        (r00.real, r11.real, r22.real, r33.real),
+        (
+            (r01 + r10.conjugate()) / 2.0,
+            (r02 + r20.conjugate()) / 2.0,
+            (r03 + r30.conjugate()) / 2.0,
+            (r12 + r21.conjugate()) / 2.0,
+            (r13 + r31.conjugate()) / 2.0,
+            (r23 + r32.conjugate()) / 2.0,
+        ),
+    )
+
+
 def to_bloch(rho):
     """Bloch tensor a[mu, nu] = Tr(rho sigma_mu (x) sigma_nu) of a Hermitian
     trace-one matrix, written out on its entries in np.einsum's order (see
-    _tensor_rows). A matrix that is not 4x4 or has a non-finite entry
-    raises ValueError from the read; so do imaginary Bloch coefficients
-    (a non-Hermitian rho) and a trace off one."""
-    return np.array(_tensor_rows(_read(rho)[1]))
+    _hermitian_tensor_rows). A matrix that is not 4x4 or has a non-finite
+    entry raises ValueError from the read, and one that breaks validation's
+    hermiticity or trace rule (_check_form) raises it with validation's
+    words; within HERMITIAN_TOL the tensor is that of (rho + rho^dagger) / 2."""
+    rows = _read(rho)[1]
+    _check_form(rows)
+    return np.array(_tensor_rows(rows))
 
 
 def _read_tensor(t) -> tuple[np.ndarray, list]:

@@ -29,14 +29,29 @@ def swap_gate() -> np.ndarray:
     return s
 
 
+def _hops(n, least: int = 0) -> int:
+    """A hop count n as an int; ValueError unless it is an integer >= least
+    (0 or 1), in the words "n must be a nonnegative (positive) integer"."""
+    # Written so that NaN fails it, and an infinite n before int() sees it.
+    if not least <= n < math.inf or n != int(n):
+        word = "positive" if least else "nonnegative"
+        raise ValueError(f"n must be a {word} integer, got {n}")
+    return int(n)
+
+
+def _matrix(rho) -> np.ndarray:
+    """rho as a complex array; ValueError unless it is 4x4."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):  # a smaller array would broadcast against I/4
+        raise ValueError("expected a 4x4 matrix")
+    return rho
+
+
 def depolarize(rho, epsilon: float) -> np.ndarray:
     """One noisy hop: rho -> (1 - eps) rho + eps I/4."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):  # a smaller array would broadcast against I/4
-        raise ValueError("expected a 4x4 matrix")
-    return (1.0 - epsilon) * rho + epsilon * np.eye(4) / 4.0
+    return (1.0 - epsilon) * _matrix(rho) + epsilon * np.eye(4) / 4.0
 
 
 def evolve_chain(rho0, epsilon: float, n: int) -> np.ndarray:
@@ -44,11 +59,11 @@ def evolve_chain(rho0, epsilon: float, n: int) -> np.ndarray:
 
     The closed form (1-eps)^n rho0 + (1 - (1-eps)^n) I/4 is what the tests
     compare against; this function deliberately iterates so it stays an
-    independent simulation.
+    independent simulation. ValueError unless n is a nonnegative integer
+    and rho0 is 4x4, also for n = 0.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    rho = np.asarray(rho0, dtype=complex)
+    n = _hops(n)
+    rho = _matrix(rho0)
     for _ in range(n):
         rho = depolarize(rho, epsilon)
     return rho
@@ -111,9 +126,7 @@ def critical_noise(q: float, n: int) -> float:
     """
     if not 0.0 < q <= 0.5:
         raise ValueError(f"q must lie in (0, 1/2], got {q}")
-    # Written so that NaN fails it, and an infinite n before int() sees it.
-    if not 1 <= n < math.inf or n != int(n):
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _hops(n, 1)
     return -math.expm1(-math.log1p(4.0 * q) / n)
 
 
@@ -140,11 +153,7 @@ def chain_report(q: float, epsilon: float, n: int | None = None) -> ChainReport:
         last = int(n_max) + 1
         crit_n = int(n_max)
     else:
-        # Written so that NaN fails it, and an infinite n before int() sees it.
-        if not 0 <= n < math.inf or n != int(n):
-            raise ValueError(f"n must be a nonnegative integer, got {n}")
-        last = int(n)
-        crit_n = int(n)
+        last = crit_n = _hops(n)
     steps = tuple(chain_lambda_min(q, epsilon, k) for k in range(last + 1))
     crit = critical_noise(q, crit_n) if (crit_n >= 1 and q > 0.0) else None
     return ChainReport(

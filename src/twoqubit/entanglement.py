@@ -41,8 +41,9 @@ def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
     that makes its determinant positive has sigma1 -/+ sigma2 = sqrt(|a -/+
     conj d|^2 + |b +/- conj b|^2), exact at sigma1 = sigma2. Rank 3 and 4:
     f times the spectrum of tau^dagger tau / f by the Bloch route, its
-    Bloch rows read off the diagonal and upper triangle alone
-    (bloch._hermitian_tensor_rows). The factor is a validated state's, so
+    Bloch rows read off the diagonal and upper triangle alone by the Bloch
+    sums every matrix goes through (bloch._hermitian_tensor_rows); unit
+    trace holds by the scaling. The factor is a validated state's, so
     |W_ij| <= 1, every entry of tau is at most about 4 and f is finite."""
     rank, w = factor
     (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = w

@@ -23,8 +23,9 @@ def ginibre_density(rng: np.random.Generator) -> np.ndarray:
 def rank_deficient_density(rng: np.random.Generator, rank: int) -> np.ndarray:
     """Random density matrix of the given rank (1..4), via a rectangular
     Ginibre factor."""
-    if not 1 <= rank <= 4:
+    if rank not in (1, 2, 3, 4):  # NaN and 2.5 included
         raise ValueError(f"rank must be 1..4, got {rank}")
+    rank = int(rank)
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     m = g @ g.conj().T
     m /= m.trace().real

@@ -9,7 +9,6 @@ from twoqubit.bloch import (
     TRACE_TOL,
     _BASIS,
     _hermitian_tensor_rows,
-    _tensor_rows,
     from_bloch,
     partial_transpose,
     partial_transpose_bloch,
@@ -235,19 +234,30 @@ def test_to_bloch_requires_unit_trace():
     "entry, bad", [((0, 1), 1e-6j), ((0, 1), np.nan), ((2, 2), np.nan), ((1, 3), np.inf)]
 )
 def test_to_bloch_rejects_non_hermitian_and_non_finite(entry, bad):
-    """The imaginary-part check is to_bloch's hermiticity check: an
-    asymmetric 1e-6j entry leaves imaginary Bloch coefficients of that
-    size. A NaN or inf entry is rejected by the read before any sum."""
+    """to_bloch runs validation's hermiticity rule: an asymmetric 1e-6j
+    entry is refused in its words. A NaN or inf entry is rejected by the
+    read before any sum."""
     m = np.eye(4, dtype=complex) / 4.0
     m[entry] += bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not Hermitian" if np.isfinite(bad) else "non-finite"):
         to_bloch(m)
+
+
+@pytest.mark.parametrize("scale, refused", [(1.5, True), (0.999, False)])
+def test_to_bloch_and_validation_share_one_hermiticity_rule(scale, refused):
+    """I/4 with scale * HERMITIAN_TOL * i added at entry (0, 1): its pair
+    difference |m_01 - conj(m_10)| is scale * HERMITIAN_TOL, so both refuse
+    it past the tolerance, with one message, and both take it inside."""
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] += scale * HERMITIAN_TOL * 1j
+    for f in (to_bloch, validate_density_matrix):
+        assert _outcome(f, m) == ("matrix is not Hermitian" if refused else None)
 
 
 def test_to_bloch_takes_every_trace_validation_accepts():
     """Diagonal states whose trace sits within a few ulps of 1 +- TRACE_TOL:
-    validation and to_bloch sum the trace in one order, so they agree on
-    which traces are one."""
+    validation and to_bloch run one trace rule, so they agree on which
+    traces are one."""
     rng = np.random.default_rng(46)
     outcomes = []
     for _ in range(200):
@@ -281,15 +291,30 @@ def ref_to_bloch(rho):
     return a
 
 
+def hermitian_part(rho):
+    """(rho + rho^dagger) / 2 in numpy."""
+    rho = np.asarray(rho, dtype=complex)
+    return (rho + rho.conj().T) / 2.0
+
+
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_to_bloch_matches_einsum_bit_for_bit(family):
     """The written-out sums add the einsum's nonzero terms in its order, so
-    every coefficient has the same bits, the signs of zeros included."""
+    every coefficient has the bits of the einsum of rho's Hermitian part,
+    the signs of zeros included. Every family but pure (numpy's complex
+    outer product is Hermitian only to rounding) draws exactly Hermitian
+    matrices, whose tensor is also the einsum of rho itself."""
+    exact = family != "pure"
     rng = np.random.default_rng(sorted(DRAWS).index(family) + 140)
     for _ in range(5000):
         rho = DRAWS[family](rng)
-        assert to_bloch(rho).tobytes() == ref_to_bloch(rho).tobytes()
+        got = to_bloch(rho).tobytes()
+        assert got == ref_to_bloch(hermitian_part(rho)).tobytes()
+        if exact:
+            assert np.array_equal(rho, rho.conj().T)
+            assert got == ref_to_bloch(rho).tobytes()
     for rho in (np.eye(4, dtype=complex) / 4.0, pure_density(bell_state()), np.diag([1.0, 0, 0, 0])):
+        assert np.array_equal(rho, rho.conj().T)
         assert to_bloch(rho).tobytes() == ref_to_bloch(rho).tobytes()
 
 
@@ -307,7 +332,7 @@ def hermitian_completion(diag, upper):
 
 
 def test_hermitian_tensor_rows_is_tensor_rows_of_the_completion():
-    """The upper-triangle Bloch rows have _tensor_rows' bits on the
+    """The upper-triangle Bloch rows have the bits of the einsum of the
     Hermitian completion, the signs of zeros included: random trace-one
     inputs, parts drawn from signed zeros and tiny numbers, and real
     inputs, as complex numbers with a signed zero imaginary part and as
@@ -327,7 +352,7 @@ def test_hermitian_tensor_rows_is_tensor_rows_of_the_completion():
         cases.append((diags[int(rng.integers(4))], signed))
     for diag, upper in cases:
         got = _hermitian_tensor_rows(diag, upper)
-        want = _tensor_rows(hermitian_completion(diag, upper))
+        want = ref_to_bloch(np.array(hermitian_completion(diag, upper), dtype=complex)).tolist()
         assert [x.hex() for row in got for x in row] == [x.hex() for row in want for x in row]
 
 

@@ -57,6 +57,20 @@ def test_depolarize_refuses_a_matrix_that_is_not_4x4():
         evolve_chain(np.eye(2) / 2.0, 0.1, 3)
 
 
+def test_evolve_chain_checks_its_shape_before_any_hop():
+    """n = 0 runs no hop, and used to return a 1x1 input as it was."""
+    with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+        evolve_chain([[1]], 0.1, 0)
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -1])
+def test_evolve_chain_refuses_n_that_is_not_a_nonnegative_integer(n):
+    """The hop count check chain_report and critical_noise run: 2.5, NaN
+    and inf used to raise TypeError from range()."""
+    with pytest.raises(ValueError, match=f"^n must be a nonnegative integer, got {n}$"):
+        evolve_chain(initial_pair(0.3), 0.1, n)
+
+
 def test_evolve_matches_closed_form():
     rho0 = initial_pair(0.5)
     for eps, n in ((0.1, 7), (0.3, 20), (0.05, 0)):

@@ -251,8 +251,8 @@ def test_analyze_validation_failures(tmp_path, capsys):
 
 def test_analyze_near_hermitian_matrix(tmp_path, capsys):
     """A matrix inside the hermiticity tolerance is analyzed: each pair
-    difference m_ij - conj(m_ji) is 0.999e-10, so Bloch coefficients carry
-    imaginary parts up to twice that, which to_bloch tolerates."""
+    difference m_ij - conj(m_ji) is 0.999e-10, within validation's rule,
+    and the record's Bloch tensor is that of its Hermitian part."""
     rho = ginibre_density(np.random.default_rng(64))
     k = np.ones((4, 4)) - np.eye(4)
     path = write_json(tmp_path, "near.json", matrix_doc(rho + 0.4995e-10j * k))

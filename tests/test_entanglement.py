@@ -20,7 +20,7 @@ from twoqubit.entanglement import (
     negativity,
     spin_flip,
 )
-from twoqubit.bloch import _factor, _tensor_rows, partial_transpose, to_bloch
+from twoqubit.bloch import _BASIS, _factor, partial_transpose, to_bloch
 from twoqubit.chain import evolve_chain
 from twoqubit.errors import InternalInconsistencyError, NotApplicableError
 from twoqubit.spectrum import TAU_BRANCH, Branch, QuarticSpectrum
@@ -572,28 +572,31 @@ def test_last_pivot_bounds_lambda_min():
     assert ratios["random"] >= 1.0 / 31.0
 
 
-def _old_tensor_rows(diag, upper):
-    """The flip pass's former route to tau^dagger tau / f's Bloch rows:
-    its Hermitian completion, lower triangle conjugated, through
-    _tensor_rows and its checks."""
+def _einsum_tensor_rows(diag, upper):
+    """tau^dagger tau / f's Bloch rows by numpy: the real part of
+    np.einsum("mnij,ji->mn", _BASIS, x) for its Hermitian completion x,
+    lower triangle conjugated, with a[0, 0] set to 1."""
     d0, d1, d2, d3 = diag
     u01, u02, u03, u12, u13, u23 = upper
-    x = ((d0, u01, u02, u03), (u01.conjugate(), d1, u12, u13),
-         (u02.conjugate(), u12.conjugate(), d2, u23),
-         (u03.conjugate(), u13.conjugate(), u23.conjugate(), d3))
-    return _tensor_rows(x)
+    x = np.array(((d0, u01, u02, u03), (u01.conjugate(), d1, u12, u13),
+                  (u02.conjugate(), u12.conjugate(), d2, u23),
+                  (u03.conjugate(), u13.conjugate(), u23.conjugate(), d3)), dtype=complex)
+    a = np.einsum("mnij,ji->mn", _BASIS, x).real
+    a[0, 0] = 1.0
+    return tuple(map(tuple, a.tolist()))
 
 
 def test_flip_pass_on_the_upper_triangle_is_bit_for_bit(monkeypatch):
-    """The rank >= 3 flip pass gives the former route's bits on 300 factors
-    from each of five families."""
+    """The rank >= 3 flip pass gives the bits of the einsum of the
+    Hermitian completion's Bloch rows on 300 factors from each of five
+    families."""
     families = (ginibre_density, lambda rng: rank_deficient_density(rng, 3), _rotated_werner,
                 near_quarter_density, _chain_state)
     rng = np.random.default_rng(79)
     factors = [_State(draw(rng)).factor for draw in families for _ in range(300)]
     assert all(rank >= 3 for rank, _ in factors)
     got = [_flip_product_eigs(f) for f in factors]
-    monkeypatch.setattr(entanglement, "_hermitian_tensor_rows", _old_tensor_rows)
+    monkeypatch.setattr(entanglement, "_hermitian_tensor_rows", _einsum_tensor_rows)
     want = [_flip_product_eigs(f) for f in factors]
     assert [[x.hex() for x in mu] for mu in got] == [[x.hex() for x in mu] for mu in want]
 

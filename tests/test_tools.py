@@ -80,6 +80,7 @@ def test_layer_us_prints_one_row_per_call():
         "`peres_test + entanglement_report`",
         "`validate_density_matrix`",
         "`to_bloch`",
+        "`_tensor_rows`",
         "`_bloch_pass`",
         "`quartic_eigs`",
         "`inequality_rhs`",

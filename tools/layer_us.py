@@ -70,7 +70,8 @@ def _bloch(tq, rho):
 
 
 def _rows(tq, rho):
-    """The factorization's argument: the rows its record read."""
+    """The argument of the factorization and of the Bloch sums: the rows
+    its record read."""
     return (tq.separability._State(rho).rows,)
 
 
@@ -92,6 +93,7 @@ ROWS = (
     ("peres_test + entanglement_report", lambda tq: functools.partial(_unit, tq), lambda tq, r: (r,)),
     ("validate_density_matrix", lambda tq: tq.bloch.validate_density_matrix, lambda tq, r: (r,)),
     ("to_bloch", lambda tq: tq.bloch.to_bloch, lambda tq, r: (r,)),
+    ("_tensor_rows", lambda tq: tq.bloch._tensor_rows, _rows),
     ("_bloch_pass", lambda tq: tq.spectrum._bloch_pass, lambda tq, r: (_bloch(tq, r).tolist(),)),
     (
         "quartic_eigs",
