@@ -39,6 +39,12 @@ def _hops(n, least: int = 0) -> int:
     return int(n)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """ValueError unless the noise strength lies in [0, 1]; NaN does not."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
 def _matrix(rho) -> np.ndarray:
     """rho as a complex array; ValueError unless it is 4x4."""
     rho = np.asarray(rho, dtype=complex)
@@ -49,8 +55,7 @@ def _matrix(rho) -> np.ndarray:
 
 def depolarize(rho, epsilon: float) -> np.ndarray:
     """One noisy hop: rho -> (1 - eps) rho + eps I/4."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     return (1.0 - epsilon) * _matrix(rho) + epsilon * np.eye(4) / 4.0
 
 
@@ -59,10 +64,11 @@ def evolve_chain(rho0, epsilon: float, n: int) -> np.ndarray:
 
     The closed form (1-eps)^n rho0 + (1 - (1-eps)^n) I/4 is what the tests
     compare against; this function deliberately iterates so it stays an
-    independent simulation. ValueError unless n is a nonnegative integer
-    and rho0 is 4x4, also for n = 0.
+    independent simulation. ValueError unless n is a nonnegative integer,
+    epsilon lies in [0, 1] and rho0 is 4x4, also for n = 0.
     """
     n = _hops(n)
+    _check_epsilon(epsilon)
     rho = _matrix(rho0)
     for _ in range(n):
         rho = depolarize(rho, epsilon)
@@ -87,8 +93,7 @@ def max_transfer_distance(q: float, epsilon: float) -> int | float:
     """
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"q must lie in [0, 1/2], got {q}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     if q <= TAU_SEP:
         return 0
     if 1.0 - epsilon == 1.0:

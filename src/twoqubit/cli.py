@@ -309,97 +309,70 @@ class _FuzzTally:
                 )
 
 
-def _fuzz_spectrum_checks(rho, s: _State, ref, idx, tally: _FuzzTally) -> None:
-    """Eigenvalue fidelity and coefficient route agreement for one
-    Hermitian trace-one matrix rho, its record s and its trace-route
-    coefficients ref."""
+# Each fuzz family's draw: rng -> (its matrix, its state vector for pure or
+# its p for werner, else None), the only step of a sample that reads rng.
+# The lambdas look the samplers up on this module at each call, so a name
+# rebound here (by a tracer or a test) is the one that draws.
+_FUZZ_FAMILIES = {
+    "ginibre": lambda rng: (ginibre_density(rng), None),
+    "hermitian": lambda rng: (random_hermitian_trace_one(rng), None),
+    "pure": lambda rng: (pure_density(v := haar_pure(rng)), v),
+    "rank2": lambda rng: (rank_deficient_density(rng, 2), None),
+    "rank3": lambda rng: (rank_deficient_density(rng, 3), None),
+    "werner": lambda rng: (werner_state(p := rng.uniform(-1.0 / 3.0, 1.0)), p),
+    "near_quarter": lambda rng: (near_quarter_density(rng), None),
+}
+
+
+def _fuzz_check(family: str, rho, extra, ref, idx: int, tally: _FuzzTally) -> None:
+    """Every check of one drawn sample, in the order its breaches are
+    dumped; extra is the draw's second value, ref rho's trace-route
+    coefficients (None for pure, which has no coefficient check)."""
+    s = _State(rho)
+    if family == "pure":
+        v = extra
+        payload = lambda: [[float(x.real), float(x.imag)] for x in v]
+        closed = pure_pt_spectrum(v)
+        oracle = eig_hermitian_oracle(partial_transpose(rho))
+        err = max(abs(a - b) for a, b in zip(closed, oracle))
+        tally.record("pure_pt_vs_oracle", err, 1e-12, idx, payload)
+        err = abs(_concurrence(s) - concurrence_pure(v))
+        tally.record("pure_concurrence_bridge", err, 1e-10, idx, payload)
+        agree = pure_separable(v) == _verdict(s).separable
+        tally.record("pure_verdict_agreement", 0.0 if agree else 1.0, 0.5, idx, payload)
+        return
+
+    payload = lambda: _matrix_json(rho)
     closed = quartic_eigs(s.c).eigenvalues
     oracle = eig_hermitian_oracle(rho)
     err = max(abs(a - b) for a, b in zip(closed, oracle))
-    tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, lambda: _matrix_json(rho))
+    tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, payload)
     cb = s.c
     err = max(
         abs(ref.b0 - cb.b0), abs(ref.b1 - cb.b1), abs(ref.b2 - cb.b2), abs(ref.tr2 - cb.tr2)
     )
-    tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, lambda: _matrix_json(rho))
+    tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, payload)
+    if family == "hermitian":  # not a state: no verdict to check
+        return
 
-
-def _fuzz_density_checks(rho, ref, idx, tally: _FuzzTally) -> tuple[_State, float | None]:
-    """The spectrum checks plus verdict equivalence for one density
-    matrix and its trace-route coefficients ref; returns its record and
-    its concurrence, None where no check computed it."""
-    s = _State(rho)
-    c = None
-    _fuzz_spectrum_checks(rho, s, ref, idx, tally)
     sep = _verdict(s)
     pt_oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
     lam_err = abs(sep.lambda_min_pt - pt_oracle_min)
-    tally.record("pt_lambda_min_vs_oracle", lam_err, 1e-9, idx, lambda: _matrix_json(rho))
+    tally.record("pt_lambda_min_vs_oracle", lam_err, 1e-9, idx, payload)
     if abs(pt_oracle_min) > TAU_SEP and abs(sep.lambda_min_pt) > TAU_SEP:
         agree = sep.separable == (pt_oracle_min >= 0.0)
-        tally.record(
-            "verdict_vs_oracle_sign", 0.0 if agree else 1.0, 0.5, idx,
-            lambda: _matrix_json(rho),
-        )
+        tally.record("verdict_vs_oracle_sign", 0.0 if agree else 1.0, 0.5, idx, payload)
+    c = None
     if abs(sep.lambda_min_pt) > 1e-8:
         c = _concurrence(s)
         agree = (c > TAU_SEP) == (not sep.separable)
-        tally.record(
-            "concurrence_vs_verdict", 0.0 if agree else 1.0, 0.5, idx,
-            lambda: _matrix_json(rho),
-        )
-    return s, c
-
-
-def _fuzz_draw(family: str, rng: np.random.Generator):
-    """One sample of family, (its matrix, its state vector for pure or its
-    p for werner, else None); the only step of a sample that reads rng."""
-    if family == "ginibre":
-        return ginibre_density(rng), None
-    if family == "hermitian":
-        return random_hermitian_trace_one(rng), None
-    if family == "pure":
-        v = haar_pure(rng)
-        return pure_density(v), v
-    if family == "near_quarter":
-        return near_quarter_density(rng), None
-    if family in ("rank2", "rank3"):
-        return rank_deficient_density(rng, 2 if family == "rank2" else 3), None
+        tally.record("concurrence_vs_verdict", 0.0 if agree else 1.0, 0.5, idx, payload)
     if family == "werner":
-        p = rng.uniform(-1.0 / 3.0, 1.0)
-        return werner_state(p), p
-    raise _ValidationFailure(f"unknown family {family!r}")
-
-
-def _fuzz_check(family: str, rho, extra, ref, idx: int, tally: _FuzzTally):
-    """Every check of one drawn sample; ref is rho's trace-route
-    coefficients, None for pure, which has no coefficient check."""
-    if family == "hermitian":
-        _fuzz_spectrum_checks(rho, _State(rho), ref, idx, tally)
-    elif family == "pure":
-        v = extra
-        s = _State(rho)
-        state_json = [[float(x.real), float(x.imag)] for x in v]
-        closed = pure_pt_spectrum(v)
-        oracle = eig_hermitian_oracle(partial_transpose(rho))
-        err = max(abs(a - b) for a, b in zip(closed, oracle))
-        tally.record("pure_pt_vs_oracle", err, 1e-12, idx, lambda: state_json)
-        err = abs(_concurrence(s) - concurrence_pure(v))
-        tally.record("pure_concurrence_bridge", err, 1e-10, idx, lambda: state_json)
-        agree = pure_separable(v) == _verdict(s).separable
-        tally.record(
-            "pure_verdict_agreement", 0.0 if agree else 1.0, 0.5, idx,
-            lambda: state_json,
-        )
-    elif family == "werner":
         p = extra
-        s, c = _fuzz_density_checks(rho, ref, idx, tally)
         if c is None:
             c = _concurrence(s)
         err = abs(c - max(0.0, (3.0 * p - 1.0) / 2.0))
         tally.record("werner_concurrence_formula", err, 1e-10, idx, lambda: [p])
-    else:
-        _fuzz_density_checks(rho, ref, idx, tally)
 
 
 def cmd_fuzz(args) -> int:
@@ -409,9 +382,10 @@ def cmd_fuzz(args) -> int:
         raise _ValidationFailure(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     tally = _FuzzTally()
+    draw = _FUZZ_FAMILIES[args.family]
     for start in range(0, args.samples, _FUZZ_BLOCK):
         n = min(_FUZZ_BLOCK, args.samples - start)
-        block = [_fuzz_draw(args.family, rng) for _ in range(n)]
+        block = [draw(rng) for _ in range(n)]
         rhos = np.array([rho for rho, _ in block])
         refs = [None] * n if args.family == "pure" else _coeffs_from_traces(rhos)
         for idx, ((rho, extra), ref) in enumerate(zip(block, refs), start):
@@ -467,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"],
+        choices=list(_FUZZ_FAMILIES),
     )
     return parser
 

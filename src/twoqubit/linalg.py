@@ -149,7 +149,13 @@ def _flv(m: np.ndarray) -> list[MonicQuartic]:
 # Jacobi oracle
 # ---------------------------------------------------------------------------
 
-def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
+# The oracle's stop: the Frobenius norm of the off-diagonal part of m,
+# scaled exactly by a power of two to entries of order one, so the stop is
+# relative and no square can overflow.
+_ORACLE_TOL = 1e-14
+
+
+def eig_hermitian_oracle(m, max_sweeps: int = 60):
     """Eigenvalues of a 4x4 Hermitian matrix by cyclic complex Jacobi rotations.
 
     The matrix is held in half storage, as locals: the four real diagonal
@@ -165,10 +171,6 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
     ----------
     m : array_like
         Hermitian 4x4 matrix with finite entries.
-    tol : float
-        Convergence threshold on the Frobenius norm of the off-diagonal
-        part of m scaled exactly by a power of two to entries of order one,
-        so the stop is relative and no square can overflow.
     max_sweeps : int
         Hard cap on full rotation sweeps; exceeding it raises
         OracleConvergenceError rather than looping forever.
@@ -202,8 +204,8 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
     d0, d1, d2, d3 = d0.real * f, d1.real * f, d2.real * f, d3.real * f
     u01, u02, u03, u12, u13, u23 = u01 * f, u02 * f, u03 * f, u12 * f, u13 * f, u23 * f
     sqrt = math.sqrt
-    # The squared off-norm 2 sum |u|^2 against tol^2.
-    half_tol_sq = 0.5 * tol * tol
+    # The squared off-norm 2 sum |u|^2 against _ORACLE_TOL^2.
+    half_tol_sq = 0.5 * _ORACLE_TOL * _ORACLE_TOL
     sweeps = 0
     while True:
         off_sq = (
@@ -218,7 +220,7 @@ def eig_hermitian_oracle(m, tol: float = 1e-14, max_sweeps: int = 60):
             break
         if sweeps >= max_sweeps:
             raise OracleConvergenceError(
-                f"Jacobi did not reach relative off-norm {tol} in {max_sweeps} sweeps "
+                f"Jacobi did not reach relative off-norm {_ORACLE_TOL} in {max_sweeps} sweeps "
                 f"(off={sqrt(2.0 * off_sq):.3e})"
             )
         sweeps += 1

@@ -387,9 +387,7 @@ def trig_params(c: CharCoeffs) -> TrigParams:
     return TrigParams(c1, c2, phi)
 
 
-def _clamped_sqrt(
-    x: float, what: str, band: float = _CLAMP_BAND, flush: float = 0.0
-) -> float:
+def _clamped_sqrt(x: float, what: str, band: float = _CLAMP_BAND, *, flush: float) -> float:
     """Square root with a one-sided error band and a symmetric noise flush.
 
     A radicand below -band is a real inconsistency. One at an exact double
@@ -462,7 +460,7 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
         # origin pair only to square-root-of-noise accuracy when a third
         # eigenvalue sits nearby, so the factored form takes precedence.
         # It is still the generic stratum, just evaluated differently.
-        r = _clamped_sqrt(1.0 - 4.0 * c.b2, "origin-pair factor", band, flush)
+        r = _clamped_sqrt(1.0 - 4.0 * c.b2, "origin-pair factor", band, flush=flush)
         fixed, branch = ((1.0 + r) / 2.0, (1.0 - r) / 2.0, 0.0, 0.0), Branch.GENERIC
     elif abs(b0) <= _RANK_TOL:
         # A vanishing constant term factors one root out at the origin
@@ -484,8 +482,8 @@ def quartic_eigs(c: CharCoeffs) -> QuarticSpectrum:
         else:
             sx, u, w = _resolvent_terms(k3, c1, cos_theta)
             shift = sx / (4.0 * SQRT3)
-            half_low = _clamped_sqrt(u + w, "inner(-)", band, flush) / (2.0 * SQRT6)
-            half_high = _clamped_sqrt(u - w, "inner(+)", band, flush) / (2.0 * SQRT6)
+            half_low = _clamped_sqrt(u + w, "inner(-)", band, flush=flush) / (2.0 * SQRT6)
+            half_high = _clamped_sqrt(u - w, "inner(+)", band, flush=flush) / (2.0 * SQRT6)
             cand = (
                 0.25 + s * (shift + half_high),
                 0.25 + s * (shift - half_high),

@@ -71,6 +71,14 @@ def test_evolve_chain_refuses_n_that_is_not_a_nonnegative_integer(n):
         evolve_chain(initial_pair(0.3), 0.1, n)
 
 
+@pytest.mark.parametrize("eps", [5.0, math.nan, -0.1])
+def test_evolve_chain_refuses_epsilon_outside_0_1_also_at_n_0(eps):
+    """The noise check depolarize and max_transfer_distance run: n = 0
+    runs no hop, and used to return rho0 for any epsilon."""
+    with pytest.raises(ValueError, match=rf"^epsilon must lie in \[0, 1\], got {eps}$"):
+        evolve_chain(np.eye(4) / 4.0, eps, 0)
+
+
 def test_evolve_matches_closed_form():
     rho0 = initial_pair(0.5)
     for eps, n in ((0.1, 7), (0.3, 20), (0.05, 0)):

@@ -377,9 +377,7 @@ def test_chain_epsilon_table_is_bounded(capsys):
         assert err.startswith("error: ") and "--n" in err and err.count("\n") == 1, argv
 
 
-@pytest.mark.parametrize(
-    "family", ["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"]
-)
+@pytest.mark.parametrize("family", list(twoqubit.cli._FUZZ_FAMILIES))
 def test_fuzz_families_pass(capsys, family):
     code, out, _ = run(capsys, "fuzz", "--samples", "60", "--seed", "5", "--family", family)
     assert code == EXIT_OK
@@ -393,9 +391,7 @@ def test_fuzz_families_pass(capsys, family):
         assert "bloch_vs_flv_coeffs" in doc["max_error"]
 
 
-@pytest.mark.parametrize(
-    "family", ["ginibre", "hermitian", "pure", "rank2", "rank3", "werner", "near_quarter"]
-)
+@pytest.mark.parametrize("family", list(twoqubit.cli._FUZZ_FAMILIES))
 def test_fuzz_output_does_not_depend_on_the_block(capsys, monkeypatch, family):
     """Samples are drawn and their reference coefficients computed a block
     at a time; one sample per block prints the same bytes and exit code
@@ -444,6 +440,90 @@ def test_fuzz_breach_exits_3(capsys, monkeypatch):
     ]
     assert [d["index"] for d in doc["counterexamples"]] == [0, 0, 1]
     assert all(len(d["input"]) == 4 for d in doc["counterexamples"])
+
+
+FUZZ_SAMPLERS = [
+    ("ginibre", "ginibre_density"),
+    ("hermitian", "random_hermitian_trace_one"),
+    ("pure", "haar_pure"),
+    ("rank2", "rank_deficient_density"),
+    ("rank3", "rank_deficient_density"),
+    ("werner", "werner_state"),
+    ("near_quarter", "near_quarter_density"),
+]
+
+
+@pytest.mark.parametrize("family, sampler", FUZZ_SAMPLERS)
+def test_fuzz_draws_through_the_sampler_bound_on_the_module(
+    capsys, monkeypatch, family, sampler
+):
+    """Each family's draw looks its sampler up on twoqubit.cli at call
+    time, where the benchmark's tracer rebinds it: a counter bound there
+    sees one call a sample."""
+    calls = []
+    sample = getattr(twoqubit.cli, sampler)
+
+    def counted(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(twoqubit.cli, sampler, counted)
+    code, _, _ = run(capsys, "fuzz", "--samples", "3", "--seed", "4", "--family", family)
+    assert code == EXIT_OK
+    assert len(calls) == 3
+
+
+DENSITY_CHECKS = (
+    "eigenvalues_vs_oracle",
+    "bloch_vs_flv_coeffs",
+    "pt_lambda_min_vs_oracle",
+    "verdict_vs_oracle_sign",
+    "concurrence_vs_verdict",
+)
+# Per family: every check a sample runs, in order, and those of them an
+# oracle 1e-6 off breaches on seed 3's first three samples.
+FUZZ_CHECK_ORDER = {
+    "ginibre": (DENSITY_CHECKS, ("eigenvalues_vs_oracle", "pt_lambda_min_vs_oracle")),
+    "hermitian": (DENSITY_CHECKS[:2], ("eigenvalues_vs_oracle",)),
+    "pure": (
+        ("pure_pt_vs_oracle", "pure_concurrence_bridge", "pure_verdict_agreement"),
+        ("pure_pt_vs_oracle",),
+    ),
+    "rank2": (DENSITY_CHECKS, ("eigenvalues_vs_oracle", "pt_lambda_min_vs_oracle")),
+    "rank3": (DENSITY_CHECKS, ("eigenvalues_vs_oracle", "pt_lambda_min_vs_oracle")),
+    "werner": (
+        DENSITY_CHECKS + ("werner_concurrence_formula",),
+        ("eigenvalues_vs_oracle", "pt_lambda_min_vs_oracle"),
+    ),
+    "near_quarter": (DENSITY_CHECKS, ("eigenvalues_vs_oracle", "pt_lambda_min_vs_oracle")),
+}
+
+
+@pytest.mark.parametrize("family", list(FUZZ_CHECK_ORDER))
+def test_fuzz_runs_each_family_checks_in_dump_order(capsys, monkeypatch, family):
+    """With an oracle 1e-6 off and every dump kept, each sample runs its
+    family's checks in a fixed order, and the dumps follow it sample by
+    sample."""
+    checks, breached = FUZZ_CHECK_ORDER[family]
+    oracle = twoqubit.cli.eig_hermitian_oracle
+    monkeypatch.setattr(
+        twoqubit.cli, "eig_hermitian_oracle", lambda m: [x + 1e-6 for x in oracle(m)]
+    )
+    monkeypatch.setattr(twoqubit.cli._FuzzTally, "_DUMP_CAP", 10**6)
+    ran = []
+    record = twoqubit.cli._FuzzTally.record
+
+    def logged(self, check, error, tol, index, payload):
+        ran.append((check, index))
+        return record(self, check, error, tol, index, payload)
+
+    monkeypatch.setattr(twoqubit.cli._FuzzTally, "record", logged)
+    code, out, _ = run(capsys, "fuzz", "--samples", "3", "--seed", "3", "--family", family)
+    assert code == EXIT_TOLERANCE
+    assert ran == [(check, i) for i in range(3) for check in checks]
+    assert [(d["check"], d["index"]) for d in json.loads(out)["counterexamples"]] == [
+        (check, i) for i in range(3) for check in breached
+    ]
 
 
 def test_no_call_path_evaluates_the_inequality(tmp_path, capsys, monkeypatch):

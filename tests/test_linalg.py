@@ -373,5 +373,5 @@ def test_oracle_accuracy_on_clustered_spectra(family):
 
 def test_oracle_sweep_cap():
     rng = np.random.default_rng(12)
-    with pytest.raises(OracleConvergenceError):
+    with pytest.raises(OracleConvergenceError, match="relative off-norm 1e-14 in 0 sweeps"):
         eig_hermitian_oracle(random_hermitian(rng), max_sweeps=0)
