@@ -17,7 +17,8 @@ written out on those numbers, the style of the coefficient passes: at 4x4
 a numpy call costs more in dispatch than the arithmetic it does. One rule,
 _check_form, decides hermiticity and unit trace for validation and
 to_bloch alike, and one body, _hermitian_tensor_rows, holds the Bloch
-sums, which read a matrix's diagonal and upper triangle only. _factor,
+sums, which read a matrix's diagonal and upper triangle only, and
+_pt_rows is the one row map of the partial transpose. _factor,
 a pivoted Cholesky factor, is the package's one factorization: a state
 record computes it once for validation's certificate and the concurrence.
 LAPACK's eigvalsh still decides every positivity rejection.
@@ -253,6 +254,18 @@ def partial_transpose(m):
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def _pt_rows(rows) -> list:
+    """partial_transpose on rows read by _read, the same entries moved by
+    the same map with no arithmetic: equal to partial_transpose(m).tolist()."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+    return [
+        [a00, a10, a02, a12],
+        [a01, a11, a03, a13],
+        [a20, a30, a22, a32],
+        [a21, a31, a23, a33],
+    ]
 
 
 def partial_transpose_bloch(t):

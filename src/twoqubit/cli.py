@@ -20,11 +20,11 @@ import sys
 
 import numpy as np
 
-from .bloch import from_bloch, partial_transpose
+from .bloch import _pt_rows, from_bloch
 from .chain import chain_report, max_transfer_distance
 from .entanglement import _concurrence, _report, concurrence_pure
 from .errors import InternalInconsistencyError, OracleConvergenceError
-from .linalg import eig_hermitian_oracle
+from .linalg import _jacobi
 from .sampling import (
     ginibre_density,
     haar_pure,
@@ -293,9 +293,12 @@ class _FuzzTally:
     def record(self, check: str, error: float, tol: float, index: int, payload):
         """Fold one check's error into the tally; payload() builds the
         input dump and is called only for a breach that is dumped."""
-        # every check that ran is listed, an exact 0.0 included
-        self.max_error[check] = max(error, self.max_error.get(check, 0.0))
-        if error > tol:
+        # Every check that ran is listed, an exact 0.0 included. max() keeps
+        # a NaN only in first place: a NaN error goes first, and a NaN
+        # already kept is kept as it is. NaN is not <= tol: a breach.
+        prev = self.max_error.get(check, 0.0)
+        self.max_error[check] = prev if math.isnan(prev) else max(error, prev)
+        if not error <= tol:
             self.breaches += 1
             if len(self.dumps) < self._DUMP_CAP:
                 self.dumps.append(
@@ -324,17 +327,26 @@ _FUZZ_FAMILIES = {
 }
 
 
+def _gap(a, b) -> float:
+    """max |a_i - b_i| over four entries, or NaN if any difference is NaN:
+    max() keeps a NaN only in first place, and the sum of the four (each
+    >= 0 or NaN) is NaN exactly when one of them is."""
+    e0, e1, e2, e3 = abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]), abs(a[3] - b[3])
+    total = e0 + e1 + e2 + e3
+    return max(e0, e1, e2, e3) if total == total else total
+
+
 def _fuzz_check(family: str, rho, extra, ref, idx: int, tally: _FuzzTally) -> None:
     """Every check of one drawn sample, in the order its breaches are
     dumped; extra is the draw's second value, ref rho's trace-route
-    coefficients (None for pure, which has no coefficient check)."""
+    coefficients (None for pure, which has no coefficient check). The
+    record reads rho once; the oracle runs on its rows and on their
+    partial transpose."""
     s = _State(rho)
     if family == "pure":
         v = extra
         payload = lambda: [[float(x.real), float(x.imag)] for x in v]
-        closed = pure_pt_spectrum(v)
-        oracle = eig_hermitian_oracle(partial_transpose(rho))
-        err = max(abs(a - b) for a, b in zip(closed, oracle))
+        err = _gap(pure_pt_spectrum(v), _jacobi(_pt_rows(s.rows)))
         tally.record("pure_pt_vs_oracle", err, 1e-12, idx, payload)
         err = abs(_concurrence(s) - concurrence_pure(v))
         tally.record("pure_concurrence_bridge", err, 1e-10, idx, payload)
@@ -343,20 +355,16 @@ def _fuzz_check(family: str, rho, extra, ref, idx: int, tally: _FuzzTally) -> No
         return
 
     payload = lambda: _matrix_json(rho)
-    closed = quartic_eigs(s.c).eigenvalues
-    oracle = eig_hermitian_oracle(rho)
-    err = max(abs(a - b) for a, b in zip(closed, oracle))
+    err = _gap(quartic_eigs(s.c).eigenvalues, _jacobi(s.rows))
     tally.record("eigenvalues_vs_oracle", err, 1e-9, idx, payload)
     cb = s.c
-    err = max(
-        abs(ref.b0 - cb.b0), abs(ref.b1 - cb.b1), abs(ref.b2 - cb.b2), abs(ref.tr2 - cb.tr2)
-    )
+    err = _gap((ref.b0, ref.b1, ref.b2, ref.tr2), (cb.b0, cb.b1, cb.b2, cb.tr2))
     tally.record("bloch_vs_flv_coeffs", err, 1e-10, idx, payload)
     if family == "hermitian":  # not a state: no verdict to check
         return
 
     sep = _verdict(s)
-    pt_oracle_min = eig_hermitian_oracle(partial_transpose(rho))[-1]
+    pt_oracle_min = _jacobi(_pt_rows(s.rows))[-1]
     lam_err = abs(sep.lambda_min_pt - pt_oracle_min)
     tally.record("pt_lambda_min_vs_oracle", lam_err, 1e-9, idx, payload)
     if abs(pt_oracle_min) > TAU_SEP and abs(sep.lambda_min_pt) > TAU_SEP:

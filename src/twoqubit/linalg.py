@@ -9,9 +9,11 @@ a self-contained cyclic Jacobi eigensolver. The Jacobi routine is the
 numerical oracle every closed-form solver in this package is
 cross-checked against, so it deliberately shares no code with the
 trigonometric root formulas: no characteristic polynomials, no resolvent
-tricks, just plane rotations. Its sweep is written out on the
-half-storage entries as locals, six rotations with their conjugates
-fixed in the formulas, and each moves the diagonal in Rutishauser's form.
+tricks, just plane rotations. Its body, _jacobi, takes the rows _read
+gives, so a caller that holds them reads nothing twice. Its sweep is
+written out on the half-storage entries as locals, six rotations with
+their conjugates fixed in the formulas, and each moves the diagonal in
+Rutishauser's form.
 """
 
 from __future__ import annotations
@@ -184,7 +186,13 @@ def eig_hermitian_oracle(m, max_sweeps: int = 60):
     and each |m_ij - conj(m_ji)| is at most 1e-8. An entry or eigenvalue
     whose modulus exceeds the float range raises OracleConvergenceError.
     """
-    _, rows = _read(m)
+    return _jacobi(_read(m)[1], max_sweeps)
+
+
+def _jacobi(rows, max_sweeps: int = 60):
+    """eig_hermitian_oracle after its read: the oracle's whole body on rows
+    of Python complex numbers as _read gives them (or bloch._pt_rows of
+    such rows), with the same errors in the same order."""
     if not _asymmetry(rows) <= 1e-8:
         raise ValueError("matrix is not Hermitian")
 

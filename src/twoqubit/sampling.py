@@ -7,6 +7,7 @@ construction; PSD families are PSD up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ def random_hermitian_trace_one(rng: np.random.Generator) -> np.ndarray:
     the solver on the full Hermitian domain, not just density matrices."""
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
-    h += (1.0 - h.trace().real) / 4.0 * np.eye(4)
+    h += (1.0 - h.trace().real) / 4.0 * _EYE4
     return h
 
 
@@ -73,7 +74,7 @@ def random_product_pure(rng: np.random.Generator) -> np.ndarray:
 def pure_density(state) -> np.ndarray:
     """Projector |psi><psi| from a state vector."""
     v = np.asarray(state, dtype=complex).ravel()
-    return np.outer(v, v.conj())
+    return v[:, None] * v.conj()  # the multiply np.outer runs
 
 
 def bell_state() -> np.ndarray:
@@ -81,12 +82,24 @@ def bell_state() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
+# Constant operands of the samplers, built once: each draw reads the same
+# values in the same expression order it would build them in. The Bell
+# projector is built on first use: its numpy arithmetic, run at import,
+# raised a fresh process's peak RSS by about 0.2 MB.
+_EYE4 = np.eye(4)
+
+
+@functools.cache
+def _bell_density() -> np.ndarray:
+    return pure_density(bell_state())
+
+
 def werner_state(p: float) -> np.ndarray:
     """p |Phi+><Phi+| + (1-p) I/4; a density matrix for p in [-1/3, 1],
     entangled exactly when p > 1/3."""
     if not -1.0 / 3.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [-1/3, 1], got {p}")
-    return p * pure_density(bell_state()) + (1.0 - p) * np.eye(4) / 4.0
+    return p * _bell_density() + (1.0 - p) * _EYE4 / 4.0
 
 
 def embed_four_qubit(c, mid, d) -> np.ndarray:

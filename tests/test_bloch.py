@@ -9,6 +9,7 @@ from twoqubit.bloch import (
     TRACE_TOL,
     _BASIS,
     _hermitian_tensor_rows,
+    _pt_rows,
     from_bloch,
     partial_transpose,
     partial_transpose_bloch,
@@ -16,7 +17,7 @@ from twoqubit.bloch import (
     to_bloch,
     validate_density_matrix,
 )
-from twoqubit.linalg import eig_hermitian_oracle, is_hermitian
+from twoqubit.linalg import _read, eig_hermitian_oracle, is_hermitian
 from twoqubit.separability import pt_coeffs
 from twoqubit.spectrum import coeffs_from_bloch
 from twoqubit.sampling import (
@@ -148,6 +149,15 @@ def test_partial_transpose_is_involution():
     rng = np.random.default_rng(24)
     rho = ginibre_density(rng)
     assert np.max(np.abs(partial_transpose(partial_transpose(rho)) - rho)) == 0.0
+
+
+def test_pt_rows_moves_the_entries_partial_transpose_moves():
+    """The row map of the partial transpose, on random complex matrices
+    that are not Hermitian, gives partial_transpose's entries."""
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert _pt_rows(_read(m)[1]) == partial_transpose(m).tolist()
 
 
 def test_partial_transpose_bloch_matches_matrix_route():

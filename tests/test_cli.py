@@ -106,7 +106,7 @@ def test_analyze_json_matches_library(tmp_path, capsys):
     [
         (twoqubit.separability, "quartic_eigs", InternalInconsistencyError, "analyze"),
         # fuzz is the only command that runs the Jacobi oracle
-        (twoqubit.cli, "eig_hermitian_oracle", OracleConvergenceError, "fuzz"),
+        (twoqubit.cli, "_jacobi", OracleConvergenceError, "fuzz"),
     ],
     ids=["inconsistency", "oracle"],
 )
@@ -407,9 +407,9 @@ def test_fuzz_indexes_samples_across_blocks(capsys, monkeypatch):
     """With every dump kept, an oracle 1e-6 off breaches each ginibre
     sample's two eigenvalue checks, in sample order through the second
     block."""
-    oracle = twoqubit.cli.eig_hermitian_oracle
+    oracle = twoqubit.cli._jacobi
     monkeypatch.setattr(
-        twoqubit.cli, "eig_hermitian_oracle", lambda m: [x + 1e-6 for x in oracle(m)]
+        twoqubit.cli, "_jacobi", lambda m: [x + 1e-6 for x in oracle(m)]
     )
     monkeypatch.setattr(twoqubit.cli._FuzzTally, "_DUMP_CAP", 10**6)
     samples = twoqubit.cli._FUZZ_BLOCK + 3
@@ -424,9 +424,9 @@ def test_fuzz_indexes_samples_across_blocks(capsys, monkeypatch):
 def test_fuzz_breach_exits_3(capsys, monkeypatch):
     """An oracle 1e-6 off breaches both eigenvalue checks on every sample:
     each breach is counted, and only the first three are dumped."""
-    oracle = twoqubit.cli.eig_hermitian_oracle
+    oracle = twoqubit.cli._jacobi
     monkeypatch.setattr(
-        twoqubit.cli, "eig_hermitian_oracle", lambda m: [x + 1e-6 for x in oracle(m)]
+        twoqubit.cli, "_jacobi", lambda m: [x + 1e-6 for x in oracle(m)]
     )
     code, out, _ = run(capsys, "fuzz", "--samples", "4", "--seed", "3", "--family", "ginibre")
     assert code == EXIT_TOLERANCE == 3
@@ -440,6 +440,37 @@ def test_fuzz_breach_exits_3(capsys, monkeypatch):
     ]
     assert [d["index"] for d in doc["counterexamples"]] == [0, 0, 1]
     assert all(len(d["input"]) == 4 for d in doc["counterexamples"])
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_fuzz_nan_difference_is_a_breach(capsys, monkeypatch, position):
+    """An oracle with a NaN among its eigenvalues breaches the eigenvalue
+    check wherever the NaN sits: max() keeps a NaN only in first place, and
+    NaN > tol is false, so both runs used to exit 0."""
+    oracle = twoqubit.cli._jacobi
+
+    def with_nan(rows):
+        out = oracle(rows)
+        out[position] = math.nan
+        return out
+
+    monkeypatch.setattr(twoqubit.cli, "_jacobi", with_nan)
+    code, out, _ = run(capsys, "fuzz", "--samples", "5", "--seed", "1", "--family", "ginibre")
+    assert code == EXIT_TOLERANCE
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert math.isnan(doc["max_error"]["eigenvalues_vs_oracle"])
+    assert doc["counterexamples"][0]["check"] == "eigenvalues_vs_oracle"
+    assert math.isnan(doc["counterexamples"][0]["error"])
+
+
+def test_fuzz_tally_keeps_a_nan_once_recorded():
+    """A later finite error does not replace a NaN in max_error."""
+    tally = twoqubit.cli._FuzzTally()
+    for error in (0.0, math.nan, 1e-3, 0.0):
+        tally.record("check", error, 1e-9, 0, lambda: None)
+    assert math.isnan(tally.max_error["check"])
+    assert tally.breaches == 2
 
 
 FUZZ_SAMPLERS = [
@@ -505,9 +536,9 @@ def test_fuzz_runs_each_family_checks_in_dump_order(capsys, monkeypatch, family)
     family's checks in a fixed order, and the dumps follow it sample by
     sample."""
     checks, breached = FUZZ_CHECK_ORDER[family]
-    oracle = twoqubit.cli.eig_hermitian_oracle
+    oracle = twoqubit.cli._jacobi
     monkeypatch.setattr(
-        twoqubit.cli, "eig_hermitian_oracle", lambda m: [x + 1e-6 for x in oracle(m)]
+        twoqubit.cli, "_jacobi", lambda m: [x + 1e-6 for x in oracle(m)]
     )
     monkeypatch.setattr(twoqubit.cli._FuzzTally, "_DUMP_CAP", 10**6)
     ran = []

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from twoqubit.bloch import partial_transpose
+import twoqubit.cli
+from twoqubit.bloch import _pt_rows, partial_transpose
 from twoqubit.errors import OracleConvergenceError
 from twoqubit.linalg import (
     MonicQuartic,
     _flv,
+    _jacobi,
+    _read,
     charpoly_flv,
     eig_hermitian_oracle,
     is_hermitian,
@@ -375,3 +378,28 @@ def test_oracle_sweep_cap():
     rng = np.random.default_rng(12)
     with pytest.raises(OracleConvergenceError, match="relative off-norm 1e-14 in 0 sweeps"):
         eig_hermitian_oracle(random_hermitian(rng), max_sweeps=0)
+
+
+@pytest.mark.parametrize("family", list(twoqubit.cli._FUZZ_FAMILIES))
+def test_jacobi_on_rows_is_the_oracle_bit_for_bit(family):
+    """The oracle's body on a matrix's rows, and on their partial
+    transpose by row map, as fuzz runs it: the public oracle's bits on the
+    matrix and on partial_transpose of it, 200 draws of each fuzz family."""
+    draw = twoqubit.cli._FUZZ_FAMILIES[family]
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        m = draw(rng)[0]
+        rows = _read(m)[1]
+        assert [x.hex() for x in _jacobi(rows)] == [x.hex() for x in eig_hermitian_oracle(m)]
+        want = eig_hermitian_oracle(partial_transpose(m))
+        assert [x.hex() for x in _jacobi(_pt_rows(rows))] == [x.hex() for x in want]
+
+
+def test_jacobi_raises_the_oracle_errors():
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = 1.0
+    with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+        _jacobi(m.tolist())
+    rng = np.random.default_rng(12)
+    with pytest.raises(OracleConvergenceError, match="relative off-norm 1e-14 in 0 sweeps"):
+        _jacobi(random_hermitian(rng).tolist(), max_sweeps=0)

@@ -90,6 +90,7 @@ def test_layer_us_prints_one_row_per_call():
         "`charpoly_flv`",
         "`eig_hermitian_oracle`",
         "`eig_hermitian_oracle`, partial transpose",
+        "`_jacobi`, on _pt_rows of a record's rows",
         "`eigvalsh`",
         "`eigvalsh`, stacked",
         "`coeffs_from_traces`, stacked",
