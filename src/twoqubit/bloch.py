@@ -19,8 +19,9 @@ _check_form, decides hermiticity and unit trace for validation and
 to_bloch alike, and one body, _hermitian_tensor_rows, holds the Bloch
 sums, which read a matrix's diagonal and upper triangle only, and
 _pt_rows is the one row map of the partial transpose. _factor,
-a pivoted Cholesky factor, is the package's one factorization: a state
-record computes it once for validation's certificate and the concurrence.
+a pivoted Cholesky factor, is the package's one factorization and one
+definiteness rule: validation, the concurrence, the EoF gate and the
+Peres verdict (on _pt_rows shifted by TAU_SEP) all run it.
 LAPACK's eigvalsh still decides every positivity rejection.
 """
 

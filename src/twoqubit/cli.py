@@ -367,11 +367,11 @@ def _fuzz_check(family: str, rho, extra, ref, idx: int, tally: _FuzzTally) -> No
     pt_oracle_min = _jacobi(_pt_rows(s.rows))[-1]
     lam_err = abs(sep.lambda_min_pt - pt_oracle_min)
     tally.record("pt_lambda_min_vs_oracle", lam_err, 1e-9, idx, payload)
-    if abs(pt_oracle_min) > TAU_SEP and abs(sep.lambda_min_pt) > TAU_SEP:
+    if abs(pt_oracle_min) > TAU_SEP:
         agree = sep.separable == (pt_oracle_min >= 0.0)
         tally.record("verdict_vs_oracle_sign", 0.0 if agree else 1.0, 0.5, idx, payload)
     c = None
-    if abs(sep.lambda_min_pt) > 1e-8:
+    if abs(pt_oracle_min) > 1e-8:
         c = _concurrence(s)
         agree = (c > TAU_SEP) == (not sep.separable)
         tally.record("concurrence_vs_verdict", 0.0 if agree else 1.0, 0.5, idx, payload)

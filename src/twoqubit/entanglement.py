@@ -18,7 +18,7 @@ import numpy as np
 from .bloch import _factor, _hermitian_tensor_rows
 from .errors import InternalInconsistencyError, NotApplicableError
 from .separability import _State, _checked_state, _pure_q
-from .spectrum import TAU_BRANCH, _own_pass, quartic_eigs
+from .spectrum import TAU_BRANCH, _bloch_pass, quartic_eigs
 
 _YY_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
@@ -84,7 +84,7 @@ def _flip_product_eigs(factor) -> tuple[float, float, float, float]:
     g13 = (c01 * t03 + c11 * t13 + c12 * t23 + c13 * t33) * h
     g23 = (c02 * t03 + c12 * t13 + c22 * t23 + c23 * t33) * h
     t = _hermitian_tensor_rows((g00 * h, g11 * h, g22 * h, g33 * h), (g01, g02, g03, g12, g13, g23))
-    l0, l1, l2, l3 = quartic_eigs(_own_pass(t)[0]).eigenvalues
+    l0, l1, l2, l3 = quartic_eigs(_bloch_pass(t)[0]).eigenvalues
     if l3 < -1e-8:
         raise InternalInconsistencyError(
             f"flip-product eigenvalue {f * l3:.3e} is negative beyond tolerance"

@@ -5,9 +5,9 @@ class InternalInconsistencyError(RuntimeError):
     """Two supposedly equivalent computation routes disagreed beyond tolerance.
 
     Raised when a closed-form result fails its residual check, when a radicand
-    is more negative than the clamping band allows, or when cross-validated
-    coefficient routes drift apart. This always indicates a bug or an input
-    far outside the supported domain, never a condition the caller should
+    is more negative than the clamping band allows, or when quantities tied
+    by an identity disagree. This always indicates a bug or an input far
+    outside the supported domain, never a condition the caller should
     routinely handle.
     """
 

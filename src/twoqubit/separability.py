@@ -1,11 +1,13 @@
-"""Closed-form Peres partial-transpose separability test.
+"""Peres partial-transpose separability test.
 
 A two-qubit state is separable exactly when its partial transpose is
-positive semidefinite. The partial transpose changes the characteristic
+positive semidefinite (Peres, PRL 77, 1413, 1996; Horodecki, PLA 223, 1,
+1996): the verdict is bloch._factor, validation's definiteness rule, on
+rho^PT + TAU_SEP I. The partial transpose changes the characteristic
 coefficients in a simple closed way (the purity is untouched), so the PT
-spectrum, and with it the verdict, comes out of the same quartic solver.
-Only the input validation may diagonalize, with eigvalsh, and only for a
-matrix the rank of its factor does not settle.
+spectrum comes out of the same quartic solver. Only the input validation
+may diagonalize, with eigvalsh, and only for a matrix the rank of its
+factor does not settle.
 
 Every public call, here and in entanglement, validates its input through
 _checked_state, which keeps the last valid state's record: consecutive
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _check_rows, _factor, _read_tensor, _tensor_rows
+from .bloch import _check_rows, _factor, _pt_rows, _read_tensor, _tensor_rows
 from .linalg import _read
 from .spectrum import (
     SQRT3,
@@ -42,12 +44,13 @@ TAU_SEP = 1e-10
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Peres verdict from the partial transpose's spectrum: ``separable``
-    when its smallest eigenvalue ``lambda_min_pt`` is >= -TAU_SEP, and
-    ``marginal`` when |lambda_min_pt| <= TAU_SEP, where its sign is not
-    reliable. ``branch`` names the quartic_eigs branch (a spectrum.Branch
-    value) that solved the PT spectrum from ``pt_coeffs``, the PT
-    characteristic coefficients, which inequality_rhs also takes."""
+    """Peres verdict: ``separable`` when rho^PT + TAU_SEP I factors to rank
+    4 (bloch._factor), so lambda_min(rho^PT) >= -TAU_SEP to about 2e-15;
+    this field decides. ``lambda_min_pt``, from the closed-form PT spectrum,
+    may read 0.0 in quartic_eigs' rank band, and ``marginal`` is
+    |lambda_min_pt| <= TAU_SEP.
+    ``branch`` names the quartic_eigs branch (a spectrum.Branch value) that
+    solved it from ``pt_coeffs``, which inequality_rhs also takes."""
 
     separable: bool
     lambda_min_pt: float
@@ -68,7 +71,7 @@ def pt_coeffs(t) -> CharCoeffs:
 
     with xi_a, xi_b and A the parts of t's unit tensor: each moves by twice
     the part the partial transpose flips. spectrum._bloch_pass computes it
-    beside t's own k3 and k4 and checks it on the column-flipped tensor.
+    beside t's own k3 and k4, from the same terms.
     """
     return _bloch_pass(_read_tensor(t)[1])[1]
 
@@ -81,7 +84,7 @@ def inequality_rhs(c: CharCoeffs) -> float | None:
     defined away from the doubly degenerate branches, so c that quartic_eigs
     solves as s = 0 or as a single+triple shape returns None, and c that
     trig_params refuses raises its error. No call path evaluates it; the
-    verdict reads lambda_min_pt."""
+    verdict is SeparabilityReport's certificate."""
     s, k3, k4 = c
     c1, _, phi, sgn = _resolvent(c, s, k3, k4)
     if s == 0.0 or sgn:
@@ -98,9 +101,9 @@ class _State:
     concurrence and the EoF bound's gate, which reads its last pivot), the
     Bloch tensor as rows of plain floats (t_rows, read by the coefficient
     pass and the CLI), coefficients c and PT coefficients cp from one
-    spectrum._bloch_pass, and the PT spectrum (read by the verdict, the
+    spectrum._bloch_pass, and the PT spectrum (read by peres_test, the
     negativity and the EoF bound). A stage with one reader, such as rho's
-    own spectrum, is computed by that reader.
+    own spectrum or the verdict's factor, is computed by that reader.
 
     The record reads rho once, with linalg._read, so a matrix that is not
     4x4 or has a non-finite entry raises ValueError here. It keeps the
@@ -191,7 +194,7 @@ def _checked_state(rho) -> _State:
 def _verdict(s: _State) -> SeparabilityReport:
     lam_min = s.pt.eigenvalues[-1]
     return SeparabilityReport(
-        separable=lam_min >= -TAU_SEP,
+        separable=_factor(_pt_rows(s.rows), TAU_SEP)[0] == 4,
         lambda_min_pt=lam_min,
         branch=s.pt.branch.value,
         marginal=abs(lam_min) <= TAU_SEP,
@@ -200,8 +203,8 @@ def _verdict(s: _State) -> SeparabilityReport:
 
 
 def peres_test(rho) -> SeparabilityReport:
-    """Separability verdict for a two-qubit density matrix, from the
-    partial-transpose spectrum in closed form (see SeparabilityReport).
+    """Separability verdict for a two-qubit density matrix, from the factor
+    of its shifted partial transpose (see SeparabilityReport).
     A matrix that is not a density matrix raises ValueError."""
     return _verdict(_checked_state(rho))
 

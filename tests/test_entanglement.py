@@ -691,6 +691,25 @@ def test_weakly_entangled_pure_concurrence(q):
         assert abs(concurrence(np.outer(v, v.conj())) - 2.0 * q) <= 1e-15
 
 
+def test_weakly_entangled_pure_verdict_matches_concurrence():
+    """Locally rotated cos t|00> + sin t|11> with cos t sin t = q, 25
+    draws at each q: the verdict calls a state entangled exactly when its
+    concurrence, 2q, is above 1e-10. While the verdict read the
+    closed-form lambda_min_pt, which is 0.0 up to about q = 1e-7, 75 of
+    these 100 draws disagreed."""
+    rng = np.random.default_rng(72)
+    disagree = []
+    for q in (2e-10, 1e-9, 1e-7, 7e-7):
+        theta = 0.5 * math.asin(2.0 * q)
+        psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
+        for _ in range(25):
+            v = _local(rng) @ psi
+            rho = np.outer(v, v.conj())
+            if peres_test(rho).separable != (concurrence(rho) <= 1e-10):
+                disagree.append(q)
+    assert disagree == []
+
+
 def test_product_states_sit_below_the_tau_floor():
     """A product pure state has tau = 0, so |tau11| = sqrt(mu1) is rounding
     alone: at most 3.6e-16 on 10^5 draws, and the floor keeps the

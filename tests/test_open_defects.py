@@ -86,12 +86,10 @@ def test_eof_upper_bound_answers_on_full_rank_diagonal():
     assert abs(eof_upper_bound(rho) - min(max(1.0 - 4.0 * lam_min, 0.0), 1.0)) <= 2e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP 2(c): pure states with q = |ad - bc| <= 7e-7 read as separable",
-)
 def test_weakly_entangled_pure_state_is_entangled():
+    """ROADMAP 2(c): the closed-form lambda_min_pt reads pure states with
+    q = |ad - bc| <= 7e-7 as 0.0, and the verdict took them as separable
+    while it read that value; the factor of rho^PT + TAU_SEP I does not."""
     rng = np.random.default_rng(72)
     q = 1e-7
     theta = 0.5 * math.asin(2.0 * q)  # cos(theta) sin(theta) = q
@@ -118,20 +116,47 @@ def depolarized_weak_pure(q, t, rng):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP 2: a PT spectrum whose b0 sits in the rank band reads lambda_min = 0.0",
+    reason="ROADMAP 2b: a PT spectrum whose b0 sits in the rank band reads lambda_min = 0.0",
 )
 @pytest.mark.parametrize("q, t", [(1e-5, -1e-6), (1e-4, -1e-8)], ids=lambda x: f"{x:g}")
 def test_depolarized_weak_pure_state_is_entangled(q, t):
     """The product of the PT eigenvalues is about -1.6e-16 at q = 1e-5,
     t = -1e-6, inside the rank band |b0| <= 1e-15 of quartic_eigs, so
-    lambda_min is read as 0.0 and the entangled state as separable: every
-    draw in both cells (50 of 50 over seed 9)."""
+    lambda_min is read as 0.0: every draw in both cells (50 of 50 over
+    seed 9). The verdict, from the factor, is right."""
     rng = np.random.default_rng(76)
     for _ in range(DRAWS):
         rho = depolarized_weak_pure(q, t, rng)
         sep = peres_test(rho)
         assert abs(sep.lambda_min_pt - np.linalg.eigvalsh(partial_transpose(rho))[0]) <= 1e-12
         assert not sep.separable
+
+
+# ROADMAP 2's grid: q = |ad - bc| of the pure part and t = lambda_min(rho^PT),
+# every cell with t + q >= 0 (34 of them).
+WEAK_GRID = [
+    (q, t)
+    for q in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 3e-6)
+    for t in (-1e-5, -1e-6, -1e-7, -1e-8, -1e-9, 1e-8)
+    if t + q >= 0.0
+]
+
+
+def test_depolarized_weak_pure_verdicts_follow_eigvalsh():
+    """ROADMAP 2a: the verdict of every cell of the grid, 3 draws each,
+    is the sign of eigvalsh's lambda_min(rho^PT). While the verdict read
+    the closed-form lambda_min, 650 of 1700 draws (50 a cell, seed 9) in
+    13 cells were called separable."""
+    rng = np.random.default_rng(9)
+    wrong = []
+    for q, t in WEAK_GRID:
+        for _ in range(3):
+            rho = depolarized_weak_pure(q, t, rng)
+            entangled = np.linalg.eigvalsh(partial_transpose(rho))[0] < 0.0
+            if peres_test(rho).separable == entangled:
+                wrong.append((q, t))
+    assert len(WEAK_GRID) == 34
+    assert wrong == []
 
 
 def test_near_quarter_spectrum_accuracy():

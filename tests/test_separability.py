@@ -145,8 +145,7 @@ def ref_bloch_pass(t):
 
 def test_pt_coeffs_match_direct_evaluation():
     """The coefficient-space PT map against brute force on the transposed
-    matrix. The map itself also cross-checks against the Bloch route
-    internally, so this closes the triangle."""
+    matrix: the check that pins the map's orientation."""
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(500):
@@ -410,8 +409,8 @@ def test_record_shares_one_bloch_pass(family):
     """The column flip negates A's y column and xi_b's y entry. Every
     product in s, bilin, rest and cross_sq pairs two of those negations or
     squares one, so they equal the flipped tensor's exactly and det A is
-    exactly negated: the PT cross-check loses nothing by reusing them. The
-    record's c and cp are, bit for bit, the public functions' answers."""
+    exactly negated: the PT map only negates the odd terms. The record's c
+    and cp are, bit for bit, the public functions' answers."""
     rng = np.random.default_rng(sorted(FAMILIES).index(family) + 90)
     for _ in range(200):
         rho = FAMILIES[family](rng)
@@ -427,20 +426,6 @@ def test_record_shares_one_bloch_pass(family):
         record = _State(rho)
         assert record.c == c
         assert record.cp == pt_coeffs(t)
-
-
-def test_pt_cross_check_rejects_wrong_odd_terms(monkeypatch):
-    """An odd term off by 1e-6 everywhere moves k4 by 1e-6/64 and the PT
-    k4 by -1e-6/64, while the flipped tensor's k4 moves by +1e-6/64: the
-    check sees a drift of 1e-6/32 = 3.1e-8 and peres_test raises."""
-
-    def off_by_delta(xa, xb, a):
-        odd, det_corr = _pt_odd_terms(xa, xb, a)
-        return odd + 1e-6, det_corr
-
-    monkeypatch.setattr(spectrum, "_pt_odd_terms", off_by_delta)
-    with pytest.raises(InternalInconsistencyError, match=r"drifted 3\.12\de-08"):
-        peres_test(ginibre_density(np.random.default_rng(98)))
 
 
 REFERENCE_FAMILIES = ("ginibre", "near_quarter", "rank2", "rank3", "pure", "werner")
@@ -481,14 +466,15 @@ def test_consecutive_calls_share_one_record(monkeypatch):
     """peres_test then entanglement_report on one matrix reads, validates
     and runs the Bloch pass once, and solves one quartic of rho's, the
     partial transpose's (a Ginibre state's factor has rank 4, so validation
-    needs no shifted one). The factorization runs once: rho's, kept by the
+    needs no shifted one). The factorization runs twice: rho's, kept by the
     record, whose last pivot certifies the EoF bound's gate without the
-    factor at -TAU_BRANCH. The concurrence solves one more quartic, of
+    factor at -TAU_BRANCH, and the verdict's certificate, the factor of
+    rho^PT + TAU_SEP I. The concurrence solves one more quartic, of
     tau^dagger tau, under entanglement's name.
-    On a rank-2 state it runs twice, rho's and validation's at
-    +PSD_TOL / 2: the EoF bound reads the kept rank-2 factor and skips its
-    gate, and the rank-2 concurrence solves no quartic. The answers are a
-    fresh record's."""
+    On a rank-2 state it runs three times, rho's, validation's at
+    +PSD_TOL / 2 and the verdict's: the EoF bound reads the kept rank-2
+    factor and skips its gate, and the rank-2 concurrence solves no
+    quartic. The answers are a fresh record's."""
     calls = dict.fromkeys(("_bloch_pass", "_check_rows", "_factor", "quartic_eigs", "tau quartic"), 0)
 
     def counted(module, name, key=None):
@@ -516,7 +502,7 @@ def test_consecutive_calls_share_one_record(monkeypatch):
         assert {k: calls[k] - before[k] for k in calls} == {
             "_bloch_pass": 1,
             "_check_rows": 1,
-            "_factor": 1,
+            "_factor": 2,
             "quartic_eigs": 1,
             "tau quartic": 1,
         }
@@ -528,7 +514,7 @@ def test_consecutive_calls_share_one_record(monkeypatch):
         assert {k: calls[k] - before[k] for k in calls} == {
             "_bloch_pass": 1,
             "_check_rows": 1,
-            "_factor": 2,
+            "_factor": 3,
             "quartic_eigs": 1,
             "tau quartic": 0,
         }

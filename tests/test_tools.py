@@ -85,6 +85,7 @@ def test_layer_us_prints_one_row_per_call():
         "`quartic_eigs`",
         "`inequality_rhs`",
         "`_factor`",
+        "`_factor`, on _pt_rows shifted by TAU_SEP",
         "`_flip_product_eigs`",
         "`spin_flip`",
         "`charpoly_flv`",

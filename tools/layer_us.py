@@ -10,7 +10,9 @@ its partial transpose), or LAPACK's ``eigvalsh`` as the yardstick. The
 row "_jacobi, on _pt_rows of a record's rows" is that second oracle call
 as fuzz runs it, with no second read of the matrix: the oracle's body on
 the rows of the state's record, moved by the partial transpose's row
-map, the map included in the time. Its inputs come from 30 Ginibre
+map, the map included in the time. The row "_factor, on _pt_rows shifted
+by TAU_SEP" is the Peres verdict's certificate as ``peres_test`` runs it,
+the row map included. The inputs come from 30 Ginibre
 states of seed 0 (drawn here with numpy, so every tree sees the same
 ones); one repeat makes 300 calls, cycling over the states. Each tree runs in 3 workers, and the row shows the median
 over them of each worker's fastest of 9 repeats, in microseconds per
@@ -83,6 +85,12 @@ def _flip_args(tq, rho):
     return (tq.separability._State(rho).factor,)
 
 
+def _certificate(tq, rows):
+    """The verdict's certificate: the factor of the partial transpose of a
+    record's rows, shifted by TAU_SEP."""
+    return tq.bloch._factor(tq.bloch._pt_rows(rows), tq.separability.TAU_SEP)
+
+
 def _pt_oracle(tq, rows):
     """The oracle on a record's partial transpose, as fuzz runs it."""
     return tq.linalg._jacobi(tq.bloch._pt_rows(rows))
@@ -114,6 +122,7 @@ ROWS = (
         lambda tq, r: (tq.separability.pt_coeffs(_bloch(tq, r)),),
     ),
     ("_factor", lambda tq: tq.bloch._factor, _rows),
+    ("_factor, on _pt_rows shifted by TAU_SEP", lambda tq: functools.partial(_certificate, tq), _rows),
     ("_flip_product_eigs", lambda tq: tq.entanglement._flip_product_eigs, _flip_args),
     ("spin_flip", lambda tq: tq.entanglement.spin_flip, lambda tq, r: (r,)),
     ("charpoly_flv", lambda tq: tq.linalg.charpoly_flv, lambda tq, r: (r,)),
