@@ -20,6 +20,8 @@ import numpy as np
 
 from .separability import TAU_SEP
 
+_MAX_TABLE_ROWS = 10**6  # the most rows chain_report builds with n omitted
+
 
 def swap_gate() -> np.ndarray:
     """Two-qubit swap, S|ab> = |ba>."""
@@ -148,13 +150,18 @@ def chain_report(q: float, epsilon: float, n: int | None = None) -> ChainReport:
     Rows cover steps 0..n when n is given, otherwise 0..n_max+1 so the
     first separable step is visible. epsilon_critical refers to the
     requested n (or to n_max when n is omitted); it is None when that
-    distance is 0. An unbounded n_max with no explicit n is an error since
-    the table would never end.
+    distance is 0. With no explicit n, an unbounded n_max, or a table of
+    more than _MAX_TABLE_ROWS = 10^6 rows, is an error before the first row.
     """
     n_max = max_transfer_distance(q, epsilon)
     if n is None:
         if n_max is math.inf:
             raise ValueError("n is required when the transfer distance is unbounded")
+        if n_max + 2 > _MAX_TABLE_ROWS:
+            raise ValueError(
+                f"n is required when the table would have more than {_MAX_TABLE_ROWS} "
+                f"rows, got n_max = {n_max}"
+            )
         last = int(n_max) + 1
         crit_n = int(n_max)
     else:

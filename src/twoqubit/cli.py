@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .bloch import _pt_rows, from_bloch
-from .chain import chain_report, max_transfer_distance
+from .chain import _MAX_TABLE_ROWS, chain_report, max_transfer_distance
 from .entanglement import _concurrence, _report, concurrence_pure
 from .errors import InternalInconsistencyError, OracleConvergenceError
 from .linalg import _jacobi
@@ -51,9 +51,6 @@ EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
-
-# The most rows a chain table prints, a --sweep's or an --epsilon one's.
-_SWEEP_MAX_POINTS = 10**6
 
 # Fuzz samples drawn, and their trace-route coefficients computed in one
 # stacked call, before any of them is checked: numpy's per-call cost is
@@ -208,23 +205,34 @@ def _parse_sweep(text: str):
     if step <= 0 or stop < start:
         raise _ValidationFailure("--sweep needs step > 0 and stop >= start")
     span = (stop - start) / step + 1e-9
-    if span >= _SWEEP_MAX_POINTS:
-        raise _ValidationFailure(f"--sweep gives more than {_SWEEP_MAX_POINTS} points")
+    if span >= _MAX_TABLE_ROWS:
+        raise _ValidationFailure(f"--sweep gives more than {_MAX_TABLE_ROWS} points")
     # Rounding can put start + k * step one ulp past stop.
     return [min(start + k * step, stop) for k in range(int(span) + 1)]
 
 
 def cmd_chain(args) -> int:
-    if not 0.0 <= args.q <= 0.5:
-        raise _ValidationFailure(f"--q must lie in [0, 1/2], got {args.q}")
+    if args.sweep is not None and args.n is not None:
+        raise _ValidationFailure("--n only applies with --epsilon")
+    eps = args.epsilon
+    # The ranges of q and epsilon are the library's; its ValueError exits 2.
+    try:
+        if args.sweep is not None:
+            rows = [(e, max_transfer_distance(args.q, e)) for e in _parse_sweep(args.sweep)]
+        else:
+            # Rows 0..n, n the given --n or n_max + 1; an unbounded n_max
+            # with no --n is chain_report's error.
+            n_rows = max_transfer_distance(args.q, eps) + 2 if args.n is None else args.n + 1
+            if n_rows > _MAX_TABLE_ROWS and n_rows != math.inf:
+                raise _ValidationFailure(
+                    f"the table would have {n_rows} rows, more than {_MAX_TABLE_ROWS}; "
+                    "--n sets its length"
+                )
+            report = chain_report(args.q, eps, n=args.n)
+    except ValueError as exc:
+        raise _ValidationFailure(str(exc)) from exc
 
     if args.sweep is not None:
-        if args.n is not None:
-            raise _ValidationFailure("--n only applies with --epsilon")
-        rows = []
-        for eps in _parse_sweep(args.sweep):
-            n_max = max_transfer_distance(args.q, eps)
-            rows.append((eps, n_max))
         if args.csv:
             print("epsilon,n_max")
             for eps, n_max in rows:
@@ -237,22 +245,6 @@ def cmd_chain(args) -> int:
             ]
             print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-
-    eps = args.epsilon
-    if not 0.0 <= eps <= 1.0:
-        raise _ValidationFailure(f"--epsilon must lie in [0, 1], got {eps}")
-    # Rows 0..n, n the given --n or n_max + 1; an unbounded n_max with no
-    # --n is chain_report's error.
-    rows = max_transfer_distance(args.q, eps) + 2 if args.n is None else args.n + 1
-    if rows > _SWEEP_MAX_POINTS and rows != math.inf:
-        raise _ValidationFailure(
-            f"the table would have {rows} rows, more than {_SWEEP_MAX_POINTS}; "
-            "--n sets its length"
-        )
-    try:
-        report = chain_report(args.q, eps, n=args.n)
-    except ValueError as exc:
-        raise _ValidationFailure(str(exc)) from exc
 
     entangled = [lam < -TAU_SEP for lam in report.lambda_min_per_step]
     if args.csv:
@@ -438,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--epsilon", type=float, help="fixed noise strength")
     group.add_argument(
         "--sweep",
-        help=f"epsilon range start:stop:step, at most {_SWEEP_MAX_POINTS} points",
+        help=f"epsilon range start:stop:step, at most {_MAX_TABLE_ROWS} points",
     )
     p.add_argument("--n", type=int, help="last step to tabulate (default n_max + 1)")
     p.add_argument("--csv", action="store_true", help="CSV instead of JSON")

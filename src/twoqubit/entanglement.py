@@ -3,8 +3,8 @@
 Concurrence follows Wootters (PRL 80, 2245, 1998): for a factor rho =
 W W^dagger the singular values sigma of tau = W^T (sigma_y x sigma_y) W
 are the square roots of the eigenvalues of rho times its spin flip, and
-C = max(0, sigma1 - sigma2 - sigma3 - sigma4). Negativity reuses the
-partial-transpose spectrum.
+C = max(0, sigma1 - sigma2 - sigma3 - sigma4). Negativity reads the
+smallest partial-transpose eigenvalue.
 """
 
 from __future__ import annotations
@@ -105,14 +105,12 @@ def concurrence(rho) -> float:
     return _concurrence(_checked_state(rho))
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
+def _eof_from_concurrence(c: float) -> float:
+    # h(x), the binary entropy, at x = (1 + sqrt(1 - C^2)) / 2 >= 1/2.
+    x = (1.0 + math.sqrt(1.0 - min(c, 1.0) ** 2)) / 2.0
+    if x >= 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
-
-
-def _eof_from_concurrence(c: float) -> float:
-    return _binary_entropy((1.0 + math.sqrt(1.0 - min(c, 1.0) ** 2)) / 2.0)
 
 
 def eof(rho) -> float:
@@ -130,14 +128,13 @@ def concurrence_pure(state) -> float:
 
 
 def _negativity(s: _State) -> float:
-    # The terms of sum() over a generator, in its order, without its frame.
-    l0, l1, l2, l3 = s.pt.eigenvalues
-    return 0 + max(0.0, -l0) + max(0.0, -l1) + max(0.0, -l2) + max(0.0, -l3)
+    return max(0.0, -s.pt.eigenvalues[-1])
 
 
 def negativity(rho) -> float:
-    """Sum of the absolute values of the negative partial-transpose
-    eigenvalues, computed from the closed-form PT spectrum."""
+    """max(0, -lambda_min(rho^PT)), peres_test's closed-form lambda_min_pt:
+    the sum of |negative PT eigenvalues|, as for two qubits rho^PT has at
+    most one (Sanpera, Tarrach & Vidal, PRA 58, 826, 1998)."""
     return _negativity(_checked_state(rho))
 
 

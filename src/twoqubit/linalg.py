@@ -155,9 +155,10 @@ def _flv(m: np.ndarray) -> list[MonicQuartic]:
 # scaled exactly by a power of two to entries of order one, so the stop is
 # relative and no square can overflow.
 _ORACLE_TOL = 1e-14
+_ORACLE_MAX_SWEEPS = 60  # full sweeps before OracleConvergenceError
 
 
-def eig_hermitian_oracle(m, max_sweeps: int = 60):
+def eig_hermitian_oracle(m):
     """Eigenvalues of a 4x4 Hermitian matrix by cyclic complex Jacobi rotations.
 
     The matrix is held in half storage, as locals: the four real diagonal
@@ -172,10 +173,8 @@ def eig_hermitian_oracle(m, max_sweeps: int = 60):
     Parameters
     ----------
     m : array_like
-        Hermitian 4x4 matrix with finite entries.
-    max_sweeps : int
-        Hard cap on full rotation sweeps; exceeding it raises
-        OracleConvergenceError rather than looping forever.
+        Hermitian 4x4 matrix with finite entries. One not converged in
+        _ORACLE_MAX_SWEEPS (60) sweeps raises OracleConvergenceError.
 
     Returns
     -------
@@ -186,10 +185,10 @@ def eig_hermitian_oracle(m, max_sweeps: int = 60):
     and each |m_ij - conj(m_ji)| is at most 1e-8. An entry or eigenvalue
     whose modulus exceeds the float range raises OracleConvergenceError.
     """
-    return _jacobi(_read(m)[1], max_sweeps)
+    return _jacobi(_read(m)[1])
 
 
-def _jacobi(rows, max_sweeps: int = 60):
+def _jacobi(rows):
     """eig_hermitian_oracle after its read: the oracle's whole body on rows
     of Python complex numbers as _read gives them (or bloch._pt_rows of
     such rows), with the same errors in the same order."""
@@ -214,6 +213,7 @@ def _jacobi(rows, max_sweeps: int = 60):
     sqrt = math.sqrt
     # The squared off-norm 2 sum |u|^2 against _ORACLE_TOL^2.
     half_tol_sq = 0.5 * _ORACLE_TOL * _ORACLE_TOL
+    cap = _ORACLE_MAX_SWEEPS
     sweeps = 0
     while True:
         off_sq = (
@@ -226,9 +226,9 @@ def _jacobi(rows, max_sweeps: int = 60):
         )
         if off_sq <= half_tol_sq:
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= cap:
             raise OracleConvergenceError(
-                f"Jacobi did not reach relative off-norm {_ORACLE_TOL} in {max_sweeps} sweeps "
+                f"Jacobi did not reach relative off-norm {_ORACLE_TOL} in {cap} sweeps "
                 f"(off={sqrt(2.0 * off_sq):.3e})"
             )
         sweeps += 1

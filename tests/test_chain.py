@@ -221,6 +221,32 @@ def test_chain_report_default_rows():
     assert abs(report.epsilon_critical - critical_noise(0.5, 10)) <= 1e-15
 
 
+def test_chain_report_default_table_is_bounded(monkeypatch):
+    """With n omitted, a table of more than 10^6 rows is refused before its
+    first row: q = 0.3 at eps = 1e-9 has n_max = 788457381. The counter
+    stops a table build long before it could fill memory."""
+    calls = [0]
+    real = chain.chain_lambda_min
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > 2 * 10**6:
+            raise RuntimeError("the table is being built")
+        return real(*args)
+
+    monkeypatch.setattr(chain, "chain_lambda_min", counted)
+    want = r"^n is required when the table would have more than 1000000 rows, got n_max = 788457381$"
+    with pytest.raises(ValueError, match=want):
+        chain_report(0.3, 1e-9)
+    assert calls[0] < 1000
+    # q = 0.5 at eps = 0.1 has n_max = 10, a table of 12 rows: the bound counts them all
+    monkeypatch.setattr(chain, "_MAX_TABLE_ROWS", 12)
+    assert len(chain_report(0.5, 0.1).lambda_min_per_step) == 12
+    monkeypatch.setattr(chain, "_MAX_TABLE_ROWS", 11)
+    with pytest.raises(ValueError, match="more than 11 rows, got n_max = 10$"):
+        chain_report(0.5, 0.1)
+
+
 def test_chain_report_explicit_n():
     report = chain_report(0.5, 0.1, n=4)
     assert len(report.lambda_min_per_step) == 5

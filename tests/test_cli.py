@@ -326,10 +326,14 @@ def test_chain_sweep(capsys):
 
 
 def test_chain_validation_failures(capsys):
-    code, _, err = run(capsys, "chain", "--q", "0.7", "--epsilon", "0.1")
-    assert code == EXIT_VALIDATION and "error:" in err
-    code, _, _ = run(capsys, "chain", "--q", "0.5", "--epsilon", "1.5")
-    assert code == EXIT_VALIDATION
+    # the ranges of q and epsilon are the library's, in its words
+    for argv, message in (
+        (("--q", "0.7", "--epsilon", "0.1"), "q must lie in [0, 1/2], got 0.7"),
+        (("--q", "0.7", "--sweep", "0:0.2:0.1"), "q must lie in [0, 1/2], got 0.7"),
+        (("--q", "0.5", "--epsilon", "1.5"), "epsilon must lie in [0, 1], got 1.5"),
+    ):
+        code, out, err = run(capsys, "chain", *argv)
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n"), argv
     code, _, _ = run(capsys, "chain", "--q", "0.5", "--sweep", "0.1:0.3:0.1", "--n", "5")
     assert code == EXIT_VALIDATION
     code, _, _ = run(capsys, "chain", "--q", "0.5", "--sweep", "0.3:0.1")

@@ -144,6 +144,29 @@ def test_negativity_sums_in_the_order_of_sum_over_the_spectrum():
         assert repr(negativity(rho)) == repr(want)
 
 
+NEGATIVITY_FAMILIES = {
+    "product_pure": lambda rng: pure_density(random_product_pure(rng)),
+    "ginibre": ginibre_density,
+    "rank2": lambda rng: rank_deficient_density(rng, 2),
+    "rank3": lambda rng: rank_deficient_density(rng, 3),
+    "haar_pure": lambda rng: pure_density(haar_pure(rng)),
+    "werner": lambda rng: werner_state(rng.uniform(-1.0 / 3.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("family", list(NEGATIVITY_FAMILIES))
+def test_negativity_is_minus_lambda_min_pt(family):
+    """The negativity is max(0, -lambda_min_pt) bit for bit: rho^PT has at
+    most one negative eigenvalue, so only the smallest one counts. On
+    product pure states a sum over all four added rounding negatives."""
+    draw = NEGATIVITY_FAMILIES[family]
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        rho = draw(rng)
+        want = max(0.0, -peres_test(rho).lambda_min_pt)
+        assert repr(negativity(rho)) == repr(want)
+
+
 def test_negativity_equals_half_concurrence_for_pure():
     rng = np.random.default_rng(57)
     for _ in range(200):

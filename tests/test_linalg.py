@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import twoqubit.cli
+import twoqubit.linalg
 from twoqubit.bloch import _pt_rows, partial_transpose
 from twoqubit.errors import OracleConvergenceError
 from twoqubit.linalg import (
@@ -353,7 +354,7 @@ CLUSTERED_FAMILIES = {
 
 
 @pytest.mark.parametrize("family", sorted(CLUSTERED_FAMILIES))
-def test_oracle_accuracy_on_clustered_spectra(family):
+def test_oracle_accuracy_on_clustered_spectra(monkeypatch, family):
     """The oracle against 40-digit mpmath eigenvalues of the matrix it
     reads (the upper triangle, mirrored), on spectra with clusters,
     near-zero eigenvalues or exact doubles. Every draw converges within
@@ -361,6 +362,7 @@ def test_oracle_accuracy_on_clustered_spectra(family):
     mpmath = pytest.importorskip("mpmath")
     draw, gate = CLUSTERED_FAMILIES[family]
     rng = np.random.default_rng(sorted(CLUSTERED_FAMILIES).index(family) + 160)
+    monkeypatch.setattr(twoqubit.linalg, "_ORACLE_MAX_SWEEPS", 6)
     worst = 0.0
     for _ in range(200):
         m = draw(rng)
@@ -369,15 +371,16 @@ def test_oracle_accuracy_on_clustered_spectra(family):
         with mpmath.workdps(40):
             want = mpmath.eigh(mpmath.matrix(m.tolist()), eigvals_only=True)
         want = sorted(map(float, want), reverse=True)
-        got = eig_hermitian_oracle(m, max_sweeps=6)
+        got = eig_hermitian_oracle(m)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)) / max(map(abs, want)))
     assert worst <= gate * np.finfo(float).eps
 
 
-def test_oracle_sweep_cap():
+def test_oracle_sweep_cap(monkeypatch):
     rng = np.random.default_rng(12)
+    monkeypatch.setattr(twoqubit.linalg, "_ORACLE_MAX_SWEEPS", 0)
     with pytest.raises(OracleConvergenceError, match="relative off-norm 1e-14 in 0 sweeps"):
-        eig_hermitian_oracle(random_hermitian(rng), max_sweeps=0)
+        eig_hermitian_oracle(random_hermitian(rng))
 
 
 @pytest.mark.parametrize("family", list(twoqubit.cli._FUZZ_FAMILIES))
@@ -395,11 +398,12 @@ def test_jacobi_on_rows_is_the_oracle_bit_for_bit(family):
         assert [x.hex() for x in _jacobi(_pt_rows(rows))] == [x.hex() for x in want]
 
 
-def test_jacobi_raises_the_oracle_errors():
+def test_jacobi_raises_the_oracle_errors(monkeypatch):
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1] = 1.0
     with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
         _jacobi(m.tolist())
     rng = np.random.default_rng(12)
+    monkeypatch.setattr(twoqubit.linalg, "_ORACLE_MAX_SWEEPS", 0)
     with pytest.raises(OracleConvergenceError, match="relative off-norm 1e-14 in 0 sweeps"):
-        _jacobi(random_hermitian(rng).tolist(), max_sweeps=0)
+        _jacobi(random_hermitian(rng).tolist())
